@@ -32,7 +32,6 @@ from .io import (
 )
 from .lbfgs import LbfgsStore, lbfgs_reduced_inverse_solve, lbfgs_update
 from .model import (
-    AnalysisConstants,
     CompositeProblem,
     ConvergenceReport,
     QuadraticModel,
@@ -72,7 +71,6 @@ from .prox import is_optimal, ista_point, residual, soft_threshold, subproblem_r
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConstants",
     "CompositeProblem",
     "ConvergenceReport",
     "CovarianceProblem",

@@ -1,7 +1,8 @@
 """Benchmark command line: one solver run per invocation.
 
-Exit codes: 0 when the run converged, 2 when it hit the iteration cap,
-1 on any usage or input error.
+Exit codes: 0 when the run converged, 2 when it stopped for any other
+reason (the iteration cap, an inner-solver stall), 1 on any usage or input
+error.
 """
 
 import argparse
@@ -9,6 +10,7 @@ import sys
 
 from .driver import fista_baseline_solve, sqa_solve
 from .io import (
+    SOLVERS,
     RunSpec,
     SvmlightParseError,
     load_dense_matrix,
@@ -16,7 +18,7 @@ from .io import (
     sample_covariance,
     write_report,
 )
-from .model import SolverConfig
+from .model import INEXACTNESS_MODES, SolverConfig
 from .objectives import (
     CovarianceProblem,
     covariance_problem,
@@ -55,21 +57,22 @@ def _build_parser():
     parser.add_argument("--mu", type=float, default=None,
                         help="l1 weight; defaults: covariance 0.5, synthetic "
                              "0.1, required for logistic")
-    parser.add_argument("--solver", default="sqa_obm_cg",
-                        choices=["fista", "sqa_fista", "sqa_obm_cg", "sqa_obm_qn"])
-    parser.add_argument("--tol", type=float, default=1e-5)
-    parser.add_argument("--max-outer", type=int, default=3000)
-    parser.add_argument("--max-inner", type=int, default=1000)
-    parser.add_argument("--tau", type=float, default=0.5)
-    parser.add_argument("--theta", type=float, default=0.1)
+    parser.add_argument("--solver", default="sqa_obm_cg", choices=SOLVERS)
+    parser.add_argument("--tol", type=float, default=SolverConfig.tol_inf)
+    parser.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
+    parser.add_argument("--max-inner", type=int, default=SolverConfig.max_inner)
+    parser.add_argument("--tau", type=float, default=SolverConfig.tau)
+    parser.add_argument("--theta", type=float, default=SolverConfig.theta)
+    # The paper's experiments set zeta = theta = 0.1; SolverConfig defaults
+    # to 0.25, strictly between theta and 1/2 as the unit-step theory wants.
     parser.add_argument("--zeta", type=float, default=0.1)
     parser.add_argument("--eta-rule", default="paper",
                         choices=["paper", "residual"],
                         help="forcing sequence: max(1/k, 0.1) or the current "
                              "residual norm")
-    parser.add_argument("--inexactness", default="strengthened",
-                        choices=["simple", "strengthened"])
-    parser.add_argument("--memory", type=int, default=50)
+    parser.add_argument("--inexactness", default=SolverConfig.inexactness_mode,
+                        choices=INEXACTNESS_MODES)
+    parser.add_argument("--memory", type=int, default=SolverConfig.lbfgs_memory)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n", type=int, default=50,
                         help="dimension of the synthetic problem")
@@ -82,8 +85,8 @@ def _build_parser():
 
 def _load_problem(spec):
     if spec.problem_kind == "synthetic":
-        return synthetic_quadratic(spec.dimension, spec.condition,
-                                   spec.config.seed, mu=spec.mu)
+        return synthetic_quadratic(spec.dimension, spec.condition, spec.seed,
+                                   mu=spec.mu)
     if spec.problem_kind == "logistic":
         data = parse_svmlight(spec.data_path)
         if data.n_samples == 0:
@@ -102,8 +105,7 @@ def run(spec):
     problem = _load_problem(spec)
     if spec.solver == "fista":
         return fista_baseline_solve(problem, spec.config)
-    hessian_source = "lbfgs" if spec.solver == "sqa_obm_qn" else "exact"
-    return sqa_solve(problem, spec.config, hessian_source=hessian_source)
+    return sqa_solve(problem, spec.config)
 
 
 def _print_summary(report, stream):
@@ -132,8 +134,6 @@ def cli_main(argv=None):
             if args.problem == "logistic":
                 raise ValueError("logistic problems require an explicit --mu")
             mu = _DEFAULT_MU[args.problem]
-        inner = {"fista": "fista", "sqa_fista": "fista",
-                 "sqa_obm_cg": "obm_cg", "sqa_obm_qn": "obm_qn"}[args.solver]
         config = SolverConfig(
             theta=args.theta,
             zeta=args.zeta,
@@ -141,10 +141,9 @@ def cli_main(argv=None):
             tol_inf=args.tol,
             max_outer=args.max_outer,
             max_inner=args.max_inner,
-            inner_solver=inner,
+            inner_solver=args.solver.removeprefix("sqa_"),
             inexactness_mode=args.inexactness,
             lbfgs_memory=args.memory,
-            seed=args.seed,
             eta_rule="inverse_k" if args.eta_rule == "paper" else "residual",
         )
         spec = RunSpec(
@@ -158,6 +157,7 @@ def cli_main(argv=None):
             report_format=args.format,
             dimension=args.n,
             condition=args.condition,
+            seed=args.seed,
         )
         _, report = run(spec)
     except (ValueError, OSError, SvmlightParseError) as exc:
@@ -173,8 +173,7 @@ def cli_main(argv=None):
     return 0 if report.status == "converged" else 2
 
 
-def main(argv=None):
-    return cli_main(argv)
+main = cli_main
 
 
 if __name__ == "__main__":

@@ -11,12 +11,13 @@ objective serves as the baseline.
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .fista import fista_composite
-from .lbfgs import LbfgsStore
+from .lbfgs import LbfgsStore, lbfgs_update
 from .model import ConvergenceReport, QuadraticModel, Telemetry, TraceRow
 from .obm import obm_solve
 from .prox import is_optimal, residual, soft_threshold
@@ -116,14 +117,6 @@ def inexactness_check(model, x_hat, eta, tau, mode="strengthened", zeta=0.25,
                                   zeta, ref_norm)
 
 
-def _make_inner_stop(model, eta, tau, mode, zeta, ref_residual_norm):
-    def stop(x, sval, sgrad):
-        return _inexactness_from_eval(model, x, sval, sgrad, eta, tau, mode,
-                                      zeta, ref_residual_norm)
-
-    return stop
-
-
 class LineSearchResult(NamedTuple):
     alpha: float
     x_next: np.ndarray
@@ -176,7 +169,6 @@ class OuterIterationRecord:
     alpha: float
     residual_norm2: float
     residual_inf: float
-    ell_reference: float
     ell_candidate: float
     q_reference: float
     q_candidate: float
@@ -184,12 +176,14 @@ class OuterIterationRecord:
     model: QuadraticModel
 
 
-def sqa_solve(problem, config, hessian_source="exact", observer=None):
+def sqa_solve(problem, config, hessian_source=None, observer=None):
     """Successive quadratic approximation loop.
 
     ``hessian_source`` selects the model Hessian backend: ``"exact"`` wires
     the problem's Hessian-vector oracle at the current iterate, ``"lbfgs"``
-    maintains correction pairs from outer gradient differences.  Returns the
+    maintains correction pairs from outer gradient differences.  By default
+    it is ``"lbfgs"`` for the ``obm_qn`` inner solver, which minimizes the
+    correction-pair model, and ``"exact"`` otherwise.  Returns the
     final iterate and a :class:`ConvergenceReport` whose trace holds one row
     per accepted step (row 0 is the starting point).
 
@@ -199,6 +193,8 @@ def sqa_solve(problem, config, hessian_source="exact", observer=None):
     by model decrease); otherwise the run aborts with status
     ``"inner_stall"``.
     """
+    if hessian_source is None:
+        hessian_source = "lbfgs" if config.inner_solver == "obm_qn" else "exact"
     if hessian_source not in ("exact", "lbfgs"):
         raise ValueError(f"unknown hessian source {hessian_source!r}")
     if config.inner_solver == "obm_qn" and hessian_source != "lbfgs":
@@ -231,8 +227,9 @@ def sqa_solve(problem, config, hessian_source="exact", observer=None):
             hess_op = lambda v, _x=x: problem.hess_vec(_x, v)
         model = QuadraticModel(x, gx, fx, hess_op, mu)
         eta = _eta_value(config, k, res_norm2)
-        stop = _make_inner_stop(model, eta, tau, config.inexactness_mode,
-                                config.zeta, res_norm2)
+        stop = partial(_inexactness_from_eval, model, eta=eta, tau=tau,
+                       mode=config.inexactness_mode, zeta=config.zeta,
+                       ref_residual_norm=res_norm2)
         if config.inner_solver == "fista":
             smooth = lambda z, _m=model: _m.smooth_eval(z, tally)
             inner = fista_composite(smooth, penalty, prox, x, stop=stop,
@@ -259,8 +256,7 @@ def sqa_solve(problem, config, hessian_source="exact", observer=None):
         g_next = problem.gradient(ls.x_next)  # same point as the accepted
         # trial, so it does not open a new evaluation point
         if store is not None:
-            if not store.update(ls.x_next - x, g_next - gx):
-                tally.lbfgs_skipped_updates += 1
+            lbfgs_update(store, ls.x_next - x, g_next - gx, tally)
         if observer is not None:
             observer(
                 OuterIterationRecord(
@@ -272,7 +268,6 @@ def sqa_solve(problem, config, hessian_source="exact", observer=None):
                     alpha=ls.alpha,
                     residual_norm2=res_norm2,
                     residual_inf=res_inf,
-                    ell_reference=model.reference_objective(),
                     ell_candidate=model.linear_value(inner.solution),
                     q_reference=model.reference_objective(),
                     q_candidate=model.reference_objective() - inner.model_decrease,
@@ -287,7 +282,6 @@ def sqa_solve(problem, config, hessian_source="exact", observer=None):
                               inner.inner_iterations, eta))
     if status is None:
         status = "converged" if is_optimal(F, config.tol_inf) else "iteration_cap"
-    tally.outer_iterations = k
     report = ConvergenceReport(
         solver="sqa_" + config.inner_solver,
         status=status,
@@ -321,44 +315,28 @@ def fista_baseline_solve(problem, config):
             return val, None
         return val, problem.gradient(z)
 
-    class _Stop:
-        def __init__(self):
-            self.calls = 0
-
-        def __call__(self, z, fz, gz):
-            F = residual(z, gz, tau, mu)
-            r_inf = float(np.max(np.abs(F))) if F.size else 0.0
-            phi = fz + mu * float(np.abs(z).sum())
-            trace.append(TraceRow(self.calls, phi, r_inf,
-                                  0.0 if self.calls == 0 else 1.0, 0, 0.0))
-            self.calls += 1
-            rep = InexactnessReport(
-                ok=r_inf <= config.tol_inf,
-                residual_norm=float(np.linalg.norm(F)),
-                residual_bound=config.tol_inf,
-                q_candidate=phi,
-                q_reference=np.nan,
-                decrease_lhs=np.nan,
-                decrease_rhs=np.nan,
-                mode="termination",
-            )
-            return rep
+    def stop(z, fz, gz):
+        F = residual(z, gz, tau, mu)
+        r_inf = float(np.max(np.abs(F))) if F.size else 0.0
+        k = len(trace)
+        trace.append(TraceRow(k, fz + mu * float(np.abs(z).sum()), r_inf,
+                              0.0 if k == 0 else 1.0, 0, 0.0))
+        return r_inf <= config.tol_inf
 
     penalty = lambda z: mu * float(np.abs(z).sum())
     prox = lambda v, t: soft_threshold(v, t * mu)
     result = fista_composite(smooth, penalty, prox, problem.start_point(),
-                             stop=_Stop(), max_iter=config.max_outer,
+                             stop=stop, max_iter=config.max_outer,
                              lipschitz0=1.0)
-    tally.outer_iterations = result.inner_iterations
     report = ConvergenceReport(
         solver="fista",
         status=result.status,
         outer_iterations=result.inner_iterations,
         inner_iterations=0,
         fg_evaluations=tally.fg_evaluations,
-        hess_vec_products=tally.hess_vec_products,
+        hess_vec_products=0,
         wall_time_seconds=time.perf_counter() - t0,
-        final_residual_inf=trace[-1].residual_inf if trace else float("nan"),
+        final_residual_inf=trace[-1].residual_inf,
         trace=trace,
     )
     return result.solution, report

@@ -7,13 +7,13 @@ convergence reports with a fixed schema.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 import scipy.sparse
 
-from .model import ConvergenceReport, SolverConfig, TraceRow
+from .model import INNER_SOLVERS, ConvergenceReport, SolverConfig, TraceRow
 from .objectives import CovarianceProblem, LogisticDataset
 
 __all__ = [
@@ -27,19 +27,14 @@ __all__ = [
     "read_report",
 ]
 
-SOLVERS = ("fista", "sqa_fista", "sqa_obm_cg", "sqa_obm_qn")
+# The direct baseline, then one outer-loop path per inner solver.
+SOLVERS = ("fista",) + tuple(f"sqa_{name}" for name in INNER_SOLVERS)
 PROBLEM_KINDS = ("logistic", "covariance", "synthetic")
 
-_SUMMARY_FIELDS = (
-    "outer_iterations",
-    "inner_iterations",
-    "fg_evaluations",
-    "hess_vec_products",
-    "wall_time_seconds",
-    "final_residual_inf",
-)
-_TRACE_FIELDS = ("k", "objective", "residual_inf", "alpha",
-                 "inner_iterations", "eta")
+_REPORT_FIELDS = tuple(f.name for f in fields(ConvergenceReport))
+_SUMMARY_FIELDS = tuple(name for name in _REPORT_FIELDS
+                        if name not in ("solver", "status", "trace"))
+_TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 
 
 class SvmlightParseError(ValueError):
@@ -60,6 +55,7 @@ class RunSpec:
     report_format: str = "json"
     dimension: int = 50
     condition: float = 100.0
+    seed: int = 0  # picks the synthetic instance
 
     def __post_init__(self):
         if self.problem_kind not in PROBLEM_KINDS:
@@ -167,31 +163,11 @@ def sample_covariance(samples):
 
 
 def _report_payload(report, spec=None):
-    payload = {
-        "solver": report.solver,
-        "status": report.status,
-        "outer_iterations": report.outer_iterations,
-        "inner_iterations": report.inner_iterations,
-        "fg_evaluations": report.fg_evaluations,
-        "hess_vec_products": report.hess_vec_products,
-        "wall_time_seconds": report.wall_time_seconds,
-        "final_residual_inf": report.final_residual_inf,
-        "trace": [
-            {
-                "k": row.k,
-                "objective": row.objective,
-                "residual_inf": row.residual_inf,
-                "alpha": row.alpha,
-                "inner_iterations": row.inner_iterations,
-                "eta": row.eta,
-            }
-            for row in report.trace
-        ],
-    }
+    payload = asdict(report)
     if spec is not None:
         payload["problem"] = spec.problem_kind
         payload["mu"] = spec.mu
-        payload["seed"] = spec.config.seed
+        payload["seed"] = spec.seed
     return payload
 
 
@@ -214,8 +190,7 @@ def write_report(report, spec, path, report_format="json"):
                 writer.writerow([getattr(report, name) for name in _SUMMARY_FIELDS])
                 writer.writerow(_TRACE_FIELDS)
                 for row in report.trace:
-                    writer.writerow([row.k, row.objective, row.residual_inf,
-                                     row.alpha, row.inner_iterations, row.eta])
+                    writer.writerow([getattr(row, name) for name in _TRACE_FIELDS])
         else:
             raise ValueError(f"unknown report format {report_format!r}")
     except OSError as exc:
@@ -226,19 +201,7 @@ def read_report(path):
     """Load a JSON report back into a :class:`ConvergenceReport`."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    trace = [
-        TraceRow(row["k"], row["objective"], row["residual_inf"],
-                 row["alpha"], row["inner_iterations"], row["eta"])
-        for row in payload["trace"]
-    ]
-    return ConvergenceReport(
-        solver=payload["solver"],
-        status=payload["status"],
-        outer_iterations=payload["outer_iterations"],
-        inner_iterations=payload["inner_iterations"],
-        fg_evaluations=payload["fg_evaluations"],
-        hess_vec_products=payload["hess_vec_products"],
-        wall_time_seconds=payload["wall_time_seconds"],
-        final_residual_inf=payload["final_residual_inf"],
-        trace=trace,
-    )
+    report = ConvergenceReport(**{name: payload[name] for name in _REPORT_FIELDS})
+    report.trace = [TraceRow(**{name: row[name] for name in _TRACE_FIELDS})
+                    for row in report.trace]
+    return report

@@ -9,12 +9,10 @@ through the compact low-rank representation
     W = [[sigma*S.T@S, L], [L.T, -D]],
 
 with ``D`` the diagonal and ``L`` the strictly lower triangle of ``S.T@Y``.
-The inverse apply uses the standard two-loop recursion with base
-``(1/sigma) * I``; both directions represent the same BFGS matrix, so they
-are mutual inverses.  Reduced solves restricted to the free variables of an
-orthant face invert ``B_FF = sigma*I - U_F W^{-1} U_F.T`` via the
-Sherman-Morrison-Woodbury identity, which needs only one dense factorization
-of size at most ``2*memory`` and never forms an n-by-n matrix.
+Reduced solves restricted to the free variables of an orthant face invert
+``B_FF = sigma*I - U_F W^{-1} U_F.T`` via the Sherman-Morrison-Woodbury
+identity, which needs only one dense factorization of size at most
+``2*memory`` and never forms an n-by-n matrix.
 """
 
 import numpy as np
@@ -35,18 +33,12 @@ class LbfgsStore:
         self._s = []
         self._y = []
         self.gamma_scale = 1.0  # inverse-Hessian base scale, s@y / y@y
-        self.skipped_updates = 0
         self._U = None
         self._W_lu = None
         self._W = None
 
     def __len__(self):
         return len(self._s)
-
-    @property
-    def pairs(self):
-        """Stored correction pairs, oldest first."""
-        return list(zip(self._s, self._y))
 
     @property
     def sigma(self):
@@ -65,7 +57,6 @@ class LbfgsStore:
             raise ValueError("s and y dimensions differ")
         sy = float(s @ y)
         if sy <= CURVATURE_GUARD * float(np.linalg.norm(s) * np.linalg.norm(y)):
-            self.skipped_updates += 1
             return False
         self._s.append(s.copy())
         self._y.append(y.copy())
@@ -100,25 +91,6 @@ class LbfgsStore:
             return v.copy()
         coeff = scipy.linalg.lu_solve(self._W_lu, self._U.T @ v)
         return self.sigma * v - self._U @ coeff
-
-    def inverse_vec(self, v):
-        """Apply ``B^{-1}`` to ``v`` via the two-loop recursion."""
-        q = np.array(v, dtype=float)
-        alphas = []
-        rhos = []
-        for s, y in zip(reversed(self._s), reversed(self._y)):
-            rho = 1.0 / float(s @ y)
-            a = rho * float(s @ q)
-            q -= a * y
-            alphas.append(a)
-            rhos.append(rho)
-        r = self.gamma_scale * q
-        for (s, y), a, rho in zip(
-            zip(self._s, self._y), reversed(alphas), reversed(rhos)
-        ):
-            b = rho * float(y @ r)
-            r += (a - b) * s
-        return r
 
 
 def lbfgs_update(store, s, y, tally=None):

@@ -20,7 +20,6 @@ __all__ = [
     "Telemetry",
     "TraceRow",
     "ConvergenceReport",
-    "AnalysisConstants",
 ]
 
 INNER_SOLVERS = ("fista", "obm_cg", "obm_qn")
@@ -38,7 +37,6 @@ class Telemetry:
     operator, whichever backend (exact or quasi-Newton) provides it.
     """
 
-    outer_iterations: int = 0
     inner_iterations: int = 0
     fg_evaluations: int = 0
     hess_vec_products: int = 0
@@ -67,8 +65,8 @@ class CompositeProblem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
         if self.x0 is not None and np.asarray(self.x0).shape != (self.dim,):
             raise ValueError("x0 has wrong dimension")
 
@@ -100,8 +98,8 @@ class QuadraticModel:
             raise ValueError("x_ref and g_ref dimensions differ")
         self.f_ref = float(f_ref)
         self.hessian = hessian
-        if mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {mu}")
+        if not (np.isfinite(mu) and mu >= 0):
+            raise ValueError(f"mu must be finite and nonnegative, got {mu}")
         self.mu = float(mu)
 
     @property
@@ -177,7 +175,6 @@ class SolverConfig:
     lbfgs_memory: int = 50
     max_inner: int = 1000
     backtrack_factor: float = 0.5
-    seed: int = 0
     eta_rule: str = "inverse_k"
     eta_constant: float = 0.5
 
@@ -188,7 +185,7 @@ class SolverConfig:
             raise ValueError(f"zeta must lie in [theta, 1/2), got {self.zeta}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.tol_inf <= 0:
+        if not self.tol_inf > 0:
             raise ValueError("tol_inf must be positive")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration limits must be positive")
@@ -234,38 +231,3 @@ class ConvergenceReport:
 
     def objective_values(self):
         return np.array([row.objective for row in self.trace])
-
-
-@dataclass(frozen=True)
-class AnalysisConstants:
-    """Spectral constants of a small dense instance, for property audits.
-
-    ``gamma`` is the guaranteed linear-model decrease coefficient
-    ``0.5*lambda_min*((1 - eta)/(1/tau + 2*lambda_max))**2`` relating the
-    accepted step's linear decrease to the squared optimality residual.
-    Computed by test harnesses from dense eigendecompositions; never used
-    inside the solvers.
-    """
-
-    lambda_min: float
-    lambda_max: float
-    lipschitz: float
-    gamma: float
-
-    @staticmethod
-    def gamma_coefficient(lambda_min, lambda_max, eta, tau):
-        return 0.5 * lambda_min * ((1.0 - eta) / (1.0 / tau + 2.0 * lambda_max)) ** 2
-
-    @classmethod
-    def from_spectrum(cls, eigenvalues, eta, tau, lipschitz=None):
-        eigenvalues = np.asarray(eigenvalues, dtype=float)
-        lo = float(eigenvalues.min())
-        hi = float(eigenvalues.max())
-        if lipschitz is None:
-            lipschitz = hi
-        return cls(
-            lambda_min=lo,
-            lambda_max=hi,
-            lipschitz=float(lipschitz),
-            gamma=cls.gamma_coefficient(lo, hi, eta, tau),
-        )

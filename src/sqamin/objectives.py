@@ -63,9 +63,13 @@ class LogisticDataset:
         if not np.all(np.isin(y, (-1, 1))):
             raise ValueError("labels must all be -1 or +1")
         indptr, indices = Z.indptr, Z.indices
+        outside = (indices < 0) | (indices >= Z.shape[1])
+        if np.any(outside):
+            raise ValueError(f"column index {indices[np.argmax(outside)]} outside "
+                             f"[0, {Z.shape[1]})")
         for i in range(Z.shape[0]):
             row = indices[indptr[i] : indptr[i + 1]]
-            if row.size and (np.any(np.diff(row) <= 0) or row[-1] >= Z.shape[1]):
+            if row.size and np.any(np.diff(row) <= 0):
                 raise ValueError(f"row {i}: column indices not strictly increasing")
 
     @property

@@ -6,6 +6,7 @@ search, face enumeration, or plain long-running fixed-point iteration.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,3 +137,60 @@ def long_run_ista(value_grad, x0, tau_step, mu, iters=200000, tol=1e-12):
             return x_new
         x = x_new
     return x
+
+
+@dataclass(frozen=True)
+class AnalysisConstants:
+    """Spectral constants of a small dense instance, for property audits.
+
+    ``gamma`` is the guaranteed linear-model decrease coefficient
+    ``0.5*lambda_min*((1 - eta)/(1/tau + 2*lambda_max))**2`` relating the
+    accepted step's linear decrease to the squared optimality residual.
+    """
+
+    lambda_min: float
+    lambda_max: float
+    lipschitz: float
+    gamma: float
+
+    @staticmethod
+    def gamma_coefficient(lambda_min, lambda_max, eta, tau):
+        return 0.5 * lambda_min * ((1.0 - eta) / (1.0 / tau + 2.0 * lambda_max)) ** 2
+
+    @classmethod
+    def from_spectrum(cls, eigenvalues, eta, tau, lipschitz=None):
+        eigenvalues = np.asarray(eigenvalues, dtype=float)
+        lo = float(eigenvalues.min())
+        hi = float(eigenvalues.max())
+        if lipschitz is None:
+            lipschitz = hi
+        return cls(
+            lambda_min=lo,
+            lambda_max=hi,
+            lipschitz=float(lipschitz),
+            gamma=cls.gamma_coefficient(lo, hi, eta, tau),
+        )
+
+
+def lbfgs_inverse_vec(store, v):
+    """Apply the inverse of an L-BFGS store's Hessian approximation to ``v``.
+
+    The standard two-loop recursion with base ``gamma_scale * I``, an
+    independent route to the matrix the store applies in compact form.
+    """
+    q = np.array(v, dtype=float)
+    alphas = []
+    rhos = []
+    for s, y in zip(reversed(store._s), reversed(store._y)):
+        rho = 1.0 / float(s @ y)
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+        rhos.append(rho)
+    r = store.gamma_scale * q
+    for (s, y), a, rho in zip(
+        zip(store._s, store._y), reversed(alphas), reversed(rhos)
+    ):
+        b = rho * float(y @ r)
+        r += (a - b) * s
+    return r

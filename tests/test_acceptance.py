@@ -13,7 +13,6 @@ import pytest
 
 import sqamin.obm as obm_module
 from sqamin import (
-    AnalysisConstants,
     LbfgsStore,
     OrthantFace,
     QuadraticModel,
@@ -39,6 +38,7 @@ from sqamin import (
 )
 
 from helpers import (
+    AnalysisConstants,
     central_difference_gradient,
     directional_second_difference,
     materialize_operator,
@@ -262,7 +262,7 @@ class TestCriterion05DecreaseBoundAudit:
                         lam_lo, lam_hi = float(spec.min()), float(spec.max())
                     gamma = AnalysisConstants.gamma_coefficient(
                         lam_lo, lam_hi, rec.eta, 0.5)
-                    ell_dec = rec.ell_reference - rec.ell_candidate
+                    ell_dec = rec.q_reference - rec.ell_candidate
                     audited += 1
                     if ell_dec < gamma * rec.residual_norm2**2:
                         violations += 1

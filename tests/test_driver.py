@@ -17,7 +17,7 @@ from sqamin import (
     synthetic_quadratic_matrices,
 )
 
-from helpers import long_run_ista, model_exact_minimizer
+from helpers import AnalysisConstants, long_run_ista, model_exact_minimizer
 
 
 class TestEtaSchedule:
@@ -220,7 +220,7 @@ class TestSqaSolve:
         assert [r.k for r in records] == list(range(1, len(records) + 1))
         for rec in records:
             assert rec.q_candidate < rec.q_reference
-            assert rec.ell_candidate < rec.ell_reference
+            assert rec.ell_candidate < rec.q_reference
 
     def test_iteration_cap_status(self):
         prob = synthetic_quadratic(40, 1e4, seed=11, mu=0.01)
@@ -253,6 +253,16 @@ class TestSqaSolve:
         with pytest.raises(ValueError, match="lbfgs"):
             sqa_solve(prob, SolverConfig(inner_solver="obm_qn"),
                       hessian_source="exact")
+
+    def test_qn_inner_defaults_to_lbfgs_source(self):
+        prob = synthetic_quadratic(20, 50.0, seed=22, mu=0.3)
+        config = SolverConfig(inner_solver="obm_qn")
+        x_default, rep_default = sqa_solve(prob, config)
+        x_lbfgs, rep_lbfgs = sqa_solve(prob, config, hessian_source="lbfgs")
+        np.testing.assert_array_equal(x_default, x_lbfgs)
+        for name in ("status", "outer_iterations", "inner_iterations",
+                     "fg_evaluations", "hess_vec_products"):
+            assert getattr(rep_default, name) == getattr(rep_lbfgs, name)
 
     def test_quasi_newton_model_with_first_order_inner(self):
         # a correction-pair model can be paired with either non-QN inner
@@ -299,8 +309,6 @@ class TestDecreaseProperties:
         # every accepted inner solution must decrease the linear model by at
         # least gamma * ||F||**2 with gamma assembled from the instance
         # spectrum, the step's forcing factor, and tau
-        from sqamin import AnalysisConstants
-
         mu = 0.5
         prob = synthetic_quadratic(20, 100.0, seed=18, mu=mu)
         A, _ = synthetic_quadratic_matrices(20, 100.0, seed=18)
@@ -314,7 +322,7 @@ class TestDecreaseProperties:
             gamma = AnalysisConstants.gamma_coefficient(
                 lam.min(), lam.max(), rec.eta, 0.5
             )
-            ell_dec = rec.ell_reference - rec.ell_candidate
+            ell_dec = rec.q_reference - rec.ell_candidate
             assert ell_dec >= gamma * rec.residual_norm2**2
 
     def test_linear_decrease_dominates_step_energy(self):
@@ -327,7 +335,7 @@ class TestDecreaseProperties:
         sqa_solve(prob, SolverConfig(inner_solver="obm_cg"),
                   observer=records.append)
         for rec in records:
-            ell_dec = rec.ell_reference - rec.ell_candidate
+            ell_dec = rec.q_reference - rec.ell_candidate
             step = np.linalg.norm(rec.x_hat - rec.x)
             assert ell_dec > 0.5 * lam_min * step**2 - 1e-12
 

@@ -1,5 +1,6 @@
 """SVMLight parsing, covariance estimation, report emission, CLI behavior."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 import scipy.sparse
 
 from sqamin import (
+    ConvergenceReport,
     LogisticDataset,
     RunSpec,
     SolverConfig,
     SvmlightParseError,
+    TraceRow,
     load_dense_matrix,
     parse_svmlight,
     read_report,
@@ -18,7 +21,8 @@ from sqamin import (
     write_report,
     write_svmlight,
 )
-from sqamin.cli import cli_main
+from sqamin.cli import _build_parser, cli_main
+from sqamin.io import SOLVERS
 
 
 class TestParseSvmlight:
@@ -155,6 +159,11 @@ class TestReports:
         spec = RunSpec(problem_kind="synthetic", mu=0.3)
         path = tmp_path / "r.json"
         write_report(report, spec, path, "json")
+        payload = json.loads(path.read_text())
+        report_keys = [f.name for f in dataclasses.fields(ConvergenceReport)]
+        assert list(payload) == report_keys + ["problem", "mu", "seed"]
+        row_keys = [f.name for f in dataclasses.fields(TraceRow)]
+        assert all(list(row) == row_keys for row in payload["trace"])
         back = read_report(path)
         assert back.outer_iterations == report.outer_iterations
         assert back.inner_iterations == report.inner_iterations
@@ -224,6 +233,11 @@ class TestRunSpec:
 
 
 class TestCli:
+    def test_solver_choices_single_sourced(self):
+        (action,) = [a for a in _build_parser()._actions if a.dest == "solver"]
+        assert tuple(action.choices) == SOLVERS
+        assert SOLVERS == ("fista", "sqa_fista", "sqa_obm_cg", "sqa_obm_qn")
+
     def test_synthetic_end_to_end(self, capsys):
         code = cli_main(["--problem", "synthetic", "--solver", "sqa_obm_cg",
                          "--n", "30", "--seed", "1"])

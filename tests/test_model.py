@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from sqamin import (
-    AnalysisConstants,
     CompositeProblem,
     QuadraticModel,
     SolverConfig,
     Telemetry,
 )
 
-from helpers import central_difference_gradient, dense_model_value
+from helpers import (
+    AnalysisConstants,
+    central_difference_gradient,
+    dense_model_value,
+)
 
 
 def _random_model(rng, n=5, mu=0.4):
@@ -45,6 +48,11 @@ class TestQuadraticModelValue:
             assert model.value(x) == pytest.approx(
                 dense_model_value(model, x), rel=1e-12
             )
+
+    def test_rejects_nonfinite_mu(self):
+        for mu in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                QuadraticModel(np.zeros(2), np.zeros(2), 0.0, lambda v: v, mu)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(2)
@@ -170,6 +178,9 @@ class TestCompositeProblem:
             mk(dim=0, mu=0.1)
         with pytest.raises(ValueError):
             mk(dim=2, mu=-0.5)
+        for mu in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                mk(dim=2, mu=mu)
         with pytest.raises(ValueError):
             mk(dim=2, mu=0.1, x0=np.zeros(3))
 
@@ -212,6 +223,7 @@ class TestSolverConfig:
             {"inexactness_mode": "loose"},
             {"backtrack_factor": 1.0},
             {"lbfgs_memory": 0},
+            {"tol_inf": float("nan")},
         ],
     )
     def test_rejects_invalid(self, kwargs):

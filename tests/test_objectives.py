@@ -47,6 +47,17 @@ class TestLogisticDataset:
         with pytest.raises(ValueError):
             LogisticDataset(Z, np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_rejects_column_index_out_of_range(self, bad):
+        # both bounds of [0, n_features); a negative index would otherwise
+        # read x from the end
+        Z = scipy.sparse.csr_matrix(
+            (np.array([1.0, 2.0]), np.array([0, bad]), np.array([0, 1, 2])),
+            shape=(2, 3),
+        )
+        with pytest.raises(ValueError, match=f"column index {bad} outside"):
+            LogisticDataset(Z, np.array([1.0, -1.0]))
+
 
 class TestLogisticValue:
     def test_zero_point_gives_log_two(self):
