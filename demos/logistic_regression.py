@@ -27,9 +27,7 @@ def main():
             x, report = fista_baseline_solve(problem, SolverConfig())
         else:
             inner = solver.removeprefix("sqa_")
-            source = "lbfgs" if inner == "obm_qn" else "exact"
-            x, report = sqa_solve(problem, SolverConfig(inner_solver=inner),
-                                  hessian_source=source)
+            x, report = sqa_solve(problem, SolverConfig(inner_solver=inner))
         support = np.flatnonzero(np.abs(x) > 1e-8)
         print(f"{solver:<11} outer={report.outer_iterations:<4} "
               f"inner={report.inner_iterations:<5} "

@@ -30,9 +30,8 @@ def main():
             x, report = fista_baseline_solve(problem, SolverConfig())
         else:
             inner = solver.removeprefix("sqa_")
-            source = "lbfgs" if inner == "obm_qn" else "exact"
             config = SolverConfig(inner_solver=inner, max_inner=5000)
-            x, report = sqa_solve(problem, config, hessian_source=source)
+            x, report = sqa_solve(problem, config)
         if x_reference is None:
             x_reference = x
         rows.append((

@@ -10,6 +10,7 @@ import sys
 
 from .driver import fista_baseline_solve, sqa_solve
 from .io import (
+    PROBLEM_KINDS,
     SOLVERS,
     RunSpec,
     SvmlightParseError,
@@ -46,18 +47,18 @@ def _build_parser():
         description="Minimize an l1-regularized convex objective and report "
                     "iteration counters.",
     )
-    parser.add_argument("--problem", required=True,
-                        choices=["logistic", "covariance", "synthetic"])
+    parser.add_argument("--problem", required=True, choices=PROBLEM_KINDS)
     parser.add_argument("--data", default=None,
                         help="SVMLight file (logistic) or dense matrix file "
                              "holding the sample covariance (covariance)")
     parser.add_argument("--samples", default=None,
                         help="dense matrix file of raw sample rows; the "
                              "covariance is estimated from it")
+    defaults = ", ".join(f"{kind} {mu}" for kind, mu in _DEFAULT_MU.items())
     parser.add_argument("--mu", type=float, default=None,
-                        help="l1 weight; defaults: covariance 0.5, synthetic "
-                             "0.1, required for logistic")
-    parser.add_argument("--solver", default="sqa_obm_cg", choices=SOLVERS)
+                        help=f"l1 weight; defaults: {defaults}, required for "
+                             "logistic")
+    parser.add_argument("--solver", default=RunSpec.solver, choices=SOLVERS)
     parser.add_argument("--tol", type=float, default=SolverConfig.tol_inf)
     parser.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
     parser.add_argument("--max-inner", type=int, default=SolverConfig.max_inner)
@@ -73,10 +74,10 @@ def _build_parser():
     parser.add_argument("--inexactness", default=SolverConfig.inexactness_mode,
                         choices=INEXACTNESS_MODES)
     parser.add_argument("--memory", type=int, default=SolverConfig.lbfgs_memory)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n", type=int, default=50,
+    parser.add_argument("--seed", type=int, default=RunSpec.seed)
+    parser.add_argument("--n", type=int, default=RunSpec.dimension,
                         help="dimension of the synthetic problem")
-    parser.add_argument("--condition", type=float, default=100.0,
+    parser.add_argument("--condition", type=float, default=RunSpec.condition,
                         help="condition number of the synthetic problem")
     parser.add_argument("--report", default=None, help="report output path")
     parser.add_argument("--format", default="json", choices=["json", "csv"])
@@ -153,8 +154,6 @@ def cli_main(argv=None):
             mu=mu,
             solver=args.solver,
             config=config,
-            report_path=args.report,
-            report_format=args.format,
             dimension=args.n,
             condition=args.condition,
             seed=args.seed,

@@ -98,8 +98,7 @@ def _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode, zeta,
     )
 
 
-def inexactness_check(model, x_hat, eta, tau, mode="strengthened", zeta=0.25,
-                      tally=None):
+def inexactness_check(model, x_hat, eta, tau, mode="strengthened", zeta=0.25):
     """Is ``x_hat`` an acceptable approximate minimizer of the model?
 
     Requires the model residual norm at ``x_hat`` to be at most ``eta`` times
@@ -112,7 +111,7 @@ def inexactness_check(model, x_hat, eta, tau, mode="strengthened", zeta=0.25,
     ref_norm = float(
         np.linalg.norm(residual(model.x_ref, model.g_ref, tau, model.mu))
     )
-    sval, sgrad = model.smooth_eval(x_hat, tally)
+    sval, sgrad = model.smooth_eval(x_hat)
     return _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode,
                                   zeta, ref_norm)
 
@@ -125,14 +124,13 @@ class LineSearchResult(NamedTuple):
     trials: int
 
 
-def outer_line_search(problem, model, d, theta=0.1, backtrack_factor=0.5,
-                      tally=None):
+def outer_line_search(problem, model, d, theta=0.1, backtrack_factor=0.5):
     """Backtrack from a unit step until the composite objective decrease is
     at least ``theta`` times the linear model decrease.
 
-    Each trial evaluates the smooth value once (counted).  Step length
-    underflow signals violated preconditions (the direction must carry
-    positive linear-model decrease) and raises.
+    Each trial evaluates the smooth value once, counted on ``model.tally``.
+    Step length underflow signals violated preconditions (the direction must
+    carry positive linear-model decrease) and raises.
     """
     d = np.asarray(d, dtype=float)
     if not np.any(d):
@@ -143,8 +141,7 @@ def outer_line_search(problem, model, d, theta=0.1, backtrack_factor=0.5,
     while alpha >= ALPHA_UNDERFLOW:
         x_trial = model.x_ref + alpha * d
         f_trial = problem.value(x_trial)
-        if tally is not None:
-            tally.fg_evaluations += 1
+        model.tally.fg_evaluations += 1
         trials += 1
         phi_trial = f_trial + problem.mu * float(np.abs(x_trial).sum())
         linear_decrease = phi_ref - model.linear_value(x_trial)
@@ -225,22 +222,21 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
             hess_op = store.hessian_vec
         else:
             hess_op = lambda v, _x=x: problem.hess_vec(_x, v)
-        model = QuadraticModel(x, gx, fx, hess_op, mu)
+        model = QuadraticModel(x, gx, fx, hess_op, mu, tally)
         eta = _eta_value(config, k, res_norm2)
         stop = partial(_inexactness_from_eval, model, eta=eta, tau=tau,
                        mode=config.inexactness_mode, zeta=config.zeta,
                        ref_residual_norm=res_norm2)
         if config.inner_solver == "fista":
-            smooth = lambda z, _m=model: _m.smooth_eval(z, tally)
-            inner = fista_composite(smooth, penalty, prox, x, stop=stop,
-                                    max_iter=config.max_inner,
+            inner = fista_composite(model.smooth_eval, penalty, prox, x,
+                                    stop=stop, max_iter=config.max_inner,
                                     lipschitz0=warm_lipschitz)
             if np.isfinite(inner.lipschitz):
                 warm_lipschitz = inner.lipschitz
         else:
             variant = "cg" if config.inner_solver == "obm_cg" else "qn"
             inner = obm_solve(model, x, variant, stop, outer_k=k, store=store,
-                              max_iter=config.max_inner, tally=tally)
+                              max_iter=config.max_inner)
         tally.inner_iterations += inner.inner_iterations
         if inner.status != "converged" and not inner.model_decrease > 0.0:
             status = "inner_stall"
@@ -252,7 +248,7 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
             k -= 1
             break
         ls = outer_line_search(problem, model, d, config.theta,
-                               config.backtrack_factor, tally)
+                               config.backtrack_factor)
         g_next = problem.gradient(ls.x_next)  # same point as the accepted
         # trial, so it does not open a new evaluation point
         if store is not None:

@@ -26,7 +26,6 @@ class InnerResult:
 
     solution: np.ndarray
     inner_iterations: int
-    residual_norm: float
     model_decrease: float
     status: str
     lipschitz: float = float("nan")
@@ -70,15 +69,13 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
         Initial point; must be in the smooth domain.
     stop : callable, optional
         ``stop(x, smooth_value, smooth_gradient)`` evaluated at the start
-        and after every accepted iterate; a truthy return ends the run.  A
-        ``residual_norm`` attribute on the returned object, when present, is
-        recorded in the result.
+        and after every accepted iterate; a truthy return ends the run.
     max_iter : int
         Iteration cap; reaching it is a status, not an error.
     lipschitz0 : float
         Initial curvature estimate; only ever increased.
 
-    Evaluation counting is the caller's job, through the ``smooth`` closure.
+    Evaluation counting is the caller's job, through the ``smooth`` callable.
     Each regular iteration evaluates ``smooth`` exactly twice (once at the
     momentum point, once at the candidate); curvature backtracking and the
     monotone fallback add evaluations only when they trigger.
@@ -87,12 +84,8 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
     fx, gx = smooth(x)
     if not math.isfinite(fx):
         raise ValueError("start point lies outside the smooth domain")
-    last_rep = None
-    if stop is not None:
-        last_rep = stop(x, fx, gx)
-        if last_rep:
-            return InnerResult(x, 0, _residual_of(last_rep), 0.0, "converged",
-                               lipschitz0)
+    if stop is not None and stop(x, fx, gx):
+        return InnerResult(x, 0, 0.0, "converged", lipschitz0)
     qx = fx + penalty(x)
     q_start = qx
     L = max(float(lipschitz0), 1e-12)
@@ -118,17 +111,10 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
         y_next = cand + ((t - 1.0) / t_next) * (cand - x)
         x, fx, gx, qx = cand, fc, gc, qc
         iterations += 1
-        if stop is not None:
-            last_rep = stop(x, fx, gx)
-            if last_rep:
-                status = "converged"
-                break
+        if stop is not None and stop(x, fx, gx):
+            status = "converged"
+            break
         t = t_next
         y = y_next
         fy, gy = smooth(y)
-    return InnerResult(x, iterations, _residual_of(last_rep), q_start - qx,
-                       status, L, fallbacks)
-
-
-def _residual_of(rep):
-    return float(getattr(rep, "residual_norm", float("nan"))) if rep is not None else float("nan")
+    return InnerResult(x, iterations, q_start - qx, status, L, fallbacks)

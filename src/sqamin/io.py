@@ -7,6 +7,7 @@ convergence reports with a fixed schema.
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -43,7 +44,7 @@ class SvmlightParseError(ValueError):
 
 @dataclass
 class RunSpec:
-    """One benchmark run: problem source, solver choice, report sink."""
+    """One benchmark run: problem source and solver choice."""
 
     problem_kind: str
     data_path: Optional[str] = None
@@ -51,8 +52,6 @@ class RunSpec:
     mu: Optional[float] = None
     solver: str = "sqa_obm_cg"
     config: SolverConfig = field(default_factory=SolverConfig)
-    report_path: Optional[str] = None
-    report_format: str = "json"
     dimension: int = 50
     condition: float = 100.0
     seed: int = 0  # picks the synthetic instance
@@ -62,8 +61,6 @@ class RunSpec:
             raise ValueError(f"unknown problem kind {self.problem_kind!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.report_format not in ("json", "csv"):
-            raise ValueError(f"unknown report format {self.report_format!r}")
         if self.problem_kind == "logistic" and self.data_path is None:
             raise ValueError("logistic problems require a data path")
         if self.problem_kind == "covariance" and self.data_path is None \
@@ -108,6 +105,9 @@ def parse_svmlight(path, n_features=None):
                 except ValueError as exc:
                     raise SvmlightParseError(
                         f"{path}:{lineno}: bad feature token {token!r}") from exc
+                if not math.isfinite(val):
+                    raise SvmlightParseError(
+                        f"{path}:{lineno}: non-finite value in {token!r}")
                 if idx < 1:
                     raise SvmlightParseError(
                         f"{path}:{lineno}: index {idx} is not positive")

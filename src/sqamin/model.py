@@ -3,9 +3,9 @@
 A :class:`CompositeProblem` bundles a smooth convex oracle with an l1 penalty
 weight.  Each outer iteration of the solver freezes a :class:`QuadraticModel`
 snapshot (reference point, gradient, Hessian operator) whose inexact
-minimization produces the step.  All evaluation counters live in a
-:class:`Telemetry` record owned by one run and threaded explicitly through
-calls; the oracles themselves are pure.
+minimization produces the step.  All evaluation counters live in one
+:class:`Telemetry` record per run, which each :class:`QuadraticModel` of the
+run carries; the oracles themselves are pure.
 """
 
 from dataclasses import dataclass, field
@@ -88,10 +88,10 @@ class QuadraticModel:
     and its linear underestimate drops the quadratic term.  ``hessian`` is an
     abstract symmetric positive definite linear map ``v -> H v``; it is never
     materialized here.  ``f_ref`` is cached so the model never re-calls the
-    smooth oracle.
+    smooth oracle.  Every Hessian product is counted on ``self.tally``.
     """
 
-    def __init__(self, x_ref, g_ref, f_ref, hessian, mu):
+    def __init__(self, x_ref, g_ref, f_ref, hessian, mu, tally=None):
         self.x_ref = np.asarray(x_ref, dtype=float)
         self.g_ref = np.asarray(g_ref, dtype=float)
         if self.x_ref.shape != self.g_ref.shape:
@@ -101,6 +101,7 @@ class QuadraticModel:
         if not (np.isfinite(mu) and mu >= 0):
             raise ValueError(f"mu must be finite and nonnegative, got {mu}")
         self.mu = float(mu)
+        self.tally = Telemetry() if tally is None else tally
 
     @property
     def dim(self):
@@ -112,13 +113,12 @@ class QuadraticModel:
             raise ValueError(f"expected dimension {self.dim}, got shape {x.shape}")
         return x
 
-    def apply_hessian(self, v, tally=None):
+    def apply_hessian(self, v):
         """Apply the Hessian operator; counts one Hessian-vector product."""
-        if tally is not None:
-            tally.hess_vec_products += 1
+        self.tally.hess_vec_products += 1
         return self.hessian(v)
 
-    def smooth_eval(self, x, tally=None):
+    def smooth_eval(self, x):
         """Value and gradient of the smooth (quadratic) part at ``x``.
 
         One Hessian-vector product yields both, since the gradient is
@@ -126,13 +126,13 @@ class QuadraticModel:
         """
         x = self._check_dim(x)
         dx = x - self.x_ref
-        hdx = self.apply_hessian(dx, tally)
+        hdx = self.apply_hessian(dx)
         val = self.f_ref + float(self.g_ref @ dx) + 0.5 * float(dx @ hdx)
         return val, self.g_ref + hdx
 
-    def value(self, x, tally=None):
+    def value(self, x):
         """Full model value (smooth part plus l1 term); one Hessian product."""
-        sval, _ = self.smooth_eval(x, tally)
+        sval, _ = self.smooth_eval(x)
         return sval + self.mu * float(np.abs(x).sum())
 
     def linear_value(self, x):
@@ -144,10 +144,10 @@ class QuadraticModel:
             + self.mu * float(np.abs(x).sum())
         )
 
-    def smooth_gradient(self, x, tally=None):
+    def smooth_gradient(self, x):
         """Gradient of the smooth part, ``g_ref + H (x - x_ref)``."""
         x = self._check_dim(x)
-        return self.g_ref + self.apply_hessian(x - self.x_ref, tally)
+        return self.g_ref + self.apply_hessian(x - self.x_ref)
 
     def reference_objective(self):
         """Model value at the reference point (no Hessian product needed)."""
@@ -201,6 +201,8 @@ class SolverConfig:
             raise ValueError("lbfgs_memory must be positive")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack_factor must lie in (0, 1)")
+        if not 0.0 < self.eta_constant < 1.0:
+            raise ValueError("eta_constant must lie in (0, 1)")
 
 
 @dataclass

@@ -62,6 +62,8 @@ class LogisticDataset:
             raise ValueError("label count does not match sample count")
         if not np.all(np.isin(y, (-1, 1))):
             raise ValueError("labels must all be -1 or +1")
+        if not np.all(np.isfinite(Z.data)):
+            raise ValueError("feature values must be finite")
         indptr, indices = Z.indptr, Z.indices
         outside = (indices < 0) | (indices >= Z.shape[1])
         if np.any(outside):

@@ -108,9 +108,9 @@ def min_norm_subgradient_from_gradient(u, z, mu):
     )
 
 
-def min_norm_subgradient(model, z, tally=None):
+def min_norm_subgradient(model, z):
     """Minimum norm subgradient of the model at ``z``; one Hessian product."""
-    u = model.smooth_gradient(z, tally)
+    u = model.smooth_gradient(z)
     return min_norm_subgradient_from_gradient(u, np.asarray(z, dtype=float), model.mu)
 
 
@@ -119,7 +119,7 @@ def cg_budget(outer_k):
     return min(3, 1 + outer_k // 10)
 
 
-def subspace_cg_solve(model, face, v, cg_cap, tally=None):
+def subspace_cg_solve(model, face, v, cg_cap):
     """Truncated CG on the face-reduced Newton system ``H_FF d_F = -v_F``.
 
     Starts from zero, applies the Hessian to zero-padded directions (one
@@ -142,7 +142,7 @@ def subspace_cg_solve(model, face, v, cg_cap, tally=None):
     for i in range(cg_cap):
         padded = np.zeros_like(v)
         padded[free] = p
-        w = model.apply_hessian(padded, tally)[free]
+        w = model.apply_hessian(padded)[free]
         curvature = float(p @ w)
         if curvature <= 0.0:
             if i == 0:
@@ -170,7 +170,7 @@ class ProjectedSearchResult(NamedTuple):
     stalled: bool
 
 
-def obm_projected_line_search(model, z, face, d, v, q_ref=None, tally=None):
+def obm_projected_line_search(model, z, face, d, v, q_ref=None):
     """Backtrack along ``d`` with re-projection onto the face.
 
     Accepts the first halved step whose projected candidate satisfies the
@@ -182,14 +182,14 @@ def obm_projected_line_search(model, z, face, d, v, q_ref=None, tally=None):
     z = np.asarray(z, dtype=float)
     d = np.asarray(d, dtype=float)
     if q_ref is None:
-        q_ref = model.value(z, tally)
+        q_ref = model.value(z)
     if not np.any(d):
         return ProjectedSearchResult(z, 0.0, 0, math.nan, None, q_ref, False)
     alpha = 1.0
     trials = 0
     while alpha >= ALPHA_MIN:
         cand = orthant_project(z + alpha * d, face)
-        sval, sgrad = model.smooth_eval(cand, tally)
+        sval, sgrad = model.smooth_eval(cand)
         q_cand = sval + model.mu * float(np.abs(cand).sum())
         trials += 1
         linearized = float(v @ (cand - z))
@@ -200,7 +200,7 @@ def obm_projected_line_search(model, z, face, d, v, q_ref=None, tally=None):
     return ProjectedSearchResult(z, 0.0, trials, math.nan, None, q_ref, True)
 
 
-def _ista_safeguard(model, z, sgrad, q_ref, tally):
+def _ista_safeguard(model, z, sgrad, q_ref):
     """Backtracked proximal-gradient step on the model; guarantees decrease.
 
     Used when the projected search stalls (face identification can produce
@@ -210,7 +210,7 @@ def _ista_safeguard(model, z, sgrad, q_ref, tally):
     step = 1.0
     for _ in range(60):
         cand = soft_threshold(z - step * sgrad, step * model.mu)
-        sval, sgrad_c = model.smooth_eval(cand, tally)
+        sval, sgrad_c = model.smooth_eval(cand)
         q_cand = sval + model.mu * float(np.abs(cand).sum())
         if q_cand < q_ref - 1e-15 * max(1.0, abs(q_ref)):
             return ProjectedSearchResult(cand, step, 1, sval, sgrad_c,
@@ -219,8 +219,7 @@ def _ista_safeguard(model, z, sgrad, q_ref, tally):
     return None
 
 
-def obm_solve(model, start, variant, stop, outer_k, store=None, max_iter=200,
-              tally=None):
+def obm_solve(model, start, variant, stop, outer_k, store=None, max_iter=200):
     """Minimize the model by orthant-face identification plus subspace steps.
 
     ``variant`` selects the subspace phase: ``"cg"`` runs truncated conjugate
@@ -236,34 +235,32 @@ def obm_solve(model, start, variant, stop, outer_k, store=None, max_iter=200,
     if variant == "qn" and store is None:
         raise ValueError("quasi-Newton variant requires a correction-pair store")
     z = np.array(start, dtype=float)
-    sval, sgrad = model.smooth_eval(z, tally)
+    sval, sgrad = model.smooth_eval(z)
     q_z = sval + model.mu * float(np.abs(z).sum())
     q_start = q_z
     iterations = 0
     status = "iteration_cap"
-    rep = stop(z, sval, sgrad) if stop is not None else None
-    while not rep and iterations < max_iter:
+    done = stop is not None and stop(z, sval, sgrad)
+    while not done and iterations < max_iter:
         v = min_norm_subgradient_from_gradient(sgrad, z, model.mu)
         face = orthant_face(z, v)
         if variant == "cg":
-            d = subspace_cg_solve(model, face, v, cg_budget(outer_k), tally)
+            d = subspace_cg_solve(model, face, v, cg_budget(outer_k))
         else:
-            d = lbfgs_reduced_inverse_solve(store, face, v, tally)
+            d = lbfgs_reduced_inverse_solve(store, face, v, model.tally)
         if np.any(d):
-            outcome = obm_projected_line_search(model, z, face, d, v,
-                                                q_ref=q_z, tally=tally)
+            outcome = obm_projected_line_search(model, z, face, d, v, q_ref=q_z)
         else:
             outcome = ProjectedSearchResult(z, 0.0, 0, sval, sgrad, q_z, True)
         if outcome.stalled:
-            outcome = _ista_safeguard(model, z, sgrad, q_z, tally)
+            outcome = _ista_safeguard(model, z, sgrad, q_z)
             if outcome is None:
                 status = "stalled"
                 break
         z, sval, sgrad, q_z = (outcome.point, outcome.smooth_value,
                                outcome.smooth_grad, outcome.q_value)
         iterations += 1
-        rep = stop(z, sval, sgrad) if stop is not None else None
-    if rep:
+        done = stop is not None and stop(z, sval, sgrad)
+    if done:
         status = "converged"
-    residual_norm = float(getattr(rep, "residual_norm", math.nan)) if rep is not None else math.nan
-    return InnerResult(z, iterations, residual_norm, q_start - q_z, status)
+    return InnerResult(z, iterations, q_start - q_z, status)

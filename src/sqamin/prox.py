@@ -59,7 +59,7 @@ def residual(x, g, tau, mu):
     return g - np.clip(g - x / tau, -mu, mu)
 
 
-def subproblem_residual(model, x, tau, tally=None):
+def subproblem_residual(model, x, tau):
     """Optimality residual of the quadratic model at ``x``.
 
     Same map as :func:`residual` but driven by the model's smooth gradient
@@ -68,7 +68,7 @@ def subproblem_residual(model, x, tau, tally=None):
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    u = model.smooth_gradient(x, tally)
+    u = model.smooth_gradient(x)
     return u - np.clip(u - np.asarray(x, dtype=float) / tau, -model.mu, model.mu)
 
 

@@ -77,11 +77,9 @@ def benchmark_runs():
                 x, rep = fista_baseline_solve(prob, SolverConfig(tol_inf=TOL_INF))
             else:
                 inner = solver.removeprefix("sqa_")
-                source = "lbfgs" if inner == "obm_qn" else "exact"
                 config = SolverConfig(inner_solver=inner, tol_inf=TOL_INF,
                                       max_inner=5000)
-                x, rep = sqa_solve(prob, config, hessian_source=source,
-                                   observer=records.append)
+                x, rep = sqa_solve(prob, config, observer=records.append)
             runs[(label, solver)] = (x, rep, records)
     return {"runs": runs, "elapsed": time.perf_counter() - t0,
             "quad": quad, "logi": logi}
@@ -384,9 +382,8 @@ class TestCriterion09ObmConformanceAndBudget:
         real_search = obm_module.obm_projected_line_search
         real_budget = obm_module.cg_budget
 
-        def checked_search(model, z, face, d, v, q_ref=None, tally=None):
-            outcome = real_search(model, z, face, d, v, q_ref=q_ref,
-                                  tally=tally)
+        def checked_search(model, z, face, d, v, q_ref=None):
+            outcome = real_search(model, z, face, d, v, q_ref=q_ref)
             if not outcome.stalled and not face.conforms(outcome.point):
                 conform_failures.append(outcome.point)
             return outcome

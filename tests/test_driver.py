@@ -1,21 +1,27 @@
 """Outer loop: forcing schedule, inexactness gate, line search, full solves."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from sqamin import (
+    LbfgsStore,
     QuadraticModel,
     SolverConfig,
-    Telemetry,
     eta_schedule,
     fista_baseline_solve,
     inexactness_check,
+    logistic_problem,
     outer_line_search,
     residual,
     sqa_solve,
+    synthetic_logistic_dataset,
     synthetic_quadratic,
     synthetic_quadratic_matrices,
 )
+from sqamin.io import SOLVERS
 
 from helpers import AnalysisConstants, long_run_ista, model_exact_minimizer
 
@@ -90,10 +96,8 @@ class TestInexactnessCheck:
     def test_costs_one_hessian_product(self):
         rng = np.random.default_rng(4)
         model = _random_model(rng)
-        tally = Telemetry()
-        inexactness_check(model, rng.normal(size=3), eta=0.5, tau=0.5,
-                          tally=tally)
-        assert tally.hess_vec_products == 1
+        inexactness_check(model, rng.normal(size=3), eta=0.5, tau=0.5)
+        assert model.tally.hess_vec_products == 1
 
 
 class TestOuterLineSearch:
@@ -123,9 +127,8 @@ class TestOuterLineSearch:
         model = QuadraticModel(x, prob.gradient(x), prob.value(x),
                                lambda v: A @ v, prob.mu)
         ybar = model_exact_minimizer(model)
-        tally = Telemetry()
-        result = outer_line_search(prob, model, ybar - x, tally=tally)
-        assert tally.fg_evaluations == result.trials
+        result = outer_line_search(prob, model, ybar - x)
+        assert model.tally.fg_evaluations == result.trials
 
     def test_ascent_direction_raises_after_underflow(self):
         # a direction with no linear-model decrease violates the
@@ -273,6 +276,54 @@ class TestSqaSolve:
                                   hessian_source="lbfgs")
             assert report.status == "converged"
             assert report.final_residual_inf <= 1e-5
+
+
+def _counting(calls, name, fn):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
+
+
+class TestRunCounters:
+    """The report's work counters equal the oracle calls the run made."""
+
+    INSTANCES = {
+        "quadratic": lambda: synthetic_quadratic(40, 1e3, seed=3, mu=0.2),
+        "logistic": lambda: logistic_problem(
+            synthetic_logistic_dataset(80, 12, seed=4, feature_scale=2.0),
+            mu=0.05),
+    }
+
+    @pytest.mark.parametrize("instance", sorted(INSTANCES))
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_counters_match_oracle_calls(self, instance, solver, monkeypatch):
+        calls = Counter()
+        prob = self.INSTANCES[instance]()
+        prob = dataclasses.replace(
+            prob,
+            value=_counting(calls, "value", prob.value),
+            hess_vec=_counting(calls, "hess_vec", prob.hess_vec),
+        )
+        monkeypatch.setattr(
+            LbfgsStore, "hessian_vec",
+            _counting(calls, "lbfgs_hessian_vec", LbfgsStore.hessian_vec))
+        if solver == "fista":
+            _, report = fista_baseline_solve(prob, SolverConfig())
+        else:
+            config = SolverConfig(inner_solver=solver.removeprefix("sqa_"))
+            _, report = sqa_solve(prob, config)
+        assert report.status == "converged"
+        assert report.fg_evaluations == calls["value"] > 0
+        if solver == "sqa_obm_qn":
+            assert calls["hess_vec"] == 0
+            assert report.hess_vec_products == calls["lbfgs_hessian_vec"] > 0
+        elif solver == "fista":
+            assert report.hess_vec_products == 0
+            assert calls["hess_vec"] == calls["lbfgs_hessian_vec"] == 0
+        else:
+            assert calls["lbfgs_hessian_vec"] == 0
+            assert report.hess_vec_products == calls["hess_vec"] > 0
 
 
 class TestFistaBaseline:

@@ -79,6 +79,14 @@ class TestParseSvmlight:
         with pytest.raises(SvmlightParseError):
             parse_svmlight(path)
 
+    @pytest.mark.parametrize("token", ["2:nan", "1:inf", "1:-inf", "3:1e999"])
+    def test_nonfinite_value_reports_line(self, tmp_path, token):
+        path = tmp_path / "d.svm"
+        path.write_text(f"+1 1:0.5\n\n-1 {token}\n")
+        with pytest.raises(SvmlightParseError,
+                           match=f":3: non-finite value in '{token}'"):
+            parse_svmlight(path)
+
     def test_zero_index_rejected(self, tmp_path):
         path = tmp_path / "d.svm"
         path.write_text("+1 0:1.0\n")
@@ -284,6 +292,16 @@ class TestCli:
         code = cli_main(["--problem", "logistic", "--data", str(path),
                          "--mu", "0.05", "--solver", "sqa_obm_cg"])
         assert code == 0
+
+    def test_logistic_nonfinite_feature_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "f.svm"
+        path.write_text("+1 1:0.5 2:nan\n-1 1:inf\n+1 2:1.0\n-1 1:-0.5\n")
+        code = cli_main(["--problem", "logistic", "--data", str(path),
+                         "--mu", "0.1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"{path}:1: non-finite value" in captured.err
+        assert captured.out == ""
 
     def test_covariance_from_samples(self, capsys, tmp_path):
         rng = np.random.default_rng(6)

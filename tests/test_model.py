@@ -63,9 +63,17 @@ class TestQuadraticModelValue:
     def test_counts_one_hessian_product(self):
         rng = np.random.default_rng(3)
         model = _random_model(rng)
+        model.value(rng.normal(size=5))
+        assert model.tally.hess_vec_products == 1
+
+    def test_counts_on_the_given_telemetry(self):
         tally = Telemetry()
-        model.value(rng.normal(size=5), tally)
-        assert tally.hess_vec_products == 1
+        model = QuadraticModel(np.zeros(2), np.ones(2), 0.0, lambda v: v, 0.1,
+                               tally)
+        assert model.tally is tally
+        model.value(np.ones(2))
+        model.smooth_gradient(np.ones(2))
+        assert tally.hess_vec_products == 2
 
 
 class TestLinearModelValue:
@@ -99,9 +107,8 @@ class TestLinearModelValue:
     def test_no_hessian_product(self):
         rng = np.random.default_rng(7)
         model = _random_model(rng)
-        tally = Telemetry()
         model.linear_value(rng.normal(size=5))
-        assert tally.hess_vec_products == 0
+        assert model.tally.hess_vec_products == 0
 
 
 class TestSmoothModelGradient:
@@ -131,9 +138,8 @@ class TestSmoothModelGradient:
     def test_counts_one_hessian_product(self):
         rng = np.random.default_rng(10)
         model = _random_model(rng)
-        tally = Telemetry()
-        model.smooth_gradient(rng.normal(size=5), tally)
-        assert tally.hess_vec_products == 1
+        model.smooth_gradient(rng.normal(size=5))
+        assert model.tally.hess_vec_products == 1
 
 
 class TestModelIdentities:
@@ -224,6 +230,9 @@ class TestSolverConfig:
             {"backtrack_factor": 1.0},
             {"lbfgs_memory": 0},
             {"tol_inf": float("nan")},
+            {"eta_constant": -1.0},
+            {"eta_constant": 0.0},
+            {"eta_constant": float("nan")},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -58,6 +58,12 @@ class TestLogisticDataset:
         with pytest.raises(ValueError, match=f"column index {bad} outside"):
             LogisticDataset(Z, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_features(self, bad):
+        Z = scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            LogisticDataset(Z, np.array([1.0, -1.0]))
+
 
 class TestLogisticValue:
     def test_zero_point_gives_log_two(self):

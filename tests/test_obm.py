@@ -179,16 +179,14 @@ class TestSubspaceCgSolve:
         np.testing.assert_allclose(d, expected, rtol=1e-8, atol=1e-10)
 
     def test_counts_one_product_per_cg_iteration(self):
-        from sqamin import Telemetry
-
         rng = np.random.default_rng(8)
         model = _random_model(rng)
         face = OrthantFace(np.ones(6, dtype=np.int8))
         v = rng.normal(size=6)
         for cap in (1, 2, 3):
-            tally = Telemetry()
-            subspace_cg_solve(model, face, v, cg_cap=cap, tally=tally)
-            assert tally.hess_vec_products == cap
+            before = model.tally.hess_vec_products
+            subspace_cg_solve(model, face, v, cg_cap=cap)
+            assert model.tally.hess_vec_products - before == cap
 
     def test_descent_direction(self):
         rng = np.random.default_rng(9)

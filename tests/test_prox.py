@@ -176,13 +176,10 @@ class TestSubproblemResidual:
         assert np.max(np.abs(subproblem_residual(model, z_cd, 0.5))) <= 1e-6
 
     def test_counts_one_hessian_product(self):
-        from sqamin import Telemetry
-
         rng = np.random.default_rng(8)
         model = self._model(rng)
-        tally = Telemetry()
-        subproblem_residual(model, rng.normal(size=5), 0.5, tally)
-        assert tally.hess_vec_products == 1
+        subproblem_residual(model, rng.normal(size=5), 0.5)
+        assert model.tally.hess_vec_products == 1
 
 
 class TestIsOptimal:
