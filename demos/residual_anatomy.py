@@ -58,7 +58,7 @@ def _prox_iterate(model, start, iterations):
     z = start.copy()
     step = 0.05
     for _ in range(iterations):
-        grad = model.smooth_gradient(z)
+        grad = model.smooth_eval(z)[1]
         z = soft_threshold(z - step * grad, step * model.mu)
     return z
 

@@ -1,8 +1,8 @@
 """Benchmark command line: one solver run per invocation.
 
 Exit codes: 0 when the run converged, 2 when it stopped for any other
-reason (the iteration cap, an inner-solver stall), 1 on any usage or input
-error.
+reason (the iteration cap, an inner-solver stall, a failed line search), 1
+on any usage or input error.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from .objectives import (
     synthetic_quadratic,
 )
 
-__all__ = ["main", "cli_main"]
+__all__ = ["main"]
 
 _DEFAULT_MU = {"covariance": 0.5, "synthetic": 0.1}
 
@@ -121,7 +121,7 @@ def _print_summary(report, stream):
           file=stream)
 
 
-def cli_main(argv=None):
+def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -170,9 +170,6 @@ def cli_main(argv=None):
             print(f"error: {exc}", file=sys.stderr)
             return 1
     return 0 if report.status == "converged" else 2
-
-
-main = cli_main
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ __all__ = [
     "eta_schedule",
     "InexactnessReport",
     "inexactness_check",
+    "LineSearchError",
     "LineSearchResult",
     "outer_line_search",
     "OuterIterationRecord",
@@ -34,23 +35,26 @@ __all__ = [
 ]
 
 ALPHA_UNDERFLOW = 1e-14
+ETA_FLOOR = 0.1
+ETA_CAP = 0.9
+BACKTRACK_FACTOR = 0.5
 
 
-def eta_schedule(k, floor=0.1, cap=0.9):
-    """Forcing factor for outer iteration ``k >= 1``: ``max(1/k, floor)``,
-    capped below one (the raw rule at k=1 would give 1.0, which is not a
+def eta_schedule(k):
+    """Forcing factor for outer iteration ``k >= 1``: ``max(1/k, 0.1)``,
+    capped at 0.9 (the raw rule at k=1 would give 1.0, which is not a
     valid forcing factor)."""
     if k < 1:
         raise ValueError(f"outer iteration index must be >= 1, got {k}")
-    return min(cap, max(1.0 / k, floor))
+    return min(ETA_CAP, max(1.0 / k, ETA_FLOOR))
 
 
 def _eta_value(config, k, residual_norm2):
     if config.eta_rule == "inverse_k":
-        return eta_schedule(k, config.eta_floor, config.eta_cap)
+        return eta_schedule(k)
     if config.eta_rule == "residual":
-        return min(config.eta_cap, residual_norm2)
-    return min(config.eta_cap, config.eta_constant)
+        return min(ETA_CAP, residual_norm2)
+    return min(ETA_CAP, config.eta_constant)
 
 
 @dataclass
@@ -74,8 +78,7 @@ def _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode, zeta,
                            ref_residual_norm):
     """Evaluate the inexactness conditions from a precomputed smooth eval."""
     x_hat = np.asarray(x_hat, dtype=float)
-    Fq = sgrad - np.clip(sgrad - x_hat / tau, -model.mu, model.mu)
-    rnorm = float(np.linalg.norm(Fq))
+    rnorm = float(np.linalg.norm(residual(x_hat, sgrad, tau, model.mu)))
     bound = eta * ref_residual_norm
     q_hat = sval + model.mu * float(np.abs(x_hat).sum())
     q_ref = model.reference_objective()
@@ -116,6 +119,10 @@ def inexactness_check(model, x_hat, eta, tau, mode="strengthened", zeta=0.25):
                                   zeta, ref_norm)
 
 
+class LineSearchError(RuntimeError):
+    """The outer line search underflowed without accepting a step."""
+
+
 class LineSearchResult(NamedTuple):
     alpha: float
     x_next: np.ndarray
@@ -124,13 +131,14 @@ class LineSearchResult(NamedTuple):
     trials: int
 
 
-def outer_line_search(problem, model, d, theta=0.1, backtrack_factor=0.5):
-    """Backtrack from a unit step until the composite objective decrease is
-    at least ``theta`` times the linear model decrease.
+def outer_line_search(problem, model, d, theta=0.1):
+    """Backtrack from a unit step, halving it, until the composite objective
+    decrease is at least ``theta`` times the linear model decrease.
 
     Each trial evaluates the smooth value once, counted on ``model.tally``.
     Step length underflow signals violated preconditions (the direction must
-    carry positive linear-model decrease) and raises.
+    carry positive linear-model decrease) or a non-finite objective along
+    the direction, and raises :class:`LineSearchError`.
     """
     d = np.asarray(d, dtype=float)
     if not np.any(d):
@@ -147,8 +155,8 @@ def outer_line_search(problem, model, d, theta=0.1, backtrack_factor=0.5):
         linear_decrease = phi_ref - model.linear_value(x_trial)
         if phi_ref - phi_trial >= theta * linear_decrease:
             return LineSearchResult(alpha, x_trial, f_trial, phi_trial, trials)
-        alpha *= backtrack_factor
-    raise RuntimeError(
+        alpha *= BACKTRACK_FACTOR
+    raise LineSearchError(
         "line search step length underflow; direction does not satisfy the "
         "inexactness preconditions or the oracle is inconsistent"
     )
@@ -188,7 +196,8 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     factor from the configured eta rule.  If it exhausts its iteration cap
     having decreased the model, the step is still used (descent is implied
     by model decrease); otherwise the run aborts with status
-    ``"inner_stall"``.
+    ``"inner_stall"``; a line search that finds no acceptable step ends it
+    with status ``"line_search_failed"``, keeping the last accepted iterate.
     """
     if hessian_source is None:
         hessian_source = "lbfgs" if config.inner_solver == "obm_qn" else "exact"
@@ -208,7 +217,7 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     tally.fg_evaluations += 1
     store = LbfgsStore(config.lbfgs_memory) if hessian_source == "lbfgs" else None
     F = residual(x, gx, tau, mu)
-    res_inf = float(np.max(np.abs(F))) if F.size else 0.0
+    res_inf = float(np.max(np.abs(F)))
     trace = [TraceRow(0, fx + mu * float(np.abs(x).sum()), res_inf, 0.0, 0, 0.0)]
     penalty = lambda z: mu * float(np.abs(z).sum())
     prox = lambda v, t: soft_threshold(v, t * mu)
@@ -238,17 +247,18 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
             inner = obm_solve(model, x, variant, stop, outer_k=k, store=store,
                               max_iter=config.max_inner)
         tally.inner_iterations += inner.inner_iterations
-        if inner.status != "converged" and not inner.model_decrease > 0.0:
-            status = "inner_stall"
-            k -= 1
-            break
         d = inner.solution - x
-        if not np.any(d):
+        stalled = inner.status != "converged" and not inner.model_decrease > 0.0
+        if stalled or not np.any(d):
             status = "inner_stall"
             k -= 1
             break
-        ls = outer_line_search(problem, model, d, config.theta,
-                               config.backtrack_factor)
+        try:
+            ls = outer_line_search(problem, model, d, config.theta)
+        except LineSearchError:
+            status = "line_search_failed"
+            k -= 1
+            break
         g_next = problem.gradient(ls.x_next)  # same point as the accepted
         # trial, so it does not open a new evaluation point
         if store is not None:
@@ -313,7 +323,7 @@ def fista_baseline_solve(problem, config):
 
     def stop(z, fz, gz):
         F = residual(z, gz, tau, mu)
-        r_inf = float(np.max(np.abs(F))) if F.size else 0.0
+        r_inf = float(np.max(np.abs(F)))
         k = len(trace)
         trace.append(TraceRow(k, fz + mu * float(np.abs(z).sum()), r_inf,
                               0.0 if k == 0 else 1.0, 0, 0.0))

@@ -20,6 +20,10 @@ _BACKTRACK_GROWTH = 2.0
 _CURVATURE_LIMIT = 1e30
 
 
+class _CurvatureDiverged(Exception):
+    """Curvature backtracking passed its limit."""
+
+
 @dataclass
 class InnerResult:
     """Outcome of one inner minimization."""
@@ -48,7 +52,7 @@ def _backtracked_prox_step(smooth, prox, y, fy, gy, L):
             return cand, fc, gc, L
         L *= _BACKTRACK_GROWTH
         if L > _CURVATURE_LIMIT:
-            raise RuntimeError("curvature estimate diverged during backtracking")
+            raise _CurvatureDiverged
 
 
 def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
@@ -71,7 +75,8 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
         ``stop(x, smooth_value, smooth_gradient)`` evaluated at the start
         and after every accepted iterate; a truthy return ends the run.
     max_iter : int
-        Iteration cap; reaching it is a status, not an error.
+        Iteration cap; reaching it is a status, not an error.  So is a
+        diverged curvature backtracking (``"line_search_failed"``).
     lipschitz0 : float
         Initial curvature estimate; only ever increased.
 
@@ -94,27 +99,30 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
     iterations = 0
     fallbacks = 0
     status = "iteration_cap"
-    for _ in range(max_iter):
-        if not math.isfinite(fy):
-            y, fy, gy = x, fx, gx
-            t = 1.0
-        cand, fc, gc, L = _backtracked_prox_step(smooth, prox, y, fy, gy, L)
-        qc = fc + penalty(cand)
-        if qc > qx and y is not x:
-            # Monotone fallback: redo the step from the accepted iterate.
-            fallbacks += 1
-            y, fy, gy = x, fx, gx
-            t = 1.0
+    try:
+        for _ in range(max_iter):
+            if not math.isfinite(fy):
+                y, fy, gy = x, fx, gx
+                t = 1.0
             cand, fc, gc, L = _backtracked_prox_step(smooth, prox, y, fy, gy, L)
             qc = fc + penalty(cand)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y_next = cand + ((t - 1.0) / t_next) * (cand - x)
-        x, fx, gx, qx = cand, fc, gc, qc
-        iterations += 1
-        if stop is not None and stop(x, fx, gx):
-            status = "converged"
-            break
-        t = t_next
-        y = y_next
-        fy, gy = smooth(y)
+            if qc > qx and y is not x:
+                # Monotone fallback: redo the step from the accepted iterate.
+                fallbacks += 1
+                y, fy, gy = x, fx, gx
+                t = 1.0
+                cand, fc, gc, L = _backtracked_prox_step(smooth, prox, y, fy, gy, L)
+                qc = fc + penalty(cand)
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y_next = cand + ((t - 1.0) / t_next) * (cand - x)
+            x, fx, gx, qx = cand, fc, gc, qc
+            iterations += 1
+            if stop is not None and stop(x, fx, gx):
+                status = "converged"
+                break
+            t = t_next
+            y = y_next
+            fy, gy = smooth(y)
+    except _CurvatureDiverged:
+        status = "line_search_failed"
     return InnerResult(x, iterations, q_start - qx, status, L, fallbacks)

@@ -5,7 +5,8 @@ weight.  Each outer iteration of the solver freezes a :class:`QuadraticModel`
 snapshot (reference point, gradient, Hessian operator) whose inexact
 minimization produces the step.  All evaluation counters live in one
 :class:`Telemetry` record per run, which each :class:`QuadraticModel` of the
-run carries; the oracles themselves are pure.
+run carries; the oracles themselves are pure.  The paper's fixed forcing and
+backtracking constants are in :mod:`sqamin.driver`, not in the config.
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +61,6 @@ class CompositeProblem:
     dim: int
     mu: float
     x0: Optional[np.ndarray] = None
-    name: str = ""
 
     def __post_init__(self):
         if self.dim < 1:
@@ -144,11 +144,6 @@ class QuadraticModel:
             + self.mu * float(np.abs(x).sum())
         )
 
-    def smooth_gradient(self, x):
-        """Gradient of the smooth part, ``g_ref + H (x - x_ref)``."""
-        x = self._check_dim(x)
-        return self.g_ref + self.apply_hessian(x - self.x_ref)
-
     def reference_objective(self):
         """Model value at the reference point (no Hessian product needed)."""
         return self.f_ref + self.mu * float(np.abs(self.x_ref).sum())
@@ -168,13 +163,10 @@ class SolverConfig:
     tau: float = 0.5
     tol_inf: float = 1e-5
     max_outer: int = 3000
-    eta_floor: float = 0.1
-    eta_cap: float = 0.9
     inner_solver: str = "fista"
     inexactness_mode: str = "strengthened"
     lbfgs_memory: int = 50
     max_inner: int = 1000
-    backtrack_factor: float = 0.5
     eta_rule: str = "inverse_k"
     eta_constant: float = 0.5
 
@@ -189,8 +181,6 @@ class SolverConfig:
             raise ValueError("tol_inf must be positive")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration limits must be positive")
-        if not 0.0 <= self.eta_floor <= self.eta_cap < 1.0:
-            raise ValueError("need 0 <= eta_floor <= eta_cap < 1")
         if self.inner_solver not in INNER_SOLVERS:
             raise ValueError(f"unknown inner solver {self.inner_solver!r}")
         if self.inexactness_mode not in INEXACTNESS_MODES:
@@ -199,8 +189,6 @@ class SolverConfig:
             raise ValueError(f"unknown eta rule {self.eta_rule!r}")
         if self.lbfgs_memory < 1:
             raise ValueError("lbfgs_memory must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
         if not 0.0 < self.eta_constant < 1.0:
             raise ValueError("eta_constant must lie in (0, 1)")
 

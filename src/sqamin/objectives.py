@@ -69,10 +69,11 @@ class LogisticDataset:
         if np.any(outside):
             raise ValueError(f"column index {indices[np.argmax(outside)]} outside "
                              f"[0, {Z.shape[1]})")
-        for i in range(Z.shape[0]):
-            row = indices[indptr[i] : indptr[i + 1]]
-            if row.size and np.any(np.diff(row) <= 0):
-                raise ValueError(f"row {i}: column indices not strictly increasing")
+        rows = np.repeat(np.arange(Z.shape[0]), np.diff(indptr))
+        bad = (np.diff(indices) <= 0) & (rows[1:] == rows[:-1])
+        if np.any(bad):
+            i = rows[np.argmax(bad)]
+            raise ValueError(f"row {i}: column indices not strictly increasing")
 
     @property
     def n_samples(self):
@@ -125,7 +126,6 @@ def logistic_problem(data, mu):
         hess_vec=lambda x, v: logistic_hess_vec(data, x, v),
         dim=data.n_features,
         mu=mu,
-        name="logistic",
     )
 
 
@@ -236,7 +236,6 @@ def covariance_problem(prob, mu):
         dim=p * p,
         mu=mu,
         x0=np.eye(p).ravel(),
-        name="covariance",
     )
 
 
@@ -270,5 +269,4 @@ def synthetic_quadratic(n, condition, seed, mu=0.0):
         hess_vec=lambda x, v: A @ v,
         dim=n,
         mu=mu,
-        name="synthetic_quadratic",
     )

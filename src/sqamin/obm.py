@@ -23,7 +23,6 @@ __all__ = [
     "OrthantFace",
     "orthant_face",
     "orthant_project",
-    "min_norm_subgradient",
     "min_norm_subgradient_from_gradient",
     "cg_budget",
     "subspace_cg_solve",
@@ -108,12 +107,6 @@ def min_norm_subgradient_from_gradient(u, z, mu):
     )
 
 
-def min_norm_subgradient(model, z):
-    """Minimum norm subgradient of the model at ``z``; one Hessian product."""
-    u = model.smooth_gradient(z)
-    return min_norm_subgradient_from_gradient(u, np.asarray(z, dtype=float), model.mu)
-
-
 def cg_budget(outer_k):
     """Conjugate-gradient iteration cap as a function of the outer iteration."""
     return min(3, 1 + outer_k // 10)
@@ -170,19 +163,17 @@ class ProjectedSearchResult(NamedTuple):
     stalled: bool
 
 
-def obm_projected_line_search(model, z, face, d, v, q_ref=None):
+def obm_projected_line_search(model, z, face, d, v, q_ref):
     """Backtrack along ``d`` with re-projection onto the face.
 
     Accepts the first halved step whose projected candidate satisfies the
     Armijo test against the subgradient linearization and does not increase
-    the model (projection can flip the sign of the linearized change, so the
-    plain-decrease guard keeps the iterates monotone).  Returns the incoming
-    point flagged as stalled when the step underflows.
+    the model value ``q_ref`` at ``z`` (projection can flip the sign of the
+    linearized change, so the plain-decrease guard keeps the iterates
+    monotone).  Returns ``z`` flagged as stalled when the step underflows.
     """
     z = np.asarray(z, dtype=float)
     d = np.asarray(d, dtype=float)
-    if q_ref is None:
-        q_ref = model.value(z)
     if not np.any(d):
         return ProjectedSearchResult(z, 0.0, 0, math.nan, None, q_ref, False)
     alpha = 1.0

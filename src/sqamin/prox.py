@@ -12,7 +12,6 @@ __all__ = [
     "soft_threshold",
     "ista_point",
     "residual",
-    "subproblem_residual",
     "is_optimal",
 ]
 
@@ -57,19 +56,6 @@ def residual(x, g, tau, mu):
     if x.shape != g.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
     return g - np.clip(g - x / tau, -mu, mu)
-
-
-def subproblem_residual(model, x, tau):
-    """Optimality residual of the quadratic model at ``x``.
-
-    Same map as :func:`residual` but driven by the model's smooth gradient
-    ``g_ref + H (x - x_ref)``; costs one Hessian-vector product. At
-    ``x = x_ref`` it coincides with ``residual(x_ref, g_ref, tau, mu)``.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    u = model.smooth_gradient(x)
-    return u - np.clip(u - np.asarray(x, dtype=float) / tau, -model.mu, model.mu)
 
 
 def is_optimal(Fx, tol_inf):

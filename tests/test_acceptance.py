@@ -382,8 +382,8 @@ class TestCriterion09ObmConformanceAndBudget:
         real_search = obm_module.obm_projected_line_search
         real_budget = obm_module.cg_budget
 
-        def checked_search(model, z, face, d, v, q_ref=None):
-            outcome = real_search(model, z, face, d, v, q_ref=q_ref)
+        def checked_search(model, z, face, d, v, q_ref):
+            outcome = real_search(model, z, face, d, v, q_ref)
             if not outcome.stalled and not face.conforms(outcome.point):
                 conform_failures.append(outcome.point)
             return outcome

@@ -285,6 +285,13 @@ def _counting(calls, name, fn):
     return counted
 
 
+def _run(prob, solver, **settings):
+    if solver == "fista":
+        return fista_baseline_solve(prob, SolverConfig(**settings))
+    config = SolverConfig(inner_solver=solver.removeprefix("sqa_"), **settings)
+    return sqa_solve(prob, config)
+
+
 class TestRunCounters:
     """The report's work counters equal the oracle calls the run made."""
 
@@ -308,11 +315,7 @@ class TestRunCounters:
         monkeypatch.setattr(
             LbfgsStore, "hessian_vec",
             _counting(calls, "lbfgs_hessian_vec", LbfgsStore.hessian_vec))
-        if solver == "fista":
-            _, report = fista_baseline_solve(prob, SolverConfig())
-        else:
-            config = SolverConfig(inner_solver=solver.removeprefix("sqa_"))
-            _, report = sqa_solve(prob, config)
+        _, report = _run(prob, solver)
         assert report.status == "converged"
         assert report.fg_evaluations == calls["value"] > 0
         if solver == "sqa_obm_qn":
@@ -324,6 +327,40 @@ class TestRunCounters:
         else:
             assert calls["lbfgs_hessian_vec"] == 0
             assert report.hess_vec_products == calls["hess_vec"] > 0
+
+
+class TestNonfiniteObjective:
+    """A NaN smooth value away from the start ends every path with a report
+    and the last accepted iterate instead of an exception."""
+
+    @staticmethod
+    def _nan_off_zero(prob, after):
+        # exact values for the first `after` calls, then NaN off zero
+        calls = Counter()
+
+        def value(x):
+            calls["value"] += 1
+            if calls["value"] > after and np.any(x):
+                return float("nan")
+            return prob.value(x)
+
+        return dataclasses.replace(prob, value=value)
+
+    @pytest.mark.parametrize("after", [0, 8])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_ends_at_last_accepted_iterate(self, solver, after):
+        prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
+        x, report = _run(self._nan_off_zero(prob, after), solver)
+        assert report.status == "line_search_failed"
+        assert len(report.trace) == report.outer_iterations + 1
+        assert report.trace[-1].objective == prob.objective(x)
+        if after == 0:
+            np.testing.assert_array_equal(x, prob.start_point())
+        else:
+            assert report.outer_iterations >= 1
+            # the clean run capped at the accepted steps takes the same ones
+            x_clean, _ = _run(prob, solver, max_outer=report.outer_iterations)
+            np.testing.assert_array_equal(x, x_clean)
 
 
 class TestFistaBaseline:

@@ -21,7 +21,7 @@ from sqamin import (
     write_report,
     write_svmlight,
 )
-from sqamin.cli import _build_parser, cli_main
+from sqamin.cli import _build_parser, main
 from sqamin.io import SOLVERS
 
 
@@ -247,7 +247,7 @@ class TestCli:
         assert SOLVERS == ("fista", "sqa_fista", "sqa_obm_cg", "sqa_obm_qn")
 
     def test_synthetic_end_to_end(self, capsys):
-        code = cli_main(["--problem", "synthetic", "--solver", "sqa_obm_cg",
+        code = main(["--problem", "synthetic", "--solver", "sqa_obm_cg",
                          "--n", "30", "--seed", "1"])
         out = capsys.readouterr().out
         assert code == 0
@@ -256,7 +256,7 @@ class TestCli:
 
     def test_tolerance_flag_respected(self, capsys, tmp_path):
         report_path = tmp_path / "run.json"
-        code = cli_main(["--problem", "synthetic", "--solver", "sqa_fista",
+        code = main(["--problem", "synthetic", "--solver", "sqa_fista",
                          "--n", "20", "--tol", "1e-5",
                          "--report", str(report_path)])
         assert code == 0
@@ -264,16 +264,16 @@ class TestCli:
         assert payload["final_residual_inf"] <= 1e-5
 
     def test_missing_data_for_logistic(self, capsys):
-        code = cli_main(["--problem", "logistic", "--mu", "0.01"])
+        code = main(["--problem", "logistic", "--mu", "0.01"])
         assert code == 1
         assert "error" in capsys.readouterr().err
 
     def test_unknown_flag(self, capsys):
-        code = cli_main(["--problem", "synthetic", "--frobnicate"])
+        code = main(["--problem", "synthetic", "--frobnicate"])
         assert code == 1
 
     def test_iteration_cap_exit_code(self, capsys):
-        code = cli_main(["--problem", "synthetic", "--n", "40",
+        code = main(["--problem", "synthetic", "--n", "40",
                          "--condition", "10000", "--mu", "0.001",
                          "--max-outer", "2", "--solver", "sqa_obm_cg"])
         assert code == 2
@@ -289,14 +289,14 @@ class TestCli:
             lines.append(f"{label} {feats}")
         path = tmp_path / "train.svm"
         path.write_text("\n".join(lines) + "\n")
-        code = cli_main(["--problem", "logistic", "--data", str(path),
+        code = main(["--problem", "logistic", "--data", str(path),
                          "--mu", "0.05", "--solver", "sqa_obm_cg"])
         assert code == 0
 
     def test_logistic_nonfinite_feature_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "f.svm"
         path.write_text("+1 1:0.5 2:nan\n-1 1:inf\n+1 2:1.0\n-1 1:-0.5\n")
-        code = cli_main(["--problem", "logistic", "--data", str(path),
+        code = main(["--problem", "logistic", "--data", str(path),
                          "--mu", "0.1"])
         assert code == 1
         captured = capsys.readouterr()
@@ -308,7 +308,7 @@ class TestCli:
         samples = rng.normal(size=(40, 6))
         path = tmp_path / "samples.txt"
         np.savetxt(path, samples)
-        code = cli_main(["--problem", "covariance", "--samples", str(path),
+        code = main(["--problem", "covariance", "--samples", str(path),
                          "--solver", "sqa_obm_cg"])
         assert code == 0
 
@@ -318,7 +318,7 @@ class TestCli:
         S = M @ M.T / 6 + 0.5 * np.eye(6)
         path = tmp_path / "S.txt"
         np.savetxt(path, S)
-        code = cli_main(["--problem", "covariance", "--data", str(path),
+        code = main(["--problem", "covariance", "--data", str(path),
                          "--solver", "sqa_fista"])
         assert code == 0
 
@@ -326,7 +326,7 @@ class TestCli:
         payloads = []
         for tag in ("r1", "r2"):
             path = tmp_path / f"{tag}.json"
-            code = cli_main(["--problem", "synthetic", "--n", "25",
+            code = main(["--problem", "synthetic", "--n", "25",
                              "--seed", "9", "--solver", "sqa_obm_qn",
                              "--report", str(path)])
             assert code == 0

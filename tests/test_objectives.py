@@ -64,6 +64,45 @@ class TestLogisticDataset:
         with pytest.raises(ValueError, match="finite"):
             LogisticDataset(Z, np.array([1.0, -1.0]))
 
+    @staticmethod
+    def _rows(rows, n_features=5):
+        indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+        indices = np.concatenate([np.asarray(r, dtype=np.int32) for r in rows])
+        Z = scipy.sparse.csr_matrix(
+            (np.ones(indices.size), indices, indptr),
+            shape=(len(rows), n_features))
+        return Z, np.ones(len(rows))
+
+    def test_names_later_unsorted_row(self):
+        Z, y = self._rows([[0, 2], [1, 3], [3, 0]])
+        with pytest.raises(ValueError, match=r"^row 2: column indices not "
+                                             r"strictly increasing$"):
+            LogisticDataset(Z, y)
+
+    def test_rejects_duplicate_index(self):
+        Z, y = self._rows([[0], [1, 1], [2]])
+        with pytest.raises(ValueError, match=r"^row 1: "):
+            LogisticDataset(Z, y)
+
+    def test_decrease_across_row_boundaries_and_empty_rows_accepted(self):
+        Z, y = self._rows([[], [3, 4], [], [0, 1], [2], []])
+        LogisticDataset(Z, y)
+
+    def test_matches_row_by_row_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            rows = [np.sort(rng.choice(5, size=m, replace=False))
+                    if rng.uniform() < 0.8 else rng.integers(0, 5, size=m)
+                    for m in rng.integers(0, 4, size=6)]
+            expected = next((i for i, row in enumerate(rows)
+                             if np.any(np.diff(row) <= 0)), None)
+            Z, y = self._rows(rows)
+            if expected is None:
+                LogisticDataset(Z, y)
+            else:
+                with pytest.raises(ValueError, match=f"^row {expected}: "):
+                    LogisticDataset(Z, y)
+
 
 class TestLogisticValue:
     def test_zero_point_gives_log_two(self):

@@ -7,7 +7,6 @@ from sqamin import (
     LbfgsStore,
     QuadraticModel,
     cg_budget,
-    min_norm_subgradient,
     min_norm_subgradient_from_gradient,
     obm_projected_line_search,
     obm_solve,
@@ -33,8 +32,8 @@ class TestMinNormSubgradient:
         rng = np.random.default_rng(0)
         model = _random_model(rng)
         z = np.abs(rng.normal(size=6)) + 0.1
-        u = model.smooth_gradient(z)
-        v = min_norm_subgradient(model, z)
+        u = model.smooth_eval(z)[1]
+        v = min_norm_subgradient_from_gradient(u, z, model.mu)
         np.testing.assert_allclose(v, u + model.mu)
 
     def test_zero_component_inside_interval(self):
@@ -55,7 +54,7 @@ class TestMinNormSubgradient:
         model = _random_model(rng)
         z = rng.normal(size=6)
         z[rng.uniform(size=6) < 0.4] = 0.0
-        u = model.smooth_gradient(z)
+        u = model.smooth_eval(z)[1]
         v = min_norm_subgradient_from_gradient(u, z, model.mu)
         vnorm = np.linalg.norm(v)
         for _ in range(100):
@@ -83,7 +82,7 @@ class TestOrthantFace:
         model = _random_model(rng, mu=0.8)
         z = rng.normal(size=6)
         z[:3] = 0.0
-        u = model.smooth_gradient(z)
+        u = model.smooth_eval(z)[1]
         v = min_norm_subgradient_from_gradient(u, z, model.mu)
         face = orthant_face(z, v)
         for i in range(3):
@@ -194,7 +193,7 @@ class TestSubspaceCgSolve:
             model = _random_model(rng)
             z = rng.normal(size=6)
             z[rng.uniform(size=6) < 0.3] = 0.0
-            u = model.smooth_gradient(z)
+            u = model.smooth_eval(z)[1]
             v = min_norm_subgradient_from_gradient(u, z, model.mu)
             face = orthant_face(z, v)
             if not np.any(v[face.free_mask]):
@@ -220,13 +219,14 @@ class TestProjectedLineSearch:
         model = _random_model(rng)
         H = materialize_operator(model.hessian, 6)
         z = np.abs(rng.normal(size=6)) + 1.0  # interior, all positive face
-        u = model.smooth_gradient(z)
+        u = model.smooth_eval(z)[1]
         v = min_norm_subgradient_from_gradient(u, z, model.mu)
         face = orthant_face(z, v)
         d = -np.linalg.solve(H, v)
         if not face.conforms(z + d):
             d *= 0.5 / np.max(np.abs(d) / np.minimum(z, 1.0))  # keep signs
-        outcome = obm_projected_line_search(model, z, face, d, v)
+        outcome = obm_projected_line_search(model, z, face, d, v,
+                                            model.value(z))
         assert outcome.alpha == 1.0
 
     def test_zero_direction_returns_input(self):
@@ -235,7 +235,7 @@ class TestProjectedLineSearch:
         z = rng.normal(size=6)
         face = orthant_face(z, np.zeros(6))
         outcome = obm_projected_line_search(model, z, face, np.zeros(6),
-                                            np.zeros(6))
+                                            np.zeros(6), model.value(z))
         np.testing.assert_array_equal(outcome.point, z)
         assert not outcome.stalled
 
@@ -245,13 +245,14 @@ class TestProjectedLineSearch:
             model = _random_model(rng)
             z = rng.normal(size=6)
             z[rng.uniform(size=6) < 0.4] = 0.0
-            u = model.smooth_gradient(z)
+            u = model.smooth_eval(z)[1]
             v = min_norm_subgradient_from_gradient(u, z, model.mu)
             face = orthant_face(z, v)
             d = subspace_cg_solve(model, face, v, cg_cap=2)
             if not np.any(d):
                 continue
-            outcome = obm_projected_line_search(model, z, face, d, v)
+            outcome = obm_projected_line_search(model, z, face, d, v,
+                                                model.value(z))
             assert face.conforms(outcome.point)
 
     def test_model_never_increases(self):
@@ -259,7 +260,7 @@ class TestProjectedLineSearch:
         for _ in range(20):
             model = _random_model(rng)
             z = rng.normal(size=6)
-            u = model.smooth_gradient(z)
+            u = model.smooth_eval(z)[1]
             v = min_norm_subgradient_from_gradient(u, z, model.mu)
             face = orthant_face(z, v)
             d = subspace_cg_solve(model, face, v, cg_cap=1)
@@ -356,7 +357,7 @@ class TestObmSolve:
         H = materialize_operator(model.hessian, 5)
         z_t = rng.normal(size=5)
         z_t[2] = 0.0
-        u = model.smooth_gradient(z_t)
+        u = model.smooth_eval(z_t)[1]
         v = min_norm_subgradient_from_gradient(u, z_t, model.mu)
         face = orthant_face(z_t, v)
         q_zt = model.value(z_t)
