@@ -136,9 +136,9 @@ def outer_line_search(problem, model, d, theta=0.1):
     decrease is at least ``theta`` times the linear model decrease.
 
     Each trial evaluates the smooth value once, counted on ``model.tally``.
-    Step length underflow signals violated preconditions (the direction must
-    carry positive linear-model decrease) or a non-finite objective along
-    the direction, and raises :class:`LineSearchError`.
+    An infinite value backtracks; a NaN value, or step length underflow
+    (violated preconditions: the direction must carry positive linear-model
+    decrease), raises :class:`LineSearchError`.
     """
     d = np.asarray(d, dtype=float)
     if not np.any(d):
@@ -151,6 +151,8 @@ def outer_line_search(problem, model, d, theta=0.1):
         f_trial = problem.value(x_trial)
         model.tally.fg_evaluations += 1
         trials += 1
+        if np.isnan(f_trial):
+            raise LineSearchError("smooth value is NaN at a line search trial")
         phi_trial = f_trial + problem.mu * float(np.abs(x_trial).sum())
         linear_decrease = phi_ref - model.linear_value(x_trial)
         if phi_ref - phi_trial >= theta * linear_decrease:

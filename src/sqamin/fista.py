@@ -21,7 +21,7 @@ _CURVATURE_LIMIT = 1e30
 
 
 class _CurvatureDiverged(Exception):
-    """Curvature backtracking passed its limit."""
+    """Curvature backtracking passed its limit or met a NaN value."""
 
 
 @dataclass
@@ -41,11 +41,14 @@ def _backtracked_prox_step(smooth, prox, y, fy, gy, L):
 
     Doubles ``L`` until the smooth part at the candidate is bounded by its
     quadratic upper model at ``y``; an infinite candidate value (outside the
-    smooth domain) also triggers doubling, since the bound is finite.
+    smooth domain) also triggers doubling, since the bound is finite, and a
+    NaN one ends the search, since no curvature can pass it.
     """
     while True:
         cand = prox(y - gy / L, 1.0 / L)
         fc, gc = smooth(cand)
+        if math.isnan(fc):
+            raise _CurvatureDiverged
         d = cand - y
         bound = fy + float(gy @ d) + 0.5 * L * float(d @ d)
         if fc <= bound + 1e-12 * max(1.0, abs(bound)):
@@ -76,7 +79,7 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
         and after every accepted iterate; a truthy return ends the run.
     max_iter : int
         Iteration cap; reaching it is a status, not an error.  So is a
-        diverged curvature backtracking (``"line_search_failed"``).
+        diverged or NaN curvature backtracking (``"line_search_failed"``).
     lipschitz0 : float
         Initial curvature estimate; only ever increased.
 

@@ -1,13 +1,16 @@
 """Concrete smooth oracles: logistic regression, log-det covariance, quadratics.
 
-Each family exposes plain value/gradient/Hessian-vector functions plus a
+Each family exposes pure value/gradient/Hessian-vector functions plus a
 constructor returning a :class:`~sqamin.model.CompositeProblem` with the l1
-weight attached.  The log-det objective treats non-positive-definite points
-as ``+inf`` so that line searches reject them and every accepted iterate
-stays inside the cone.
+weight attached.  The logistic problem's oracles keep a one-point cache of
+the margins and Hessian weights, reused while the solver stays at one
+iterate, so such a problem should not be shared between threads.  The
+log-det objective treats non-positive-definite points as ``+inf`` so that
+line searches reject them and every accepted iterate stays inside the cone.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -91,42 +94,72 @@ def _margins(data, x):
     return data.labels * (data.features @ x)
 
 
+class _LogisticLinearization:
+    """Margins ``y * (Z@x)`` at the last point asked for, shared by value,
+    gradient and Hessian products there; the point is compared by value with
+    a stored copy, so mutating ``x`` in place never gives stale results.  The
+    weights ``w = s(1-s)`` are kept from the first Hessian product at a point
+    and ``Z.T`` from its first use.  Not safe to share between threads."""
+
+    def __init__(self, data):
+        self.data = data
+        self._x = self._m = self._w = None
+
+    def _margins_at(self, x):
+        if not np.array_equal(x, self._x):
+            m = _margins(self.data, x)
+            self._x, self._m, self._w = np.array(x, dtype=float), m, None
+        return self._m
+
+    @cached_property
+    def _zt(self):
+        return self.data.features.T
+
+    def value(self, x):
+        t = -self._margins_at(x)
+        return float(np.mean(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))))
+
+    def gradient(self, x):
+        s = expit(-self._margins_at(x))
+        return -np.asarray(self._zt @ (self.data.labels * s)) / self.data.n_samples
+
+    def hess_vec(self, x, v):
+        data = self.data
+        v = np.asarray(v, dtype=float)
+        if v.shape != (data.n_features,):
+            raise ValueError(f"expected dimension {data.n_features}, got {v.shape}")
+        m = self._margins_at(x)
+        if self._w is None:
+            s = expit(-m)
+            self._w = s * (1.0 - s)
+        return np.asarray(self._zt @ (self._w * (data.features @ v))) / data.n_samples
+
+
 def logistic_value(data, x):
     """Mean logistic loss ``(1/N) sum log(1 + exp(-y_i x@z_i))``.
 
     Uses the overflow-safe form ``max(t, 0) + log1p(exp(-|t|))`` of
     ``log(1 + exp(t))`` so large margins neither overflow nor lose accuracy.
     """
-    t = -_margins(data, x)
-    return float(np.mean(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))))
+    return _LogisticLinearization(data).value(x)
 
 
 def logistic_gradient(data, x):
     """Gradient ``-(1/N) Z.T (y * sigmoid(-y * Zx))``."""
-    m = _margins(data, x)
-    s = expit(-m)
-    return -np.asarray(data.features.T @ (data.labels * s)) / data.n_samples
+    return _LogisticLinearization(data).gradient(x)
 
 
 def logistic_hess_vec(data, x, v):
     """Hessian-vector product ``(1/N) Z.T (w * (Z v))`` with ``w = s(1-s)``."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (data.n_features,):
-        raise ValueError(f"expected dimension {data.n_features}, got {v.shape}")
-    s = expit(-_margins(data, x))
-    w = s * (1.0 - s)
-    return np.asarray(data.features.T @ (w * (data.features @ v))) / data.n_samples
+    return _LogisticLinearization(data).hess_vec(x, v)
 
 
 def logistic_problem(data, mu):
-    """Composite problem for the l1-regularized mean logistic loss."""
-    return CompositeProblem(
-        value=lambda x: logistic_value(data, x),
-        gradient=lambda x: logistic_gradient(data, x),
-        hess_vec=lambda x, v: logistic_hess_vec(data, x, v),
-        dim=data.n_features,
-        mu=mu,
-    )
+    """Composite problem for the l1-regularized mean logistic loss.  Its
+    oracles share a one-point cache, so do not share it between threads."""
+    lin = _LogisticLinearization(data)
+    return CompositeProblem(value=lin.value, gradient=lin.gradient,
+                            hess_vec=lin.hess_vec, dim=data.n_features, mu=mu)
 
 
 def synthetic_logistic_dataset(n_samples, n_features, seed, feature_scale=1.0):

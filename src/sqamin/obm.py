@@ -43,7 +43,7 @@ class OrthantFace:
 
     def __post_init__(self):
         omega = np.asarray(self.omega)
-        if not np.all(np.isin(omega, (-1, 0, 1))):
+        if not np.all((omega == 0) | (np.abs(omega) == 1)):
             raise ValueError("face signs must be -1, 0 or +1")
 
     @property

@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 
 from sqamin import (
+    CompositeProblem,
     LbfgsStore,
     QuadraticModel,
     SolverConfig,
     eta_schedule,
     fista_baseline_solve,
     inexactness_check,
+    logistic_gradient,
+    logistic_hess_vec,
     logistic_problem,
+    logistic_value,
     outer_line_search,
     residual,
     sqa_solve,
@@ -329,6 +333,30 @@ class TestRunCounters:
             assert report.hess_vec_products == calls["hess_vec"] > 0
 
 
+class TestLogisticOracleCache:
+    """The logistic problem's cached oracles take the same steps as the
+    pure module functions."""
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_solve_matches_pure_oracles(self, solver):
+        data = synthetic_logistic_dataset(80, 12, seed=4, feature_scale=2.0)
+        pure = CompositeProblem(
+            value=lambda x: logistic_value(data, x),
+            gradient=lambda x: logistic_gradient(data, x),
+            hess_vec=lambda x, v: logistic_hess_vec(data, x, v),
+            dim=data.n_features,
+            mu=0.05,
+        )
+        x_pure, r_pure = _run(pure, solver)
+        x, report = _run(logistic_problem(data, 0.05), solver)
+        assert report.status == "converged"
+        assert x.tobytes() == x_pure.tobytes()
+        for name in ("outer_iterations", "inner_iterations", "fg_evaluations",
+                     "hess_vec_products"):
+            assert getattr(report, name) == getattr(r_pure, name)
+        assert report.trace == r_pure.trace
+
+
 class TestNonfiniteObjective:
     """A NaN smooth value away from the start ends every path with a report
     and the last accepted iterate instead of an exception."""
@@ -361,6 +389,15 @@ class TestNonfiniteObjective:
             # the clean run capped at the accepted steps takes the same ones
             x_clean, _ = _run(prob, solver, max_outer=report.outer_iterations)
             np.testing.assert_array_equal(x, x_clean)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_first_nan_trial_ends_the_search(self, solver):
+        # one evaluation at the start and one NaN trial, not a whole
+        # backtracking budget spent on NaN
+        prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
+        _, report = _run(self._nan_off_zero(prob, 0), solver)
+        assert report.status == "line_search_failed"
+        assert report.fg_evaluations == 2
 
 
 class TestFistaBaseline:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from sqamin import objectives
 from sqamin import (
     CovarianceProblem,
     LogisticDataset,
@@ -209,6 +210,110 @@ class TestLogisticHessVec:
         for _ in range(100):
             v = rng.normal(size=6)
             assert v @ logistic_hess_vec(data, x, v) >= -1e-14
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLogisticProblemCache:
+    """The problem's oracles share margins between calls at one point, and
+    agree bitwise with the pure functions at every point."""
+
+    @staticmethod
+    def _count_margins(monkeypatch):
+        calls = []
+        original = objectives._margins
+
+        def counted(data, x):
+            calls.append(1)
+            return original(data, x)
+
+        monkeypatch.setattr(objectives, "_margins", counted)
+        return calls
+
+    def _check_all(self, prob, data, x, v):
+        assert _bitwise(prob.value(x), logistic_value(data, x))
+        assert _bitwise(prob.hess_vec(x, v), logistic_hess_vec(data, x, v))
+        assert _bitwise(prob.gradient(x), logistic_gradient(data, x))
+        assert _bitwise(prob.hess_vec(x, 2.0 * v),
+                        logistic_hess_vec(data, x, 2.0 * v))
+
+    def test_interleaved_points_match_pure_functions(self):
+        rng = np.random.default_rng(6)
+        data = _small_dataset(rng)
+        prob = logistic_problem(data, 0.1)
+        x0, x1, v = rng.normal(size=(3, 6))
+        mutated = x0.copy()
+        nan_point = x1.copy()
+        nan_point[2] = np.nan
+        for x in (x0, x1, x0, mutated, nan_point, x1, nan_point):
+            self._check_all(prob, data, x, v)
+        # the same array, changed in place after the cache saw it
+        mutated[3] += 0.5
+        self._check_all(prob, data, mutated, v)
+        mutated[:] = x1
+        self._check_all(prob, data, mutated, v)
+        # a Hessian product, then a value elsewhere, then back again
+        assert _bitwise(prob.hess_vec(x0, v), logistic_hess_vec(data, x0, v))
+        assert _bitwise(prob.value(x1), logistic_value(data, x1))
+        assert _bitwise(prob.hess_vec(x0, v), logistic_hess_vec(data, x0, v))
+        assert np.isnan(prob.value(nan_point))
+
+    def test_wrong_shape_raises_and_cache_stays_usable(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        data = _small_dataset(rng)
+        prob = logistic_problem(data, 0.1)
+        x, v = rng.normal(size=(2, 6))
+        expected = prob.gradient(x), logistic_value(data, x)
+        calls = self._count_margins(monkeypatch)
+        for oracle in (prob.value, prob.gradient,
+                       lambda z: prob.hess_vec(z, v)):
+            with pytest.raises(ValueError, match="expected dimension 6"):
+                oracle(np.zeros(7))
+        with pytest.raises(ValueError, match="expected dimension 6"):
+            prob.hess_vec(x, np.zeros(5))
+        assert _bitwise(prob.gradient(x), expected[0])
+        assert _bitwise(prob.value(x), expected[1])
+        assert len(calls) == 3  # only the three failed attempts
+        y = x + 1.0
+        assert _bitwise(prob.hess_vec(y, v), logistic_hess_vec(data, y, v))
+
+    def test_margins_computed_once_per_point(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        data = _small_dataset(rng)
+        prob = logistic_problem(data, 0.1)
+        x = rng.normal(size=6)
+        calls = self._count_margins(monkeypatch)
+        prob.value(x)
+        prob.gradient(x)
+        for v in rng.normal(size=(5, 6)):
+            prob.hess_vec(x, v)
+        assert len(calls) == 1
+        prob.value(x.copy())  # an equal point in a new array is a cache hit
+        assert len(calls) == 1
+
+    def test_construction_computes_nothing(self, monkeypatch):
+        data = _small_dataset(np.random.default_rng(9))
+        calls = self._count_margins(monkeypatch)
+        transposes = []
+        original = type(data.features).transpose
+
+        def counted(self, *args, **kwargs):
+            transposes.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(data.features), "transpose", counted)
+        prob = logistic_problem(data, 0.1)
+        assert calls == [] and transposes == []
+        prob.value(np.zeros(6))
+        assert transposes == []
+        for x in np.eye(6):
+            prob.gradient(x)
+            prob.hess_vec(x, x)
+        assert len(transposes) == 1  # built once per problem, on first use
+        assert len(calls) == 1 + 6
 
 
 class TestLogDet:

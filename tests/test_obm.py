@@ -97,6 +97,16 @@ class TestOrthantFace:
         v = rng.normal(size=8)
         assert orthant_face(z, v).conforms(z)
 
+    @pytest.mark.parametrize("bad", [2.0, 0.5, np.nan, -2, np.inf])
+    def test_rejects_signs_outside_minus_one_zero_one(self, bad):
+        with pytest.raises(ValueError, match="face signs"):
+            OrthantFace(np.array([1.0, bad, 0.0]))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, float])
+    def test_accepts_minus_one_zero_one(self, dtype):
+        omega = np.array([-1, 0, 1, 0, -1], dtype=dtype)
+        assert list(OrthantFace(omega).active_set) == [1, 3]
+
 
 class TestOrthantProject:
     def test_conforming_point_unchanged(self):
