@@ -1,8 +1,9 @@
 """Benchmark command line: one solver run per invocation.
 
 Exit codes: 0 when the run converged, 2 when it stopped for any other
-reason (the iteration cap, an inner-solver stall, a failed line search), 1
-on any usage or input error.
+reason (the iteration cap, an inner-solver stall, a failed line search, a
+non-finite gradient at the start point: ``nonfinite_oracle``), 1 on any
+usage or input error.
 """
 
 import argparse
@@ -12,7 +13,6 @@ from .driver import fista_baseline_solve, sqa_solve
 from .io import (
     PROBLEM_KINDS,
     SOLVERS,
-    RunSpec,
     SvmlightParseError,
     load_dense_matrix,
     parse_svmlight,
@@ -58,7 +58,7 @@ def _build_parser():
     parser.add_argument("--mu", type=float, default=None,
                         help=f"l1 weight; defaults: {defaults}, required for "
                              "logistic")
-    parser.add_argument("--solver", default=RunSpec.solver, choices=SOLVERS)
+    parser.add_argument("--solver", default="sqa_obm_cg", choices=SOLVERS)
     parser.add_argument("--tol", type=float, default=SolverConfig.tol_inf)
     parser.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
     parser.add_argument("--max-inner", type=int, default=SolverConfig.max_inner)
@@ -74,39 +74,36 @@ def _build_parser():
     parser.add_argument("--inexactness", default=SolverConfig.inexactness_mode,
                         choices=INEXACTNESS_MODES)
     parser.add_argument("--memory", type=int, default=SolverConfig.lbfgs_memory)
-    parser.add_argument("--seed", type=int, default=RunSpec.seed)
-    parser.add_argument("--n", type=int, default=RunSpec.dimension,
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--n", type=int, default=50,
                         help="dimension of the synthetic problem")
-    parser.add_argument("--condition", type=float, default=RunSpec.condition,
+    parser.add_argument("--condition", type=float, default=100.0,
                         help="condition number of the synthetic problem")
     parser.add_argument("--report", default=None, help="report output path")
     parser.add_argument("--format", default="json", choices=["json", "csv"])
     return parser
 
 
-def _load_problem(spec):
-    if spec.problem_kind == "synthetic":
-        return synthetic_quadratic(spec.dimension, spec.condition, spec.seed,
-                                   mu=spec.mu)
-    if spec.problem_kind == "logistic":
-        data = parse_svmlight(spec.data_path)
+def _load_problem(args, mu):
+    if args.problem == "synthetic":
+        return synthetic_quadratic(args.n, args.condition, args.seed, mu=mu)
+    if args.problem == "logistic":
+        if args.data is None:
+            raise ValueError("logistic problems require a data path")
+        data = parse_svmlight(args.data)
         if data.n_samples == 0:
-            raise ValueError(f"{spec.data_path}: dataset is empty")
-        return logistic_problem(data, spec.mu)
-    if spec.samples_path is not None:
-        cov = sample_covariance(load_dense_matrix(spec.samples_path))
-    else:
-        S = load_dense_matrix(spec.data_path)
+            raise ValueError(f"{args.data}: dataset is empty")
+        return logistic_problem(data, mu)
+    if args.samples is not None:
+        cov = sample_covariance(load_dense_matrix(args.samples))
+    elif args.data is not None:
+        S = load_dense_matrix(args.data)
+        if S.shape[0] != S.shape[1]:
+            raise ValueError("sample covariance must be a square matrix")
         cov = CovarianceProblem(0.5 * (S + S.T))
-    return covariance_problem(cov, spec.mu)
-
-
-def run(spec):
-    """Execute one run; returns (solution, report)."""
-    problem = _load_problem(spec)
-    if spec.solver == "fista":
-        return fista_baseline_solve(problem, spec.config)
-    return sqa_solve(problem, spec.config)
+    else:
+        raise ValueError("covariance problems require a matrix or samples path")
+    return covariance_problem(cov, mu)
 
 
 def _print_summary(report, stream):
@@ -147,25 +144,16 @@ def main(argv=None):
             lbfgs_memory=args.memory,
             eta_rule="inverse_k" if args.eta_rule == "paper" else "residual",
         )
-        spec = RunSpec(
-            problem_kind=args.problem,
-            data_path=args.data,
-            samples_path=args.samples,
-            mu=mu,
-            solver=args.solver,
-            config=config,
-            dimension=args.n,
-            condition=args.condition,
-            seed=args.seed,
-        )
-        _, report = run(spec)
+        solve = fista_baseline_solve if args.solver == "fista" else sqa_solve
+        _, report = solve(_load_problem(args, mu), config)
     except (ValueError, OSError, SvmlightParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _print_summary(report, sys.stdout)
     if args.report is not None:
         try:
-            write_report(report, spec, args.report, args.format)
+            write_report(report, args.report, args.format,
+                         {"problem": args.problem, "mu": mu, "seed": args.seed})
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -199,7 +199,9 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     having decreased the model, the step is still used (descent is implied
     by model decrease); otherwise the run aborts with status
     ``"inner_stall"``; a line search that finds no acceptable step ends it
-    with status ``"line_search_failed"``, keeping the last accepted iterate.
+    with status ``"line_search_failed"``, keeping the last accepted iterate;
+    a non-finite start gradient ends it before any Hessian product with
+    status ``"nonfinite_oracle"``.
     """
     if hessian_source is None:
         hessian_source = "lbfgs" if config.inner_solver == "obm_qn" else "exact"
@@ -224,9 +226,10 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     penalty = lambda z: mu * float(np.abs(z).sum())
     prox = lambda v, t: soft_threshold(v, t * mu)
     k = 0
-    status = None
+    status = None if np.isfinite(res_inf) else "nonfinite_oracle"
     warm_lipschitz = 1.0
-    while not is_optimal(F, config.tol_inf) and k < config.max_outer:
+    while (status is None and not is_optimal(F, config.tol_inf)
+           and k < config.max_outer):
         k += 1
         res_norm2 = float(np.linalg.norm(F))
         if store is not None:
@@ -245,8 +248,8 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
             if np.isfinite(inner.lipschitz):
                 warm_lipschitz = inner.lipschitz
         else:
-            variant = "cg" if config.inner_solver == "obm_cg" else "qn"
-            inner = obm_solve(model, x, variant, stop, outer_k=k, store=store,
+            qn_store = store if config.inner_solver == "obm_qn" else None
+            inner = obm_solve(model, x, stop, outer_k=k, store=qn_store,
                               max_iter=config.max_inner)
         tally.inner_iterations += inner.inner_iterations
         d = inner.solution - x
@@ -309,7 +312,8 @@ def fista_baseline_solve(problem, config):
 
     No quadratic models and no Hessian-vector products; one evaluation point
     per smooth call, two per iteration plus backtracking.  Terminates on the
-    max-norm of the optimality residual.
+    max-norm of the optimality residual, or at the start point with status
+    ``"nonfinite_oracle"`` when the gradient there is not finite.
     """
     tally = Telemetry()
     t0 = time.perf_counter()
@@ -329,16 +333,17 @@ def fista_baseline_solve(problem, config):
         k = len(trace)
         trace.append(TraceRow(k, fz + mu * float(np.abs(z).sum()), r_inf,
                               0.0 if k == 0 else 1.0, 0, 0.0))
-        return r_inf <= config.tol_inf
+        return r_inf <= config.tol_inf or (k == 0 and not np.isfinite(r_inf))
 
     penalty = lambda z: mu * float(np.abs(z).sum())
     prox = lambda v, t: soft_threshold(v, t * mu)
     result = fista_composite(smooth, penalty, prox, problem.start_point(),
                              stop=stop, max_iter=config.max_outer,
                              lipschitz0=1.0)
+    start_ok = np.isfinite(trace[0].residual_inf)
     report = ConvergenceReport(
         solver="fista",
-        status=result.status,
+        status=result.status if start_ok else "nonfinite_oracle",
         outer_iterations=result.inner_iterations,
         inner_iterations=0,
         fg_evaluations=tally.fg_evaluations,

@@ -1,4 +1,4 @@
-"""Data ingestion, run specification, and report emission.
+"""Data ingestion and report emission.
 
 Supports SVMLight-format classification data ("label idx:val idx:val ..."
 with 1-based indices), whitespace-delimited dense matrices, and JSON/CSV
@@ -8,18 +8,16 @@ convergence reports with a fixed schema.
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from dataclasses import asdict, fields
 
 import numpy as np
 import scipy.sparse
 
-from .model import INNER_SOLVERS, ConvergenceReport, SolverConfig, TraceRow
+from .model import INNER_SOLVERS, ConvergenceReport, TraceRow
 from .objectives import CovarianceProblem, LogisticDataset
 
 __all__ = [
     "SvmlightParseError",
-    "RunSpec",
     "parse_svmlight",
     "write_svmlight",
     "load_dense_matrix",
@@ -40,32 +38,6 @@ _TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 
 class SvmlightParseError(ValueError):
     """Malformed SVMLight input; the message carries the line number."""
-
-
-@dataclass
-class RunSpec:
-    """One benchmark run: problem source and solver choice."""
-
-    problem_kind: str
-    data_path: Optional[str] = None
-    samples_path: Optional[str] = None
-    mu: Optional[float] = None
-    solver: str = "sqa_obm_cg"
-    config: SolverConfig = field(default_factory=SolverConfig)
-    dimension: int = 50
-    condition: float = 100.0
-    seed: int = 0  # picks the synthetic instance
-
-    def __post_init__(self):
-        if self.problem_kind not in PROBLEM_KINDS:
-            raise ValueError(f"unknown problem kind {self.problem_kind!r}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.problem_kind == "logistic" and self.data_path is None:
-            raise ValueError("logistic problems require a data path")
-        if self.problem_kind == "covariance" and self.data_path is None \
-                and self.samples_path is None:
-            raise ValueError("covariance problems require a matrix or samples path")
 
 
 def parse_svmlight(path, n_features=None):
@@ -162,26 +134,18 @@ def sample_covariance(samples):
     return CovarianceProblem(S)
 
 
-def _report_payload(report, spec=None):
-    payload = asdict(report)
-    if spec is not None:
-        payload["problem"] = spec.problem_kind
-        payload["mu"] = spec.mu
-        payload["seed"] = spec.seed
-    return payload
-
-
-def write_report(report, spec, path, report_format="json"):
+def write_report(report, path, report_format="json", context=None):
     """Emit counters plus the per-iteration trace as JSON or CSV.
 
-    The CSV layout is one summary header row and its values (exactly the six
+    JSON holds the report's fields followed by those of ``context``.  The
+    CSV layout is one summary header row and its values (exactly the six
     counter/result columns, in stable order), then a trace section with its
-    own header.
+    own header; it ignores ``context``.
     """
     try:
         if report_format == "json":
             with open(path, "w", encoding="utf-8") as handle:
-                json.dump(_report_payload(report, spec), handle, indent=2)
+                json.dump({**asdict(report), **(context or {})}, handle, indent=2)
                 handle.write("\n")
         elif report_format == "csv":
             with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -198,6 +198,8 @@ class CovarianceProblem:
         S = np.asarray(self.sample_cov, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError("sample covariance must be a square matrix")
+        if not np.all(np.isfinite(S)):
+            raise ValueError("sample covariance must be finite")
         if not np.array_equal(S, S.T):
             raise ValueError("sample covariance must be exactly symmetric")
 

@@ -210,21 +210,17 @@ def _ista_safeguard(model, z, sgrad, q_ref):
     return None
 
 
-def obm_solve(model, start, variant, stop, outer_k, store=None, max_iter=200):
+def obm_solve(model, start, stop, outer_k, store=None, max_iter=200):
     """Minimize the model by orthant-face identification plus subspace steps.
 
-    ``variant`` selects the subspace phase: ``"cg"`` runs truncated conjugate
-    gradients with the outer-iteration budget ``min(3, 1 + outer_k // 10)``;
-    ``"qn"`` solves the reduced system of the quasi-Newton ``store`` exactly.
+    The subspace phase runs truncated conjugate gradients with the
+    outer-iteration budget ``min(3, 1 + outer_k // 10)``, or, given a
+    quasi-Newton ``store``, solves that store's reduced system exactly.
     ``stop`` has the signature ``stop(z, smooth_value, smooth_grad)`` and is
     checked at the start and after every accepted iterate.  Model values are
     nonincreasing along the iterates; a stalled projected search falls back
     to a proximal-gradient step with guaranteed decrease before giving up.
     """
-    if variant not in ("cg", "qn"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "qn" and store is None:
-        raise ValueError("quasi-Newton variant requires a correction-pair store")
     z = np.array(start, dtype=float)
     sval, sgrad = model.smooth_eval(z)
     q_z = sval + model.mu * float(np.abs(z).sum())
@@ -235,7 +231,7 @@ def obm_solve(model, start, variant, stop, outer_k, store=None, max_iter=200):
     while not done and iterations < max_iter:
         v = min_norm_subgradient_from_gradient(sgrad, z, model.mu)
         face = orthant_face(z, v)
-        if variant == "cg":
+        if store is None:
             d = subspace_cg_solve(model, face, v, cg_budget(outer_k))
         else:
             d = lbfgs_reduced_inverse_solve(store, face, v, model.tally)

@@ -504,7 +504,7 @@ class TestCriterion12InputOutput:
     def test_round_trips_and_determinism(self, tmp_path):
         import json
 
-        from sqamin import (LogisticDataset, RunSpec, parse_svmlight,
+        from sqamin import (LogisticDataset, parse_svmlight,
                             read_report, write_report, write_svmlight)
         import scipy.sparse
 
@@ -522,13 +522,13 @@ class TestCriterion12InputOutput:
             np.array_equal(back.labels, data.labels)
 
         prob = synthetic_quadratic(20, 50.0, seed=12, mu=0.4)
-        spec = RunSpec(problem_kind="synthetic", mu=0.4)
         payloads = []
         report_ok = True
         for tag in ("first", "second"):
             _, rep = sqa_solve(prob, SolverConfig(inner_solver="obm_cg"))
             path = tmp_path / f"{tag}.json"
-            write_report(rep, spec, path, "json")
+            write_report(rep, path, "json",
+                         {"problem": "synthetic", "mu": 0.4, "seed": 0})
             restored = read_report(path)
             report_ok = report_ok and (
                 restored.outer_iterations == rep.outer_iterations

@@ -358,8 +358,9 @@ class TestLogisticOracleCache:
 
 
 class TestNonfiniteObjective:
-    """A NaN smooth value away from the start ends every path with a report
-    and the last accepted iterate instead of an exception."""
+    """A NaN smooth value away from the start, or a NaN gradient at it, ends
+    every path with a report and the last accepted iterate instead of an
+    exception."""
 
     @staticmethod
     def _nan_off_zero(prob, after):
@@ -398,6 +399,17 @@ class TestNonfiniteObjective:
         _, report = _run(self._nan_off_zero(prob, 0), solver)
         assert report.status == "line_search_failed"
         assert report.fg_evaluations == 2
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_nan_start_gradient_is_caught_where_it_enters(self, solver):
+        prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
+        bad = dataclasses.replace(prob, gradient=lambda x: np.full(10, np.nan))
+        x, report = _run(bad, solver)
+        assert report.status == "nonfinite_oracle"
+        assert (report.outer_iterations, report.fg_evaluations,
+                report.hess_vec_products) == (0, 1, 0)
+        assert len(report.trace) == 1
+        np.testing.assert_array_equal(x, prob.start_point())
 
 
 class TestFistaBaseline:

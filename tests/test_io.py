@@ -10,7 +10,6 @@ import scipy.sparse
 from sqamin import (
     ConvergenceReport,
     LogisticDataset,
-    RunSpec,
     SolverConfig,
     SvmlightParseError,
     TraceRow,
@@ -155,6 +154,9 @@ class TestSampleCovariance:
             sample_covariance(np.ones((1, 3)))
 
 
+CONTEXT = {"problem": "synthetic", "mu": 0.3, "seed": 0}
+
+
 class TestReports:
     def _run(self):
         from sqamin import sqa_solve, synthetic_quadratic
@@ -164,9 +166,8 @@ class TestReports:
 
     def test_json_round_trip_exact(self, tmp_path):
         _, report = self._run()
-        spec = RunSpec(problem_kind="synthetic", mu=0.3)
         path = tmp_path / "r.json"
-        write_report(report, spec, path, "json")
+        write_report(report, path, "json", CONTEXT)
         payload = json.loads(path.read_text())
         report_keys = [f.name for f in dataclasses.fields(ConvergenceReport)]
         assert list(payload) == report_keys + ["problem", "mu", "seed"]
@@ -188,9 +189,8 @@ class TestReports:
 
     def test_csv_layout(self, tmp_path):
         _, report = self._run()
-        spec = RunSpec(problem_kind="synthetic", mu=0.3)
         path = tmp_path / "r.csv"
-        write_report(report, spec, path, "csv")
+        write_report(report, path, "csv", CONTEXT)
         lines = path.read_text().strip().splitlines()
         header = lines[0].split(",")
         assert header == [
@@ -206,18 +206,16 @@ class TestReports:
 
     def test_write_failure_carries_path_context(self, tmp_path):
         _, report = self._run()
-        spec = RunSpec(problem_kind="synthetic", mu=0.3)
         missing_dir = tmp_path / "no" / "such" / "dir" / "r.json"
         with pytest.raises(OSError, match="cannot write report"):
-            write_report(report, spec, missing_dir, "json")
+            write_report(report, missing_dir, "json", CONTEXT)
 
     def test_seeded_runs_identical_up_to_time(self, tmp_path):
-        spec = RunSpec(problem_kind="synthetic", mu=0.3)
         paths = []
         for tag in ("a", "b"):
             _, report = self._run()
             path = tmp_path / f"{tag}.json"
-            write_report(report, spec, path, "json")
+            write_report(report, path, "json", CONTEXT)
             paths.append(path)
         payloads = []
         for path in paths:
@@ -225,19 +223,6 @@ class TestReports:
             payload["wall_time_seconds"] = 0.0
             payloads.append(json.dumps(payload, sort_keys=True))
         assert payloads[0] == payloads[1]
-
-
-class TestRunSpec:
-    def test_logistic_requires_data(self):
-        with pytest.raises(ValueError):
-            RunSpec(problem_kind="logistic")
-
-    def test_covariance_requires_source(self):
-        with pytest.raises(ValueError):
-            RunSpec(problem_kind="covariance")
-
-    def test_synthetic_standalone(self):
-        RunSpec(problem_kind="synthetic")
 
 
 class TestCli:
@@ -266,7 +251,7 @@ class TestCli:
     def test_missing_data_for_logistic(self, capsys):
         code = main(["--problem", "logistic", "--mu", "0.01"])
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert "logistic problems require a data path" in capsys.readouterr().err
 
     def test_unknown_flag(self, capsys):
         code = main(["--problem", "synthetic", "--frobnicate"])
@@ -321,6 +306,34 @@ class TestCli:
         code = main(["--problem", "covariance", "--data", str(path),
                          "--solver", "sqa_fista"])
         assert code == 0
+
+    @pytest.mark.parametrize("flag, text, message", [
+        (None, None, "covariance problems require a matrix or samples path"),
+        ("--samples", "1 2\nnan 0\n3 1\n", "sample covariance must be finite"),
+        ("--data", "1 0.5\n0.5 1\n0 0\n",
+         "sample covariance must be a square matrix"),
+        ("--data", "1 inf\ninf 1\n", "sample covariance must be finite"),
+    ], ids=["no_path", "samples_nan", "data_not_square", "data_inf"])
+    def test_covariance_input_errors(self, capsys, tmp_path, flag, text,
+                                     message):
+        argv = ["--problem", "covariance"]
+        if flag is not None:
+            path = tmp_path / "input.txt"
+            path.write_text(text)
+            argv += [flag, str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_nonfinite_start_gradient_exit_code(self, capsys, tmp_path):
+        # four equal rows of 1e308 overflow the gradient sum at x = 0
+        path = tmp_path / "huge.svm"
+        path.write_text("+1 1:1e308\n" * 4)
+        code = main(["--problem", "logistic", "--data", str(path),
+                     "--mu", "0.1"])
+        assert code == 2
+        assert "status: nonfinite_oracle" in capsys.readouterr().out
 
     def test_byte_identical_reports_except_time(self, tmp_path):
         payloads = []

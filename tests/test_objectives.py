@@ -332,6 +332,17 @@ class TestLogDet:
         prob = CovarianceProblem(np.eye(p))
         assert logdet_value(prob, np.eye(p).ravel()) == pytest.approx(float(p))
 
+    @pytest.mark.parametrize("S, message", [
+        (np.ones((2, 3)), "square"),
+        ([[1.0, np.inf], [np.inf, 1.0]], "finite"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+        ([[1.0, 0.5], [0.4, 1.0]], "exactly symmetric"),
+    ], ids=["not_square", "inf", "nan", "asymmetric"])
+    def test_rejects_invalid_sample_covariance(self, S, message):
+        with pytest.raises(ValueError,
+                           match=f"sample covariance must be .*{message}"):
+            CovarianceProblem(np.array(S))
+
     def test_infinite_off_the_cone(self):
         prob = CovarianceProblem(np.eye(2))
         P = np.diag([1.0, -0.5])

@@ -293,7 +293,7 @@ class TestObmSolve:
             calls.append(np.linalg.norm(Fq))
             return np.linalg.norm(Fq) <= 1e-8
 
-        res = obm_solve(model, ybar, "cg", stop, outer_k=1)
+        res = obm_solve(model, ybar, stop, outer_k=1)
         assert res.status == "converged"
         assert res.inner_iterations == 0
         assert calls[0] <= 1e-8
@@ -311,14 +311,8 @@ class TestObmSolve:
             Fq = sgrad - np.clip(sgrad - z / 0.5, -mu, mu)
             return np.linalg.norm(Fq) <= 1e-12
 
-        res = obm_solve(model, x_ref, "cg", stop, outer_k=100, max_iter=500)
+        res = obm_solve(model, x_ref, stop, outer_k=100, max_iter=500)
         np.testing.assert_allclose(res.solution, expected, atol=1e-8)
-
-    def test_qn_variant_requires_store(self):
-        rng = np.random.default_rng(15)
-        model = _random_model(rng)
-        with pytest.raises(ValueError):
-            obm_solve(model, model.x_ref, "qn", None, outer_k=1)
 
     def test_qn_variant_minimizes_store_model(self):
         rng = np.random.default_rng(16)
@@ -339,7 +333,7 @@ class TestObmSolve:
             Fq = sgrad - np.clip(sgrad - z / 0.5, -mu, mu)
             return np.linalg.norm(Fq) <= 1e-10
 
-        res = obm_solve(model, model.x_ref, "qn", stop, outer_k=1, store=store,
+        res = obm_solve(model, model.x_ref, stop, outer_k=1, store=store,
                         max_iter=300)
         assert res.status == "converged"
         np.testing.assert_allclose(res.solution, ybar, atol=1e-6)
@@ -353,7 +347,7 @@ class TestObmSolve:
             values.append(sval + model.mu * np.abs(z).sum())
             return False
 
-        obm_solve(model, model.x_ref, "cg", stop, outer_k=5, max_iter=60)
+        obm_solve(model, model.x_ref, stop, outer_k=5, max_iter=60)
         assert np.all(np.diff(np.array(values)) <= 1e-11)
 
     def test_subspace_objective_identity_on_face(self):

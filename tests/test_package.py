@@ -1,12 +1,15 @@
-"""The package export list, and the demos run end to end against it."""
+"""The package export list, the demos run end to end against it, and the
+benchmark's traced layer surface still resolves."""
 
 import ast
+import importlib
 import runpy
 from pathlib import Path
 
 import pytest
 
 import sqamin
+from sqamin import synthetic_quadratic
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,3 +47,21 @@ class TestExports:
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_traced_benchmark_surface(monkeypatch):
+    # perfbench/tracing.py wraps library attributes by name; a renamed or
+    # moved one would silently drop its spans from the traced run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    prob = synthetic_quadratic(20, 50.0, seed=1, mu=0.3)
+    with tracing.Tracer() as tracer:
+        for path in workloads.PATHS:
+            tracer.begin()
+            _, report = workloads.solve(tracer.traced_problem(prob), path, 1e-5)
+            assert report.status == "converged", path
+            _, calls, _ = tracer.end(path)
+            spans = {metric[:-2] for metric in tracing.PATH_METRICS[path]
+                     if metric.endswith(".s") and not metric.startswith("trace.")}
+            assert spans <= set(calls), (path, sorted(spans - set(calls)))
