@@ -20,7 +20,7 @@ from sqamin import (
     write_report,
     write_svmlight,
 )
-from sqamin.cli import _build_parser, main
+from sqamin.cli import _build_parser, _load_problem, main
 from sqamin.io import SOLVERS
 
 
@@ -223,6 +223,22 @@ class TestReports:
             payload["wall_time_seconds"] = 0.0
             payloads.append(json.dumps(payload, sort_keys=True))
         assert payloads[0] == payloads[1]
+
+
+class TestRunSpec:
+    """The parsed CLI flags are the run specification; _load_problem checks
+    that they name every input the problem kind needs."""
+
+    def _load(self, argv):
+        return _load_problem(_build_parser().parse_args(argv), 0.01)
+
+    def test_logistic_requires_data(self):
+        with pytest.raises(ValueError, match="require a data path"):
+            self._load(["--problem", "logistic"])
+
+    def test_synthetic_standalone(self):
+        problem = self._load(["--problem", "synthetic", "--n", "5"])
+        assert problem.dim == 5
 
 
 class TestCli:
