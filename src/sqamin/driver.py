@@ -20,7 +20,7 @@ from .fista import fista_composite
 from .lbfgs import LbfgsStore, lbfgs_update
 from .model import ConvergenceReport, QuadraticModel, Telemetry, TraceRow
 from .obm import obm_solve
-from .prox import is_optimal, residual, soft_threshold
+from .prox import residual, soft_threshold
 
 __all__ = [
     "eta_schedule",
@@ -186,31 +186,31 @@ class OuterIterationRecord:
 def sqa_solve(problem, config, hessian_source=None, observer=None):
     """Successive quadratic approximation loop.
 
-    ``hessian_source`` selects the model Hessian backend: ``"exact"`` wires
-    the problem's Hessian-vector oracle at the current iterate, ``"lbfgs"``
-    maintains correction pairs from outer gradient differences.  By default
-    it is ``"lbfgs"`` for the ``obm_qn`` inner solver, which minimizes the
-    correction-pair model, and ``"exact"`` otherwise.  Returns the
-    final iterate and a :class:`ConvergenceReport` whose trace holds one row
-    per accepted step (row 0 is the starting point).
+    The inner solver fixes the model Hessian: the ``obm_qn`` solver
+    minimizes a limited-memory model built from correction pairs of outer
+    gradient differences, the others use the problem's Hessian-vector
+    oracle at the current iterate.  ``hessian_source``, when given, must
+    name that backend (``"lbfgs"`` or ``"exact"``).  Returns the final
+    iterate and a :class:`ConvergenceReport` whose trace holds one row per
+    accepted step (row 0 is the starting point).
 
     The inner solver is stopped by the inexactness conditions with forcing
     factor from the configured eta rule.  If it exhausts its iteration cap
     having decreased the model, the step is still used (descent is implied
     by model decrease); otherwise the run aborts with status
-    ``"inner_stall"``; a line search that finds no acceptable step ends it
-    with status ``"line_search_failed"``, keeping the last accepted iterate;
-    a non-finite start gradient ends it before any Hessian product with
-    status ``"nonfinite_oracle"``.
+    ``"inner_stall"`` (as when a NaN Hessian product leaves the model value
+    undefined); a line search that finds no acceptable step ends it with
+    status ``"line_search_failed"``, keeping the last accepted iterate; a
+    non-finite start value or gradient ends it before any Hessian product
+    with status ``"nonfinite_oracle"``.
     """
-    if hessian_source is None:
-        hessian_source = "lbfgs" if config.inner_solver == "obm_qn" else "exact"
-    if hessian_source not in ("exact", "lbfgs"):
-        raise ValueError(f"unknown hessian source {hessian_source!r}")
-    if config.inner_solver == "obm_qn" and hessian_source != "lbfgs":
+    store = (LbfgsStore(config.lbfgs_memory)
+             if config.inner_solver == "obm_qn" else None)
+    backend = "exact" if store is None else "lbfgs"
+    if hessian_source not in (None, backend):
         raise ValueError(
-            "the quasi-Newton subspace solver minimizes the correction-pair "
-            "model; use hessian_source='lbfgs' with inner_solver='obm_qn'"
+            f"inner solver {config.inner_solver!r} uses the {backend!r} "
+            f"Hessian, got hessian_source={hessian_source!r}"
         )
     tally = Telemetry()
     t0 = time.perf_counter()
@@ -219,25 +219,25 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     fx = problem.value(x)
     gx = problem.gradient(x)
     tally.fg_evaluations += 1
-    store = LbfgsStore(config.lbfgs_memory) if hessian_source == "lbfgs" else None
     F = residual(x, gx, tau, mu)
     res_inf = float(np.max(np.abs(F)))
     trace = [TraceRow(0, fx + mu * float(np.abs(x).sum()), res_inf, 0.0, 0, 0.0)]
     penalty = lambda z: mu * float(np.abs(z).sum())
     prox = lambda v, t: soft_threshold(v, t * mu)
     k = 0
-    status = None if np.isfinite(res_inf) else "nonfinite_oracle"
+    status = (None if np.isfinite(fx) and np.isfinite(res_inf)
+              else "nonfinite_oracle")
     warm_lipschitz = 1.0
-    while (status is None and not is_optimal(F, config.tol_inf)
+    # a NaN residual is not optimal
+    while (status is None and not res_inf <= config.tol_inf
            and k < config.max_outer):
-        k += 1
         res_norm2 = float(np.linalg.norm(F))
         if store is not None:
             hess_op = store.hessian_vec
         else:
             hess_op = lambda v, _x=x: problem.hess_vec(_x, v)
         model = QuadraticModel(x, gx, fx, hess_op, mu, tally)
-        eta = _eta_value(config, k, res_norm2)
+        eta = _eta_value(config, k + 1, res_norm2)
         stop = partial(_inexactness_from_eval, model, eta=eta, tau=tau,
                        mode=config.inexactness_mode, zeta=config.zeta,
                        ref_residual_norm=res_norm2)
@@ -248,22 +248,20 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
             if np.isfinite(inner.lipschitz):
                 warm_lipschitz = inner.lipschitz
         else:
-            qn_store = store if config.inner_solver == "obm_qn" else None
-            inner = obm_solve(model, x, stop, outer_k=k, store=qn_store,
+            inner = obm_solve(model, x, stop, outer_k=k + 1, store=store,
                               max_iter=config.max_inner)
         tally.inner_iterations += inner.inner_iterations
         d = inner.solution - x
         stalled = inner.status != "converged" and not inner.model_decrease > 0.0
         if stalled or not np.any(d):
             status = "inner_stall"
-            k -= 1
             break
         try:
             ls = outer_line_search(problem, model, d, config.theta)
         except LineSearchError:
             status = "line_search_failed"
-            k -= 1
             break
+        k += 1
         g_next = problem.gradient(ls.x_next)  # same point as the accepted
         # trial, so it does not open a new evaluation point
         if store is not None:
@@ -292,7 +290,7 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
         trace.append(TraceRow(k, ls.phi_next, res_inf, ls.alpha,
                               inner.inner_iterations, eta))
     if status is None:
-        status = "converged" if is_optimal(F, config.tol_inf) else "iteration_cap"
+        status = "converged" if res_inf <= config.tol_inf else "iteration_cap"
     report = ConvergenceReport(
         solver="sqa_" + config.inner_solver,
         status=status,
@@ -313,7 +311,7 @@ def fista_baseline_solve(problem, config):
     No quadratic models and no Hessian-vector products; one evaluation point
     per smooth call, two per iteration plus backtracking.  Terminates on the
     max-norm of the optimality residual, or at the start point with status
-    ``"nonfinite_oracle"`` when the gradient there is not finite.
+    ``"nonfinite_oracle"`` when the value or gradient there is not finite.
     """
     tally = Telemetry()
     t0 = time.perf_counter()
@@ -328,8 +326,9 @@ def fista_baseline_solve(problem, config):
         return val, problem.gradient(z)
 
     def stop(z, fz, gz):
-        F = residual(z, gz, tau, mu)
-        r_inf = float(np.max(np.abs(F)))
+        # only a start point with a non-finite value comes without gradient
+        r_inf = (np.nan if gz is None
+                 else float(np.max(np.abs(residual(z, gz, tau, mu)))))
         k = len(trace)
         trace.append(TraceRow(k, fz + mu * float(np.abs(z).sum()), r_inf,
                               0.0 if k == 0 else 1.0, 0, 0.0))

@@ -73,13 +73,15 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
     prox : callable
         ``prox(v, t)`` solving ``argmin_x ||x - v||**2 / (2 t) + penalty(x)``.
     start : ndarray
-        Initial point; must be in the smooth domain.
+        Initial point; must be in the smooth domain unless ``stop`` accepts
+        it.  An infinite start value raises ``ValueError``.
     stop : callable, optional
         ``stop(x, smooth_value, smooth_gradient)`` evaluated at the start
         and after every accepted iterate; a truthy return ends the run.
     max_iter : int
         Iteration cap; reaching it is a status, not an error.  So is a
-        diverged or NaN curvature backtracking (``"line_search_failed"``).
+        diverged or NaN curvature backtracking, or a NaN start value
+        (``"line_search_failed"``).
     lipschitz0 : float
         Initial curvature estimate; only ever increased.
 
@@ -90,10 +92,12 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
     """
     x = np.array(start, dtype=float)
     fx, gx = smooth(x)
-    if not math.isfinite(fx):
-        raise ValueError("start point lies outside the smooth domain")
     if stop is not None and stop(x, fx, gx):
         return InnerResult(x, 0, 0.0, "converged", lipschitz0)
+    if math.isnan(fx):
+        return InnerResult(x, 0, 0.0, "line_search_failed", lipschitz0)
+    if not math.isfinite(fx):
+        raise ValueError("start point lies outside the smooth domain")
     qx = fx + penalty(x)
     q_start = qx
     L = max(float(lipschitz0), 1e-12)

@@ -12,7 +12,6 @@ __all__ = [
     "soft_threshold",
     "ista_point",
     "residual",
-    "is_optimal",
 ]
 
 
@@ -57,10 +56,3 @@ def residual(x, g, tau, mu):
         raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
     return g - np.clip(g - x / tau, -mu, mu)
 
-
-def is_optimal(Fx, tol_inf):
-    """True iff the max-norm of the residual is at or below ``tol_inf``."""
-    Fx = np.asarray(Fx)
-    if Fx.size == 0:
-        return True
-    return float(np.max(np.abs(Fx))) <= tol_inf

@@ -251,9 +251,13 @@ class TestSqaSolve:
         assert all(row.eta == pytest.approx(0.5) for row in rep_c.trace[1:])
 
     def test_invalid_hessian_source(self):
+        # the inner solver fixes the backend; any other source is rejected
         prob = synthetic_quadratic(4, 2.0, seed=13, mu=0.1)
-        with pytest.raises(ValueError):
-            sqa_solve(prob, SolverConfig(), hessian_source="diagonal")
+        for inner, source in (("fista", "lbfgs"), ("obm_cg", "lbfgs"),
+                              ("obm_qn", "exact"), ("obm_cg", "diagonal")):
+            with pytest.raises(ValueError, match=repr(source)):
+                sqa_solve(prob, SolverConfig(inner_solver=inner),
+                          hessian_source=source)
 
     def test_qn_inner_requires_lbfgs_source(self):
         prob = synthetic_quadratic(4, 2.0, seed=13, mu=0.1)
@@ -270,16 +274,6 @@ class TestSqaSolve:
         for name in ("status", "outer_iterations", "inner_iterations",
                      "fg_evaluations", "hess_vec_products"):
             assert getattr(rep_default, name) == getattr(rep_lbfgs, name)
-
-    def test_quasi_newton_model_with_first_order_inner(self):
-        # a correction-pair model can be paired with either non-QN inner
-        # solver
-        prob = synthetic_quadratic(20, 50.0, seed=22, mu=0.3)
-        for inner in ("fista", "obm_cg"):
-            x, report = sqa_solve(prob, SolverConfig(inner_solver=inner),
-                                  hessian_source="lbfgs")
-            assert report.status == "converged"
-            assert report.final_residual_inf <= 1e-5
 
 
 def _counting(calls, name, fn):
@@ -358,8 +352,8 @@ class TestLogisticOracleCache:
 
 
 class TestNonfiniteObjective:
-    """A NaN smooth value away from the start, or a NaN gradient at it, ends
-    every path with a report and the last accepted iterate instead of an
+    """A NaN smooth value or gradient, or a NaN Hessian product, ends every
+    path with a report and the last accepted iterate instead of an
     exception."""
 
     @staticmethod
@@ -402,12 +396,27 @@ class TestNonfiniteObjective:
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_nan_start_gradient_is_caught_where_it_enters(self, solver):
+        # a NaN start value is caught at the same place
         prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
-        bad = dataclasses.replace(prob, gradient=lambda x: np.full(10, np.nan))
+        for broken in ({"gradient": lambda x: np.full(10, np.nan)},
+                       {"value": lambda x: float("nan")}):
+            x, report = _run(dataclasses.replace(prob, **broken), solver)
+            assert report.status == "nonfinite_oracle", broken
+            assert (report.outer_iterations, report.fg_evaluations,
+                    report.hess_vec_products) == (0, 1, 0)
+            assert len(report.trace) == 1
+            np.testing.assert_array_equal(x, prob.start_point())
+
+    @pytest.mark.parametrize("solver", ["sqa_fista", "sqa_obm_cg"])
+    def test_nan_hessian_product_stalls_the_inner_solve(self, solver):
+        # the model value is NaN from the first product on, so no inner
+        # solver can decrease it
+        prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
+        bad = dataclasses.replace(prob,
+                                  hess_vec=lambda x, v: np.full(10, np.nan))
         x, report = _run(bad, solver)
-        assert report.status == "nonfinite_oracle"
-        assert (report.outer_iterations, report.fg_evaluations,
-                report.hess_vec_products) == (0, 1, 0)
+        assert report.status == "inner_stall"
+        assert report.outer_iterations == 0
         assert len(report.trace) == 1
         np.testing.assert_array_equal(x, prob.start_point())
 

@@ -131,6 +131,41 @@ class TestFistaComposite:
             fista_composite(smooth, lambda z: 0.0, lambda v, t: v,
                             np.zeros(2), max_iter=5)
 
+    def test_curvature_limit_is_a_status(self):
+        # every trial point lies outside the domain, so the curvature
+        # estimate doubles past its limit without accepting a step
+        smooth = lambda z: (0.0, np.ones(2)) if not np.any(z) else (np.inf, None)
+        res = fista_composite(smooth, lambda z: 0.0, lambda v, t: v,
+                              np.zeros(2), max_iter=5)
+        assert res.status == "line_search_failed"
+        assert res.inner_iterations == 0
+        assert res.model_decrease == 0.0
+        np.testing.assert_array_equal(res.solution, np.zeros(2))
+
+    def test_infeasible_momentum_point_restarts_from_the_iterate(self):
+        # the minimizer sits on the domain boundary, so momentum overshoots
+        # it; the iteration restarts from the accepted iterate instead
+        infeasible = []
+
+        def smooth(z):
+            if z[0] > 2.0:
+                infeasible.append(z.copy())
+                return np.inf, None
+            return 0.5 * (z[0] - 2.0) ** 2, z - 2.0
+
+        values = []
+
+        def stop(x, fx, gx):
+            values.append(fx)
+            return abs(x[0] - 2.0) <= 1e-10
+
+        res = fista_composite(smooth, lambda z: 0.0, lambda v, t: v,
+                              np.zeros(1), stop=stop, max_iter=500,
+                              lipschitz0=4.0)
+        assert infeasible
+        assert res.status == "converged"
+        assert np.all(np.diff(values) <= 0.0)
+
     def test_stop_checked_at_start_and_every_iterate(self):
         rng = np.random.default_rng(6)
         model = QuadraticModel(rng.normal(size=4), rng.normal(size=4), 0.0,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sqamin import (
     LbfgsStore,
@@ -144,3 +145,20 @@ class TestReducedSolve:
             store, OrthantFace(np.zeros(4, dtype=np.int8)), rng.normal(size=4)
         )
         np.testing.assert_array_equal(d, np.zeros(4))
+
+    def test_singular_system_falls_back_to_steepest_descent(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        store = _filled_store(rng, n=6, n_pairs=3)
+        omega = np.array([1, 0, -1, 1, 0, 1], dtype=np.int8)
+        v = rng.normal(size=6)
+
+        def singular(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(scipy.linalg, "solve", singular)
+        tally = Telemetry()
+        d = lbfgs_reduced_inverse_solve(store, OrthantFace(omega), v, tally)
+        free = omega != 0
+        np.testing.assert_array_equal(d[free], -v[free] / store.sigma)
+        np.testing.assert_array_equal(d[~free], 0.0)
+        assert tally.lbfgs_fallback_solves == 1

@@ -14,6 +14,7 @@ from sqamin import (
     orthant_project,
     subspace_cg_solve,
 )
+from sqamin import obm
 from sqamin.obm import OrthantFace
 
 from helpers import materialize_operator, model_exact_minimizer
@@ -249,6 +250,23 @@ class TestProjectedLineSearch:
         np.testing.assert_array_equal(outcome.point, z)
         assert not outcome.stalled
 
+    def test_ascent_direction_stalls_at_the_input(self):
+        # v > 0 and z > 0, so z + alpha * v stays on the face and raises the
+        # model for every alpha: the step halves down to its floor
+        model = QuadraticModel(np.zeros(3), np.array([0.1, -0.2, 0.3]), 0.0,
+                               lambda w: 2.0 * w, 0.5)
+        z = np.array([1.0, 2.0, 3.0])
+        v = min_norm_subgradient_from_gradient(model.smooth_eval(z)[1], z,
+                                               model.mu)
+        assert np.all(v > 0)
+        q_z = model.value(z)
+        outcome = obm_projected_line_search(model, z, orthant_face(z, v), v, v,
+                                            q_z)
+        assert outcome.stalled
+        assert outcome.alpha == 0.0 and outcome.trials > 1
+        np.testing.assert_array_equal(outcome.point, z)
+        assert outcome.q_value == q_z
+
     def test_candidate_conforms_to_face(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -380,3 +398,45 @@ class TestObmSolve:
             assert psi == pytest.approx(direct, rel=1e-10, abs=1e-10)
             # on the face the subspace objective reproduces the model itself
             assert psi == pytest.approx(model.value(z), rel=1e-10, abs=1e-10)
+
+
+class TestObmStallRecovery:
+    def test_safeguard_decreases_the_model_after_a_stalled_search(
+            self, monkeypatch):
+        # an ascent subspace step stalls the projected search; the
+        # proximal-gradient safeguard must still decrease the model
+        rng = np.random.default_rng(17)
+        model = _random_model(rng)
+        monkeypatch.setattr(obm, "subspace_cg_solve",
+                            lambda model, face, v, cg_cap: v.copy())
+        safeguard = obm._ista_safeguard
+        outcomes = []
+
+        def spy(*args):
+            outcomes.append(safeguard(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(obm, "_ista_safeguard", spy)
+        values = []
+
+        def stop(z, sval, sgrad):
+            values.append(sval + model.mu * np.abs(z).sum())
+            return False
+
+        res = obm_solve(model, model.x_ref, stop, outer_k=1, max_iter=60)
+        assert outcomes and all(o is not None for o in outcomes)
+        assert np.all(np.diff(values) <= 0.0)
+        assert values[-1] < values[0]
+        assert res.model_decrease == pytest.approx(values[0] - values[-1])
+
+    def test_stalls_in_place_at_the_model_minimizer(self):
+        # at the exact minimizer the minimum-norm subgradient is zero, so the
+        # subspace step is zero and no proximal step decreases the model
+        model = QuadraticModel(np.zeros(3), np.array([-3.0, 0.5, 2.0]), 0.0,
+                               lambda w: w.copy(), 1.0)
+        ybar = np.array([2.0, 0.0, -1.0])
+        res = obm_solve(model, ybar, None, outer_k=1)
+        assert res.status == "stalled"
+        assert res.inner_iterations == 0
+        assert res.model_decrease == 0.0
+        np.testing.assert_array_equal(res.solution, ybar)

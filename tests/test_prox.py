@@ -5,7 +5,6 @@ import pytest
 
 from sqamin import (
     QuadraticModel,
-    is_optimal,
     ista_point,
     residual,
     soft_threshold,
@@ -179,15 +178,6 @@ class TestSubproblemResidual:
         ybar = model_exact_minimizer(model)
         np.testing.assert_allclose(z_cd, ybar, atol=1e-6)
         assert np.max(np.abs(_model_residual(model, z_cd, 0.5))) <= 1e-6
-
-
-class TestIsOptimal:
-    def test_zero_residual(self):
-        assert is_optimal(np.zeros(4), 1e-12)
-
-    def test_max_norm_comparison(self):
-        assert is_optimal(np.array([1e-6, -9e-6]), 1e-5)
-        assert not is_optimal(np.array([1e-6, -2e-5]), 1e-5)
 
 
 class TestStrongMonotonicity:
