@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the run converged, 2 when it stopped for any other
 reason (the iteration cap, an inner-solver stall, a failed line search, a
-non-finite gradient at the start point: ``nonfinite_oracle``), 1 on any
-usage or input error.
+non-finite value or gradient at the start point or a non-finite gradient at
+an accepted point: ``nonfinite_oracle``), 1 on any usage or input error.
 """
 
 import argparse

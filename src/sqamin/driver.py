@@ -202,7 +202,9 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     undefined); a line search that finds no acceptable step ends it with
     status ``"line_search_failed"``, keeping the last accepted iterate; a
     non-finite start value or gradient ends it before any Hessian product
-    with status ``"nonfinite_oracle"``.
+    with status ``"nonfinite_oracle"``, and so does a non-finite gradient at
+    the point the line search accepts, which is then not taken: the run
+    returns the last iterate with a finite gradient.
     """
     store = (LbfgsStore(config.lbfgs_memory)
              if config.inner_solver == "obm_qn" else None)
@@ -244,7 +246,7 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
         if config.inner_solver == "fista":
             inner = fista_composite(model.smooth_eval, penalty, prox, x,
                                     stop=stop, max_iter=config.max_inner,
-                                    lipschitz0=warm_lipschitz)
+                                    lipschitz0=warm_lipschitz, quadratic=True)
             if np.isfinite(inner.lipschitz):
                 warm_lipschitz = inner.lipschitz
         else:
@@ -261,9 +263,12 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
         except LineSearchError:
             status = "line_search_failed"
             break
-        k += 1
         g_next = problem.gradient(ls.x_next)  # same point as the accepted
         # trial, so it does not open a new evaluation point
+        if not np.all(np.isfinite(g_next)):
+            status = "nonfinite_oracle"
+            break
+        k += 1
         if store is not None:
             lbfgs_update(store, ls.x_next - x, g_next - gx, tally)
         if observer is not None:

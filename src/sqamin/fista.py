@@ -3,10 +3,12 @@
 Generic over the smooth part: the same routine minimizes the per-iteration
 quadratic model (smooth evaluations cost one Hessian-vector product each) or
 the original composite objective (smooth evaluations cost one
-function/gradient call each).  The classical accelerated scheme is made
-monotone by falling back to a plain proximal step from the current iterate
-whenever the accelerated candidate would increase the objective; this keeps
-objective decrease available at any stopping time.
+function/gradient call each).  On an exact quadratic the momentum point's
+value and gradient follow from those of the two iterates it extrapolates,
+so only the candidate of each step is evaluated.  The classical accelerated
+scheme is made monotone by falling back to a plain proximal step from the
+current iterate whenever the accelerated candidate would increase the
+objective; this keeps objective decrease available at any stopping time.
 """
 
 import math
@@ -58,8 +60,21 @@ def _backtracked_prox_step(smooth, prox, y, fy, gy, L):
             raise _CurvatureDiverged
 
 
+def _quadratic_on_line(x, fx, gx, c, fc, gc, s):
+    """Value and gradient of a quadratic at ``x + s (c - x)``, from its
+    values and gradients at ``x`` and ``c``.
+
+    The gradient is affine, so it moves by ``s (gc - gx)``, and
+    ``(gc - gx) @ (c - x)`` is the curvature along the line.
+    """
+    e = c - x
+    dg = gc - gx
+    value = fx + s * float(gx @ e) + 0.5 * s * s * float(dg @ e)
+    return value, gx + s * dg
+
+
 def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
-                    lipschitz0=1.0):
+                    lipschitz0=1.0, quadratic=False):
     """Minimize ``smooth(x) + penalty(x)`` by accelerated proximal descent.
 
     Parameters
@@ -84,11 +99,19 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
         (``"line_search_failed"``).
     lipschitz0 : float
         Initial curvature estimate; only ever increased.
+    quadratic : bool
+        ``smooth`` is an exact quadratic, such as a
+        :class:`~sqamin.model.QuadraticModel`'s ``smooth_eval``.  The
+        momentum point then lies on the line through the last two iterates,
+        and its value and gradient are extrapolated from theirs instead of
+        evaluated.
 
     Evaluation counting is the caller's job, through the ``smooth`` callable.
-    Each regular iteration evaluates ``smooth`` exactly twice (once at the
-    momentum point, once at the candidate); curvature backtracking and the
-    monotone fallback add evaluations only when they trigger.
+    Each regular iteration evaluates ``smooth`` twice, once at the momentum
+    point and once at the candidate, or only at the candidate when
+    ``quadratic`` is set: on the model that is one Hessian-vector product
+    per iteration.  Curvature backtracking and the monotone fallback add
+    evaluations only when they trigger.
     """
     x = np.array(start, dtype=float)
     fx, gx = smooth(x)
@@ -121,7 +144,11 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
                 cand, fc, gc, L = _backtracked_prox_step(smooth, prox, y, fy, gy, L)
                 qc = fc + penalty(cand)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y_next = cand + ((t - 1.0) / t_next) * (cand - x)
+            beta = (t - 1.0) / t_next
+            y_next = cand + beta * (cand - x)
+            if quadratic:
+                momentum = _quadratic_on_line(x, fx, gx, cand, fc, gc,
+                                              1.0 + beta)
             x, fx, gx, qx = cand, fc, gc, qc
             iterations += 1
             if stop is not None and stop(x, fx, gx):
@@ -129,7 +156,7 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
                 break
             t = t_next
             y = y_next
-            fy, gy = smooth(y)
+            fy, gy = momentum if quadratic else smooth(y)
     except _CurvatureDiverged:
         status = "line_search_failed"
     return InnerResult(x, iterations, q_start - qx, status, L, fallbacks)

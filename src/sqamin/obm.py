@@ -118,7 +118,9 @@ def subspace_cg_solve(model, face, v, cg_cap):
     Starts from zero, applies the Hessian to zero-padded directions (one
     product per CG iteration), and returns early on nonpositive curvature:
     the current iterate if any progress was made, otherwise the steepest
-    descent direction ``-v_F``.
+    descent direction ``-v_F``.  The full-space product ``H d``, summed from
+    those of the CG directions, is left on the model as
+    ``model.step_product = (d, H d)`` for the projected search.
     """
     if cg_cap < 1:
         raise ValueError(f"cg_cap must be >= 1, got {cg_cap}")
@@ -131,18 +133,21 @@ def subspace_cg_solve(model, face, v, cg_cap):
         return d
     tol2 = max(rs * 1e-28, 1e-300)
     df = np.zeros_like(r)
+    hd = np.zeros_like(v)
     p = r.copy()
     for i in range(cg_cap):
         padded = np.zeros_like(v)
         padded[free] = p
-        w = model.apply_hessian(padded)[free]
+        hp = model.apply_hessian(padded)
+        w = hp[free]
         curvature = float(p @ w)
         if curvature <= 0.0:
             if i == 0:
-                df = r.copy()
+                df, hd = r.copy(), hp  # the first direction is r itself
             break
         step = rs / curvature
         df += step * p
+        hd += step * hp
         r -= step * w
         rs_new = float(r @ r)
         if rs_new <= tol2:
@@ -150,6 +155,7 @@ def subspace_cg_solve(model, face, v, cg_cap):
         p = r + (rs_new / rs) * p
         rs = rs_new
     d[free] = df
+    model.step_product = (d, hd)
     return d
 
 
@@ -163,6 +169,20 @@ class ProjectedSearchResult(NamedTuple):
     stalled: bool
 
 
+def _known_products(model, z, d):
+    """``(H(z - x_ref), H d)`` when the model already holds both, else None.
+
+    The first is there when the model's last ``smooth_eval`` was at ``z``,
+    the second when ``d`` is the direction ``subspace_cg_solve`` returned.
+    Both are matched by identity, so a direction from anywhere else pays
+    for its products.
+    """
+    last, step = model.last_eval, model.step_product
+    if last is None or step is None or last[0] is not z or step[0] is not d:
+        return None
+    return last[1], step[1]
+
+
 def obm_projected_line_search(model, z, face, d, v, q_ref):
     """Backtrack along ``d`` with re-projection onto the face.
 
@@ -171,16 +191,26 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     the model value ``q_ref`` at ``z`` (projection can flip the sign of the
     linearized change, so the plain-decrease guard keeps the iterates
     monotone).  Returns ``z`` flagged as stalled when the step underflows.
+
+    A trial that the projection leaves unclipped lies on the ray
+    ``z + alpha d``; when the model holds ``H(z - x_ref)`` and ``H d`` (see
+    :func:`_known_products`), such a trial is evaluated from them without a
+    Hessian-vector product.  Every other trial pays one.
     """
     z = np.asarray(z, dtype=float)
     d = np.asarray(d, dtype=float)
     if not np.any(d):
         return ProjectedSearchResult(z, 0.0, 0, math.nan, None, q_ref, False)
+    known = _known_products(model, z, d)
     alpha = 1.0
     trials = 0
     while alpha >= ALPHA_MIN:
-        cand = orthant_project(z + alpha * d, face)
-        sval, sgrad = model.smooth_eval(cand)
+        ray = z + alpha * d
+        cand = orthant_project(ray, face)
+        hdx = None
+        if known is not None and np.array_equal(cand, ray):
+            hdx = known[0] + alpha * known[1]
+        sval, sgrad = model.smooth_eval(cand, hdx)
         q_cand = sval + model.mu * float(np.abs(cand).sum())
         trials += 1
         linearized = float(v @ (cand - z))
@@ -220,6 +250,13 @@ def obm_solve(model, start, stop, outer_k, store=None, max_iter=200):
     checked at the start and after every accepted iterate.  Model values are
     nonincreasing along the iterates; a stalled projected search falls back
     to a proximal-gradient step with guaranteed decrease before giving up.
+    A NaN model value at the start admits no decrease: the solve ends there
+    with status ``"stalled"``.
+
+    The start costs one Hessian-vector product, each CG iteration one, and
+    each projected-search trial one unless it is an unclipped point along a
+    CG direction, whose product the CG already applied.  Quasi-Newton
+    directions and safeguard steps pay one per trial.
     """
     z = np.array(start, dtype=float)
     sval, sgrad = model.smooth_eval(z)
@@ -228,6 +265,8 @@ def obm_solve(model, start, stop, outer_k, store=None, max_iter=200):
     iterations = 0
     status = "iteration_cap"
     done = stop is not None and stop(z, sval, sgrad)
+    if not done and math.isnan(q_z):
+        return InnerResult(z, 0, 0.0, "stalled")
     while not done and iterations < max_iter:
         v = min_norm_subgradient_from_gradient(sgrad, z, model.mu)
         face = orthant_face(z, v)

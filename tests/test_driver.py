@@ -229,6 +229,12 @@ class TestSqaSolve:
             assert rec.q_candidate < rec.q_reference
             assert rec.ell_candidate < rec.q_reference
 
+    def test_fista_inner_solver_pays_one_product_per_iteration(self):
+        prob = synthetic_quadratic(60, 1e3, seed=5, mu=0.1)
+        _, report = sqa_solve(prob, SolverConfig(inner_solver="fista"))
+        assert report.status == "converged"
+        assert report.hess_vec_products <= 1.1 * report.inner_iterations
+
     def test_iteration_cap_status(self):
         prob = synthetic_quadratic(40, 1e4, seed=11, mu=0.01)
         _, report = sqa_solve(
@@ -417,8 +423,32 @@ class TestNonfiniteObjective:
         x, report = _run(bad, solver)
         assert report.status == "inner_stall"
         assert report.outer_iterations == 0
+        assert report.hess_vec_products == 1
         assert len(report.trace) == 1
         np.testing.assert_array_equal(x, prob.start_point())
+
+    @pytest.mark.parametrize("solver", ["sqa_fista", "sqa_obm_cg",
+                                        "sqa_obm_qn"])
+    def test_nan_gradient_at_an_accepted_iterate_ends_the_run(self, solver):
+        # exact gradients for the first 3 calls, then NaN: the step whose
+        # gradient is NaN is not taken
+        prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
+        calls = Counter()
+
+        def gradient(x):
+            calls["gradient"] += 1
+            if calls["gradient"] > 3:
+                return np.full(10, np.nan)
+            return prob.gradient(x)
+
+        x, report = _run(dataclasses.replace(prob, gradient=gradient), solver)
+        assert report.status == "nonfinite_oracle"
+        assert report.outer_iterations == 2
+        assert len(report.trace) == report.outer_iterations + 1
+        assert np.isfinite(report.final_residual_inf)
+        assert report.final_residual_inf == report.trace[-1].residual_inf
+        x_clean, _ = _run(prob, solver, max_outer=report.outer_iterations)
+        np.testing.assert_array_equal(x, x_clean)
 
 
 class TestFistaBaseline:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sqamin import QuadraticModel, fista_composite, soft_threshold
+from sqamin.fista import _quadratic_on_line
 
 from helpers import quadratic_l1_minimizer
 
@@ -80,6 +81,60 @@ class TestFistaComposite:
                                   max_iter=K, lipschitz0=1.01 * L_true)
             expected = 2 * K + 1 + res.monotone_fallbacks
             assert model.tally.hess_vec_products - before == expected
+
+    def test_one_hessian_product_per_iteration_on_a_quadratic(self):
+        # the momentum point is extrapolated, so only the candidate and the
+        # monotone fallback pay a product
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(8, 8))
+        H = A @ A.T + np.eye(8)
+        L_true = float(np.linalg.eigvalsh(H).max())
+        model = QuadraticModel(rng.normal(size=8), rng.normal(size=8), 1.5,
+                               lambda v: H @ v, 0.3)
+        smooth, penalty, prox = _model_pieces(model)
+        for K in (5, 10, 20):
+            before = model.tally.hess_vec_products
+            res = fista_composite(smooth, penalty, prox, model.x_ref,
+                                  max_iter=K, lipschitz0=1.01 * L_true,
+                                  quadratic=True)
+            expected = K + 1 + res.monotone_fallbacks
+            assert model.tally.hess_vec_products - before == expected
+
+    def test_momentum_point_extrapolation_matches_the_model(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            n = int(rng.integers(2, 12))
+            A = rng.normal(size=(n, n))
+            H = A @ A.T + 0.1 * np.eye(n)
+            model = QuadraticModel(rng.normal(size=n), rng.normal(size=n),
+                                   float(rng.normal()), lambda v, H=H: H @ v,
+                                   0.5)
+            x, c = rng.normal(size=n), rng.normal(size=n)
+            s = 1.0 + float(rng.uniform())
+            fy, gy = _quadratic_on_line(x, *model.smooth_eval(x),
+                                        c, *model.smooth_eval(c), s)
+            sval, sgrad = model.smooth_eval(x + s * (c - x))
+            assert fy == pytest.approx(sval, rel=1e-10)
+            np.testing.assert_allclose(gy, sgrad, rtol=1e-10,
+                                       atol=1e-10 * np.abs(sgrad).max())
+
+    def test_quadratic_flag_takes_the_same_steps(self):
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            A = rng.normal(size=(10, 10))
+            H = A @ A.T + 0.1 * np.eye(10)
+            model = QuadraticModel(rng.normal(size=10), rng.normal(size=10),
+                                   0.0, lambda v, H=H: H @ v, 0.4)
+            smooth, penalty, prox = _model_pieces(model)
+            runs = [fista_composite(smooth, penalty, prox, model.x_ref,
+                                    max_iter=50, quadratic=flag)
+                    for flag in (False, True)]
+            generic, extrapolated = runs
+            assert extrapolated.inner_iterations == generic.inner_iterations
+            assert (extrapolated.monotone_fallbacks
+                    == generic.monotone_fallbacks)
+            np.testing.assert_allclose(extrapolated.solution,
+                                       generic.solution, atol=1e-9)
 
     def test_objective_monotone_along_iterates(self):
         rng = np.random.default_rng(3)

@@ -76,6 +76,30 @@ class TestQuadraticModelValue:
         assert tally.hess_vec_products == 2
 
 
+class TestSmoothEvalFromKnownProduct:
+    def test_known_product_matches_and_costs_nothing(self):
+        rng = np.random.default_rng(4)
+        model = _random_model(rng)
+        H = np.column_stack([model.hessian(e) for e in np.eye(5)])
+        for _ in range(10):
+            x = rng.normal(size=5)
+            sval, sgrad = model.smooth_eval(x)
+            before = model.tally.hess_vec_products
+            kval, kgrad = model.smooth_eval(x, H @ (x - model.x_ref))
+            assert model.tally.hess_vec_products == before
+            assert kval == pytest.approx(sval, rel=1e-12)
+            np.testing.assert_allclose(kgrad, sgrad, rtol=1e-12, atol=1e-12)
+
+    def test_keeps_the_last_point_and_its_product(self):
+        rng = np.random.default_rng(5)
+        model = _random_model(rng)
+        x = rng.normal(size=5)
+        _, sgrad = model.smooth_eval(x)
+        last_x, last_hdx = model.last_eval
+        assert last_x is x
+        np.testing.assert_array_equal(last_hdx, sgrad - model.g_ref)
+
+
 class TestLinearModelValue:
     def test_value_at_reference(self):
         rng = np.random.default_rng(4)

@@ -299,6 +299,79 @@ class TestProjectedLineSearch:
             assert outcome.q_value <= q_z + 1e-12
 
 
+class TestSearchReusesCgProducts:
+    """A trial on the ray ``z + alpha d`` of a CG direction is evaluated
+    from products the model already holds; any other trial pays one."""
+
+    @staticmethod
+    def _search(model, z, cg_cap=3):
+        u = model.smooth_eval(z)[1]  # the model now holds H(z - x_ref)
+        v = min_norm_subgradient_from_gradient(u, z, model.mu)
+        face = orthant_face(z, v)
+        d = subspace_cg_solve(model, face, v, cg_cap=cg_cap)
+        q_z = model.smooth_eval(z)[0] + model.mu * np.abs(z).sum()
+        before = model.tally.hess_vec_products
+        outcome = obm_projected_line_search(model, z, face, d, v, q_z)
+        clipped = [not np.array_equal(
+                       orthant_project(z + 0.5 ** i * d, face),
+                       z + 0.5 ** i * d)
+                   for i in range(outcome.trials)]
+        return outcome, model.tally.hess_vec_products - before, clipped
+
+    @staticmethod
+    def _check_against_direct_eval(model, outcome):
+        sval, sgrad = model.smooth_eval(outcome.point)
+        assert outcome.smooth_value == pytest.approx(sval, rel=1e-10)
+        np.testing.assert_allclose(outcome.smooth_grad, sgrad, rtol=1e-10,
+                                   atol=1e-10 * np.abs(sgrad).max())
+
+    def test_unclipped_trial_pays_no_product(self):
+        rng = np.random.default_rng(30)
+        A = rng.normal(size=(6, 6))
+        H = A @ A.T + np.eye(6)
+        # the model minimizer and z lie far inside the all-positive orthant
+        # (H >= I keeps the Newton step short), so no trial clips
+        model = QuadraticModel(np.abs(rng.normal(size=6)) + 100.0,
+                               rng.normal(size=6), 0.9, lambda v: H @ v, 0.5)
+        z = model.x_ref + rng.normal(size=6)
+        outcome, products, clipped = self._search(model, z)
+        assert outcome.trials >= 1 and not any(clipped)
+        assert products == 0
+        self._check_against_direct_eval(model, outcome)
+
+    def test_clipped_trials_pay_one_product_each(self):
+        rng = np.random.default_rng(31)
+        seen_clipped = seen_unclipped = 0
+        for _ in range(40):
+            model = _random_model(rng)
+            z = rng.normal(size=6)
+            z[rng.uniform(size=6) < 0.3] = 0.0
+            outcome, products, clipped = self._search(model, z)
+            if outcome.trials == 0:
+                continue
+            assert products == sum(clipped)
+            seen_clipped += sum(clipped)
+            seen_unclipped += len(clipped) - sum(clipped)
+            if not outcome.stalled:
+                self._check_against_direct_eval(model, outcome)
+        assert seen_clipped and seen_unclipped
+
+    def test_direction_from_elsewhere_pays_per_trial(self):
+        rng = np.random.default_rng(32)
+        model = _random_model(rng)
+        z = rng.normal(size=6)
+        u = model.smooth_eval(z)[1]
+        v = min_norm_subgradient_from_gradient(u, z, model.mu)
+        face = orthant_face(z, v)
+        d = subspace_cg_solve(model, face, v, cg_cap=3)
+        q_z = model.smooth_eval(z)[0] + model.mu * np.abs(z).sum()
+        before = model.tally.hess_vec_products
+        # an equal array that is not the CG's own direction
+        outcome = obm_projected_line_search(model, z, face, d.copy(), v, q_z)
+        assert outcome.trials >= 1
+        assert model.tally.hess_vec_products - before == outcome.trials
+
+
 class TestObmSolve:
     def test_immediate_stop_at_exact_minimizer(self):
         rng = np.random.default_rng(14)
@@ -423,7 +496,20 @@ class TestObmStallRecovery:
             values.append(sval + model.mu * np.abs(z).sum())
             return False
 
+        searches = []
+        search = obm.obm_projected_line_search
+
+        def counted_search(model, z, face, d, v, q_ref):
+            before = model.tally.hess_vec_products
+            outcome = search(model, z, face, d, v, q_ref)
+            searches.append((outcome.trials,
+                             model.tally.hess_vec_products - before))
+            return outcome
+
+        monkeypatch.setattr(obm, "obm_projected_line_search", counted_search)
         res = obm_solve(model, model.x_ref, stop, outer_k=1, max_iter=60)
+        # the direction did not come from the CG, so every trial pays
+        assert searches and all(t == p for t, p in searches)
         assert outcomes and all(o is not None for o in outcomes)
         assert np.all(np.diff(values) <= 0.0)
         assert values[-1] < values[0]
