@@ -9,6 +9,7 @@ linear model.  A direct accelerated proximal gradient run on the original
 objective serves as the baseline.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -315,40 +316,52 @@ def fista_baseline_solve(problem, config):
 
     No quadratic models and no Hessian-vector products; one evaluation point
     per smooth call, two per iteration plus backtracking.  Terminates on the
-    max-norm of the optimality residual, or at the start point with status
-    ``"nonfinite_oracle"`` when the value or gradient there is not finite.
+    max-norm of the optimality residual.  A non-finite value or gradient at
+    the start point ends the run there with status ``"nonfinite_oracle"``,
+    and so does a non-finite gradient at an accepted iterate, whose step is
+    then not taken: the run returns the last iterate with a finite gradient.
+    A non-finite gradient at a momentum point leaves a non-finite candidate,
+    which ends the curvature search with status ``"line_search_failed"``.
     """
     tally = Telemetry()
     t0 = time.perf_counter()
     mu, tau = problem.mu, config.tau
     trace = []
+    x = problem.start_point()
+    status = None
 
     def smooth(z):
         val = problem.value(z)
         tally.fg_evaluations += 1
-        if not np.isfinite(val):
+        # the start point's gradient is taken whatever its value, as in
+        # sqa_solve, unless the value puts it outside the smooth domain
+        if not np.isfinite(val) and (trace or val == np.inf):
             return val, None
         return val, problem.gradient(z)
 
     def stop(z, fz, gz):
-        # only a start point with a non-finite value comes without gradient
+        nonlocal x, status
+        # only a +inf start value or a later -inf value comes without gradient
         r_inf = (np.nan if gz is None
                  else float(np.max(np.abs(residual(z, gz, tau, mu)))))
+        if not math.isfinite(fz + r_inf):
+            status = "nonfinite_oracle"
+            if trace:
+                return True
+        x = z
         k = len(trace)
         trace.append(TraceRow(k, fz + mu * float(np.abs(z).sum()), r_inf,
                               0.0 if k == 0 else 1.0, 0, 0.0))
-        return r_inf <= config.tol_inf or (k == 0 and not np.isfinite(r_inf))
+        return status is not None or r_inf <= config.tol_inf
 
     penalty = lambda z: mu * float(np.abs(z).sum())
     prox = lambda v, t: soft_threshold(v, t * mu)
-    result = fista_composite(smooth, penalty, prox, problem.start_point(),
-                             stop=stop, max_iter=config.max_outer,
-                             lipschitz0=1.0)
-    start_ok = np.isfinite(trace[0].residual_inf)
+    result = fista_composite(smooth, penalty, prox, x, stop=stop,
+                             max_iter=config.max_outer, lipschitz0=1.0)
     report = ConvergenceReport(
         solver="fista",
-        status=result.status if start_ok else "nonfinite_oracle",
-        outer_iterations=result.inner_iterations,
+        status=status or result.status,
+        outer_iterations=len(trace) - 1,
         inner_iterations=0,
         fg_evaluations=tally.fg_evaluations,
         hess_vec_products=0,
@@ -356,4 +369,4 @@ def fista_baseline_solve(problem, config):
         final_residual_inf=trace[-1].residual_inf,
         trace=trace,
     )
-    return result.solution, report
+    return x, report

@@ -142,11 +142,6 @@ class QuadraticModel:
         val = self.f_ref + float(self.g_ref @ dx) + 0.5 * float(dx @ hdx)
         return val, self.g_ref + hdx
 
-    def value(self, x):
-        """Full model value (smooth part plus l1 term); one Hessian product."""
-        sval, _ = self.smooth_eval(x)
-        return sval + self.mu * float(np.abs(x).sum())
-
     def linear_value(self, x):
         """Piecewise linear underestimate: drops the quadratic term."""
         x = self._check_dim(x)
@@ -230,6 +225,3 @@ class ConvergenceReport:
     wall_time_seconds: float
     final_residual_inf: float
     trace: list = field(default_factory=list)
-
-    def objective_values(self):
-        return np.array([row.objective for row in self.trace])

@@ -2,11 +2,15 @@
 
 Each family exposes pure value/gradient/Hessian-vector functions plus a
 constructor returning a :class:`~sqamin.model.CompositeProblem` with the l1
-weight attached.  The logistic problem's oracles keep a one-point cache of
-the margins and Hessian weights, reused while the solver stays at one
-iterate, so such a problem should not be shared between threads.  The
-log-det objective treats non-positive-definite points as ``+inf`` so that
-line searches reject them and every accepted iterate stays inside the cone.
+weight attached.  The logistic oracles multiply by a dense copy of the
+design matrix when that takes no more bytes than its CSR arrays, so BLAS
+runs the products, and by the CSR matrix otherwise; the copy costs at most
+the CSR's size once more per dataset.  The logistic problem's oracles keep
+a one-point cache of the margins and Hessian weights, reused while the
+solver stays at one iterate, so such a problem should not be shared between
+threads.  The log-det objective treats non-positive-definite points as
+``+inf`` so that line searches reject them and every accepted iterate stays
+inside the cone.
 """
 
 from dataclasses import dataclass
@@ -49,7 +53,13 @@ class NotPositiveDefiniteError(ValueError):
 
 @dataclass(frozen=True)
 class LogisticDataset:
-    """Binary classification data: sparse row-major features, +/-1 labels."""
+    """Binary classification data: sparse row-major features, +/-1 labels.
+
+    The oracles multiply by :attr:`operand`, built on first use and kept: a
+    dense ``float64`` copy of the features when it takes no more bytes than
+    the CSR arrays, else the CSR matrix.  A dataset thus holds at most one
+    more copy of the CSR's size.
+    """
 
     features: scipy.sparse.csr_matrix
     labels: np.ndarray
@@ -86,12 +96,31 @@ class LogisticDataset:
     def n_features(self):
         return self.features.shape[1]
 
+    @cached_property
+    def operand(self):
+        """``features`` as a dense ``float64`` array, so that BLAS runs the
+        products, when that takes no more bytes than the CSR's ``data``,
+        ``indices`` and ``indptr`` arrays; else ``features`` itself."""
+        Z = self.features
+        csr_bytes = Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes
+        if Z.shape[0] * Z.shape[1] * np.dtype(float).itemsize <= csr_bytes:
+            return Z.toarray().astype(float, copy=False)
+        return Z
+
+
+def _product(A, v):
+    """``A @ v`` without floating-point warnings: BLAS flags an overflow the
+    sparse kernels pass silently, and the solvers catch non-finite oracle
+    output where it enters."""
+    with np.errstate(all="ignore"):
+        return A @ v
+
 
 def _margins(data, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (data.n_features,):
         raise ValueError(f"expected dimension {data.n_features}, got {x.shape}")
-    return data.labels * (data.features @ x)
+    return data.labels * _product(data.operand, x)
 
 
 class _LogisticLinearization:
@@ -99,7 +128,8 @@ class _LogisticLinearization:
     gradient and Hessian products there; the point is compared by value with
     a stored copy, so mutating ``x`` in place never gives stale results.  The
     weights ``w = s(1-s)`` are kept from the first Hessian product at a point
-    and ``Z.T`` from its first use.  Not safe to share between threads."""
+    and the transposed operand from its first use (a view of a dense
+    operand, a CSC copy of a CSR one).  Not safe to share between threads."""
 
     def __init__(self, data):
         self.data = data
@@ -113,7 +143,7 @@ class _LogisticLinearization:
 
     @cached_property
     def _zt(self):
-        return self.data.features.T
+        return self.data.operand.T
 
     def value(self, x):
         t = -self._margins_at(x)
@@ -121,7 +151,8 @@ class _LogisticLinearization:
 
     def gradient(self, x):
         s = expit(-self._margins_at(x))
-        return -np.asarray(self._zt @ (self.data.labels * s)) / self.data.n_samples
+        r = self.data.labels * s
+        return -np.asarray(_product(self._zt, r)) / self.data.n_samples
 
     def hess_vec(self, x, v):
         data = self.data
@@ -132,7 +163,8 @@ class _LogisticLinearization:
         if self._w is None:
             s = expit(-m)
             self._w = s * (1.0 - s)
-        return np.asarray(self._zt @ (self._w * (data.features @ v))) / data.n_samples
+        zv = _product(data.operand, v)
+        return np.asarray(_product(self._zt, self._w * zv)) / data.n_samples
 
 
 def logistic_value(data, x):

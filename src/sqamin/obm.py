@@ -54,16 +54,6 @@ class OrthantFace:
     def free_mask(self):
         return self.omega != 0
 
-    @property
-    def active_set(self):
-        """Indices pinned to zero on this face."""
-        return np.flatnonzero(self.omega == 0)
-
-    def conforms(self, z):
-        """True iff ``z`` lies in the face: sign-consistent, zero on actives."""
-        z = np.asarray(z)
-        return bool(np.all(z * self.omega >= 0) and np.all(z[self.active_mask] == 0))
-
 
 def orthant_face(z, v):
     """Face spanned by the iterate's signs, broken by the steepest descent

@@ -28,6 +28,29 @@ def directional_second_difference(grad, x, v, h=1e-6):
     return (grad(x + h * v) - grad(x - h * v)) / (2.0 * h)
 
 
+def model_value(model, x):
+    """Full model value (smooth part plus l1 term); one Hessian product."""
+    sval, _ = model.smooth_eval(x)
+    return sval + model.mu * float(np.abs(x).sum())
+
+
+def face_active_set(face):
+    """Indices pinned to zero on an orthant face."""
+    return np.flatnonzero(face.omega == 0)
+
+
+def face_conforms(face, z):
+    """True iff ``z`` lies in the face: sign-consistent, zero on actives."""
+    z = np.asarray(z)
+    return bool(np.all(z * face.omega >= 0)
+                and np.all(z[face.active_mask] == 0))
+
+
+def objective_values(report):
+    """The objective of every trace row of a convergence report."""
+    return np.array([row.objective for row in report.trace])
+
+
 def materialize_operator(apply_fn, n):
     """Dense matrix of a linear operator by applying it to basis vectors."""
     cols = [apply_fn(e) for e in np.eye(n)]

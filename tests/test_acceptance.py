@@ -41,8 +41,11 @@ from helpers import (
     AnalysisConstants,
     central_difference_gradient,
     directional_second_difference,
+    face_conforms,
     materialize_operator,
     model_exact_minimizer,
+    model_value,
+    objective_values,
 )
 
 QUAD_N, QUAD_COND, QUAD_SEED, QUAD_MU = 100, 1e4, 11, 1.0
@@ -214,7 +217,7 @@ class TestCriterion04CrossSolverAgreement:
                         rep.outer_iterations > 3000:
                     ok = False
                     details.append(f"{label}/{solver} did not converge")
-                phis = rep.objective_values()
+                phis = objective_values(rep)
                 if not np.all(np.diff(phis) < 0):
                     ok = False
                     details.append(f"{label}/{solver} trace not decreasing")
@@ -357,7 +360,7 @@ class TestCriterion08HalfDecrease:
                                    float(rng.normal()), lambda v, _H=H: _H @ v,
                                    float(rng.uniform(0.1, 1.0)))
             ybar = model_exact_minimizer(model)
-            q_dec = model.reference_objective() - model.value(ybar)
+            q_dec = model.reference_objective() - model_value(model, ybar)
             ell_dec = model.reference_objective() - model.linear_value(ybar)
             worst = min(worst, q_dec - 0.5 * ell_dec)
         _report_line(
@@ -384,7 +387,7 @@ class TestCriterion09ObmConformanceAndBudget:
 
         def checked_search(model, z, face, d, v, q_ref):
             outcome = real_search(model, z, face, d, v, q_ref)
-            if not outcome.stalled and not face.conforms(outcome.point):
+            if not outcome.stalled and not face_conforms(face, outcome.point):
                 conform_failures.append(outcome.point)
             return outcome
 

@@ -8,9 +8,11 @@ import pytest
 
 from sqamin import (
     CompositeProblem,
+    CovarianceProblem,
     LbfgsStore,
     QuadraticModel,
     SolverConfig,
+    covariance_problem,
     eta_schedule,
     fista_baseline_solve,
     inexactness_check,
@@ -27,7 +29,12 @@ from sqamin import (
 )
 from sqamin.io import SOLVERS
 
-from helpers import AnalysisConstants, long_run_ista, model_exact_minimizer
+from helpers import (
+    AnalysisConstants,
+    long_run_ista,
+    model_exact_minimizer,
+    objective_values,
+)
 
 
 class TestEtaSchedule:
@@ -195,7 +202,7 @@ class TestSqaSolve:
     def test_objective_trace_strictly_decreasing(self):
         prob = synthetic_quadratic(20, 100.0, seed=7, mu=0.3)
         _, report = sqa_solve(prob, SolverConfig(inner_solver="fista"))
-        phis = report.objective_values()
+        phis = objective_values(report)
         assert np.all(np.diff(phis) < 0)
 
     def test_trace_rows_well_formed(self):
@@ -402,16 +409,34 @@ class TestNonfiniteObjective:
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_nan_start_gradient_is_caught_where_it_enters(self, solver):
-        # a NaN start value is caught at the same place
+        # a NaN start value is caught at the same place, and row 0 still
+        # holds the start residual
         prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
-        for broken in ({"gradient": lambda x: np.full(10, np.nan)},
-                       {"value": lambda x: float("nan")}):
+        x0 = prob.start_point()
+        start_residual = float(np.max(np.abs(
+            residual(x0, prob.gradient(x0), SolverConfig().tau, prob.mu))))
+        for broken, row0_residual in (
+                ({"gradient": lambda x: np.full(10, np.nan)}, np.nan),
+                ({"value": lambda x: float("nan")}, start_residual)):
             x, report = _run(dataclasses.replace(prob, **broken), solver)
             assert report.status == "nonfinite_oracle", broken
             assert (report.outer_iterations, report.fg_evaluations,
                     report.hess_vec_products) == (0, 1, 0)
             assert len(report.trace) == 1
-            np.testing.assert_array_equal(x, prob.start_point())
+            np.testing.assert_array_equal(report.trace[0].residual_inf,
+                                          row0_residual)
+            np.testing.assert_array_equal(x, x0)
+
+    def test_baseline_start_outside_the_domain_takes_no_gradient(self):
+        # a +inf start value: the log-det gradient there would raise
+        prob = dataclasses.replace(
+            covariance_problem(CovarianceProblem(np.eye(2)), 0.1),
+            x0=np.diag([1.0, -1.0]).ravel())
+        x, report = fista_baseline_solve(prob, SolverConfig())
+        assert report.status == "nonfinite_oracle"
+        assert (report.outer_iterations, report.fg_evaluations) == (0, 1)
+        assert report.trace[0].objective == np.inf
+        np.testing.assert_array_equal(x, prob.start_point())
 
     @pytest.mark.parametrize("solver", ["sqa_fista", "sqa_obm_cg"])
     def test_nan_hessian_product_stalls_the_inner_solve(self, solver):
@@ -427,17 +452,20 @@ class TestNonfiniteObjective:
         assert len(report.trace) == 1
         np.testing.assert_array_equal(x, prob.start_point())
 
-    @pytest.mark.parametrize("solver", ["sqa_fista", "sqa_obm_cg",
-                                        "sqa_obm_qn"])
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_nan_gradient_at_an_accepted_iterate_ends_the_run(self, solver):
-        # exact gradients for the first 3 calls, then NaN: the step whose
-        # gradient is NaN is not taken
+        # exact gradients for the first few calls, then NaN at the point
+        # that would be the third accepted iterate: that step is not taken.
+        # The sqa_* paths take one gradient per accepted iterate; the
+        # baseline also takes them at its backtracking trials and momentum
+        # points, 11 before its third iterate here.
+        good = 11 if solver == "fista" else 3
         prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
         calls = Counter()
 
         def gradient(x):
             calls["gradient"] += 1
-            if calls["gradient"] > 3:
+            if calls["gradient"] > good:
                 return np.full(10, np.nan)
             return prob.gradient(x)
 
@@ -476,7 +504,7 @@ class TestFistaBaseline:
     def test_trace_monotone(self):
         prob = synthetic_quadratic(15, 80.0, seed=17, mu=0.2)
         _, report = fista_baseline_solve(prob, SolverConfig())
-        phis = report.objective_values()
+        phis = objective_values(report)
         assert np.all(np.diff(phis) <= 1e-12)
 
 

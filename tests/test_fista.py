@@ -6,7 +6,7 @@ import pytest
 from sqamin import QuadraticModel, fista_composite, soft_threshold
 from sqamin.fista import _quadratic_on_line
 
-from helpers import quadratic_l1_minimizer
+from helpers import model_value, quadratic_l1_minimizer
 
 
 def _model_pieces(model):
@@ -175,8 +175,8 @@ class TestFistaComposite:
                                lambda v: v.copy(), 0.2)
         smooth, penalty, prox = _model_pieces(model)
         res = fista_composite(smooth, penalty, prox, model.x_ref, max_iter=100)
-        q0 = model.value(model.x_ref)
-        qf = model.value(res.solution)
+        q0 = model_value(model, model.x_ref)
+        qf = model_value(model, res.solution)
         assert res.model_decrease == pytest.approx(q0 - qf, abs=1e-12)
         assert res.model_decrease >= 0
 

@@ -1,5 +1,7 @@
 """Oracle consistency of the logistic, log-det, and quadratic objectives."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -103,6 +105,105 @@ class TestLogisticDataset:
             else:
                 with pytest.raises(ValueError, match=f"^row {expected}: "):
                     LogisticDataset(Z, y)
+
+
+def _one_per_row_dataset(rng, n_samples=12, n_features=6):
+    # one nonzero per row: the CSR arrays take fewer bytes than a dense copy
+    cols = rng.integers(0, n_features, size=n_samples)
+    Z = scipy.sparse.csr_matrix(
+        (rng.normal(size=n_samples), cols, np.arange(n_samples + 1)),
+        shape=(n_samples, n_features))
+    y = np.where(rng.uniform(size=n_samples) > 0.5, 1.0, -1.0)
+    return LogisticDataset(Z, y)
+
+
+def _csr_bytes(Z):
+    return Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes
+
+
+class TestLogisticLayout:
+    """The oracles multiply by a dense copy of the features exactly when it
+    takes no more bytes than the CSR arrays."""
+
+    @staticmethod
+    def _row(n_features, columns):
+        # one sample whose stored entries sit in the given columns
+        Z = scipy.sparse.csr_matrix(
+            (np.arange(1.0, len(columns) + 1), np.asarray(columns, np.int32),
+             np.array([0, len(columns)], np.int32)), shape=(1, n_features))
+        return LogisticDataset(Z, np.array([1.0]))
+
+    def test_dense_features_take_the_dense_layout(self):
+        data = _small_dataset(np.random.default_rng(20))
+        assert 12 * 6 * 8 < _csr_bytes(data.features)
+        assert isinstance(data.operand, np.ndarray)
+        assert data.operand.dtype == np.float64
+        np.testing.assert_array_equal(data.operand, data.features.toarray())
+
+    def test_sparse_features_keep_the_csr_layout(self):
+        data = _one_per_row_dataset(np.random.default_rng(21))
+        assert 12 * 6 * 8 > _csr_bytes(data.features)
+        assert data.operand is data.features
+
+    def test_equal_bytes_take_the_dense_layout(self):
+        # 2 stored entries: 2*8 + 2*4 + 2*4 = 32 bytes of CSR, and 4 dense
+        # columns of 8 bytes; one more column tips the rule over
+        at_boundary = self._row(4, [0, 3])
+        assert _csr_bytes(at_boundary.features) == 4 * 8
+        assert isinstance(at_boundary.operand, np.ndarray)
+        past_boundary = self._row(5, [0, 3])
+        assert _csr_bytes(past_boundary.features) == 5 * 8 - 8
+        assert past_boundary.operand is past_boundary.features
+
+    def test_integer_features_give_a_float_operand(self):
+        Z = scipy.sparse.csr_matrix(np.array([[1, 2], [3, 4]], dtype=np.int64))
+        data = LogisticDataset(Z, np.array([1.0, -1.0]))
+        assert data.operand.dtype == np.float64
+        assert logistic_value(data, np.array([0.5, -0.25])) == pytest.approx(
+            0.5 * (np.log1p(np.exp(0.0)) + np.log1p(np.exp(0.5))), rel=1e-12)
+
+    def test_both_layouts_agree(self):
+        # one matrix stored twice: without its zeros (CSR layout) and with
+        # every entry stored (dense layout)
+        rng = np.random.default_rng(22)
+        n_samples, n_features = 40, 30
+        Zd = rng.normal(size=(n_samples, n_features))
+        Zd[rng.uniform(size=Zd.shape) > 0.1] = 0.0
+        full = scipy.sparse.csr_matrix(
+            (Zd.ravel(), np.tile(np.arange(n_features), n_samples),
+             np.arange(0, Zd.size + 1, n_features)), shape=Zd.shape)
+        y = np.where(rng.uniform(size=n_samples) > 0.5, 1.0, -1.0)
+        sparse = LogisticDataset(scipy.sparse.csr_matrix(Zd), y)
+        dense = LogisticDataset(full, y)
+        assert sparse.operand is sparse.features
+        assert isinstance(dense.operand, np.ndarray)
+
+        def close(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+        a, b = (logistic_problem(d, 0.1) for d in (sparse, dense))
+        for x, v in rng.normal(size=(5, 2, n_features)):
+            assert close(logistic_value(dense, x), logistic_value(sparse, x))
+            assert close(logistic_gradient(dense, x),
+                         logistic_gradient(sparse, x))
+            assert close(logistic_hess_vec(dense, x, v),
+                         logistic_hess_vec(sparse, x, v))
+            assert close(b.value(x), a.value(x))
+            assert close(b.gradient(x), a.gradient(x))
+            assert close(b.hess_vec(x, v), a.hess_vec(x, v))
+
+    def test_overflowing_products_are_silent(self):
+        # BLAS flags the overflow; the non-finite margins go to the solver
+        data = LogisticDataset(scipy.sparse.csr_matrix(np.full((4, 1), 1e308)),
+                               np.ones(4))
+        assert isinstance(data.operand, np.ndarray)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logistic_value(data, np.array([1e308])) == 0.0
+            assert logistic_gradient(data, np.zeros(1)) == -np.inf
+            assert logistic_hess_vec(data, np.zeros(1),
+                                     np.array([1e308])) == np.inf
 
 
 class TestLogisticValue:
@@ -294,26 +395,43 @@ class TestLogisticProblemCache:
         prob.value(x.copy())  # an equal point in a new array is a cache hit
         assert len(calls) == 1
 
-    def test_construction_computes_nothing(self, monkeypatch):
-        data = _small_dataset(np.random.default_rng(9))
-        calls = self._count_margins(monkeypatch)
-        transposes = []
-        original = type(data.features).transpose
+    @staticmethod
+    def _count_method(monkeypatch, cls, name):
+        calls = []
+        original = getattr(cls, name)
 
         def counted(self, *args, **kwargs):
-            transposes.append(1)
+            calls.append(1)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(type(data.features), "transpose", counted)
-        prob = logistic_problem(data, 0.1)
-        assert calls == [] and transposes == []
-        prob.value(np.zeros(6))
-        assert transposes == []
-        for x in np.eye(6):
-            prob.gradient(x)
-            prob.hess_vec(x, x)
-        assert len(transposes) == 1  # built once per problem, on first use
-        assert len(calls) == 1 + 6
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_construction_computes_nothing(self, monkeypatch):
+        # one dataset per layout: the dense copy and the CSR transpose are
+        # each built once, on first use, and only on their own layout
+        rng = np.random.default_rng(9)
+        for data, dense in ((_small_dataset(rng), True),
+                            (_one_per_row_dataset(rng), False)):
+            calls = self._count_margins(monkeypatch)
+            csr = type(data.features)
+            transposes = self._count_method(monkeypatch, csr, "transpose")
+            copies = self._count_method(monkeypatch, csr, "toarray")
+            prob = logistic_problem(data, 0.1)
+            assert calls == [] and transposes == [] and copies == []
+            assert "operand" not in vars(data)
+            prob.value(np.zeros(6))
+            assert transposes == []
+            assert len(copies) == (1 if dense else 0)
+            for x in np.eye(6):
+                prob.gradient(x)
+                prob.hess_vec(x, x)
+            # the dense operand's transpose is a view, the CSR's a copy
+            # built once per problem
+            assert len(transposes) == (0 if dense else 1)
+            assert len(copies) == (1 if dense else 0)
+            assert len(calls) == 1 + 6
+            monkeypatch.undo()
 
 
 class TestLogDet:
