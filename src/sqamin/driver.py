@@ -184,6 +184,47 @@ class OuterIterationRecord:
     model: QuadraticModel
 
 
+def _start(problem, tau, tally):
+    """Evaluate a run's start point once and gate it, for both drivers.
+
+    The gradient is not taken at a ``+inf`` value (outside the smooth
+    domain, where it may not exist); it and the residual are then None.
+    Returns ``(x, value, gradient, residual, trace, status)``: the trace
+    holds row 0, with the residual even at a NaN value, and the status is
+    ``"nonfinite_oracle"`` when the value or the residual is not finite,
+    else None.
+    """
+    x = problem.start_point()
+    fx = problem.value(x)
+    tally.fg_evaluations += 1
+    gx = None if fx == np.inf else problem.gradient(x)
+    F = None if gx is None else residual(x, gx, tau, problem.mu)
+    res_inf = math.nan if F is None else float(np.max(np.abs(F)))
+    row = TraceRow(0, fx + problem.mu * float(np.abs(x).sum()), res_inf,
+                   0.0, 0, 0.0)
+    status = None if math.isfinite(fx + res_inf) else "nonfinite_oracle"
+    return x, fx, gx, F, [row], status
+
+
+def _report(solver, status, trace, tally, t0, tol_inf):
+    """The run's report; a run not ended by a failure status converged iff
+    its last residual is within ``tol_inf``."""
+    res_inf = trace[-1].residual_inf
+    if status is None:
+        status = "converged" if res_inf <= tol_inf else "iteration_cap"
+    return ConvergenceReport(
+        solver=solver,
+        status=status,
+        outer_iterations=len(trace) - 1,
+        inner_iterations=tally.inner_iterations,
+        fg_evaluations=tally.fg_evaluations,
+        hess_vec_products=tally.hess_vec_products,
+        wall_time_seconds=time.perf_counter() - t0,
+        final_residual_inf=res_inf,
+        trace=trace,
+    )
+
+
 def sqa_solve(problem, config, hessian_source=None, observer=None):
     """Successive quadratic approximation loop.
 
@@ -218,18 +259,11 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     tally = Telemetry()
     t0 = time.perf_counter()
     mu, tau = problem.mu, config.tau
-    x = problem.start_point()
-    fx = problem.value(x)
-    gx = problem.gradient(x)
-    tally.fg_evaluations += 1
-    F = residual(x, gx, tau, mu)
-    res_inf = float(np.max(np.abs(F)))
-    trace = [TraceRow(0, fx + mu * float(np.abs(x).sum()), res_inf, 0.0, 0, 0.0)]
+    x, fx, gx, F, trace, status = _start(problem, tau, tally)
+    res_inf = trace[0].residual_inf
     penalty = lambda z: mu * float(np.abs(z).sum())
     prox = lambda v, t: soft_threshold(v, t * mu)
     k = 0
-    status = (None if np.isfinite(fx) and np.isfinite(res_inf)
-              else "nonfinite_oracle")
     warm_lipschitz = 1.0
     # a NaN residual is not optimal
     while (status is None and not res_inf <= config.tol_inf
@@ -245,11 +279,11 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
                        mode=config.inexactness_mode, zeta=config.zeta,
                        ref_residual_norm=res_norm2)
         if config.inner_solver == "fista":
-            inner = fista_composite(model.smooth_eval, penalty, prox, x,
+            inner = fista_composite(model.smooth_eval, penalty, prox,
+                                    (x, fx, gx),
                                     stop=stop, max_iter=config.max_inner,
                                     lipschitz0=warm_lipschitz, quadratic=True)
-            if np.isfinite(inner.lipschitz):
-                warm_lipschitz = inner.lipschitz
+            warm_lipschitz = inner.lipschitz
         else:
             inner = obm_solve(model, x, stop, outer_k=k + 1, store=store,
                               max_iter=config.max_inner)
@@ -295,20 +329,8 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
         res_inf = float(np.max(np.abs(F)))
         trace.append(TraceRow(k, ls.phi_next, res_inf, ls.alpha,
                               inner.inner_iterations, eta))
-    if status is None:
-        status = "converged" if res_inf <= config.tol_inf else "iteration_cap"
-    report = ConvergenceReport(
-        solver="sqa_" + config.inner_solver,
-        status=status,
-        outer_iterations=k,
-        inner_iterations=tally.inner_iterations,
-        fg_evaluations=tally.fg_evaluations,
-        hess_vec_products=tally.hess_vec_products,
-        wall_time_seconds=time.perf_counter() - t0,
-        final_residual_inf=res_inf,
-        trace=trace,
-    )
-    return x, report
+    return x, _report("sqa_" + config.inner_solver, status, trace, tally, t0,
+                      config.tol_inf)
 
 
 def fista_baseline_solve(problem, config):
@@ -326,47 +348,30 @@ def fista_baseline_solve(problem, config):
     tally = Telemetry()
     t0 = time.perf_counter()
     mu, tau = problem.mu, config.tau
-    trace = []
-    x = problem.start_point()
-    status = None
+    x, fx, gx, _, trace, status = _start(problem, tau, tally)
 
     def smooth(z):
         val = problem.value(z)
         tally.fg_evaluations += 1
-        # the start point's gradient is taken whatever its value, as in
-        # sqa_solve, unless the value puts it outside the smooth domain
-        if not np.isfinite(val) and (trace or val == np.inf):
-            return val, None
-        return val, problem.gradient(z)
+        return val, (problem.gradient(z) if np.isfinite(val) else None)
 
     def stop(z, fz, gz):
         nonlocal x, status
-        # only a +inf start value or a later -inf value comes without gradient
+        # only a non-finite value comes without gradient
         r_inf = (np.nan if gz is None
                  else float(np.max(np.abs(residual(z, gz, tau, mu)))))
         if not math.isfinite(fz + r_inf):
             status = "nonfinite_oracle"
-            if trace:
-                return True
+            return True
         x = z
-        k = len(trace)
-        trace.append(TraceRow(k, fz + mu * float(np.abs(z).sum()), r_inf,
-                              0.0 if k == 0 else 1.0, 0, 0.0))
-        return status is not None or r_inf <= config.tol_inf
+        trace.append(TraceRow(len(trace), fz + mu * float(np.abs(z).sum()),
+                              r_inf, 1.0, 0, 0.0))
+        return r_inf <= config.tol_inf
 
-    penalty = lambda z: mu * float(np.abs(z).sum())
-    prox = lambda v, t: soft_threshold(v, t * mu)
-    result = fista_composite(smooth, penalty, prox, x, stop=stop,
-                             max_iter=config.max_outer, lipschitz0=1.0)
-    report = ConvergenceReport(
-        solver="fista",
-        status=status or result.status,
-        outer_iterations=len(trace) - 1,
-        inner_iterations=0,
-        fg_evaluations=tally.fg_evaluations,
-        hess_vec_products=0,
-        wall_time_seconds=time.perf_counter() - t0,
-        final_residual_inf=trace[-1].residual_inf,
-        trace=trace,
-    )
-    return x, report
+    if status is None and not trace[0].residual_inf <= config.tol_inf:
+        penalty = lambda z: mu * float(np.abs(z).sum())
+        prox = lambda v, t: soft_threshold(v, t * mu)
+        result = fista_composite(smooth, penalty, prox, (x, fx, gx), stop=stop,
+                                 max_iter=config.max_outer, lipschitz0=1.0)
+        status = status or result.status
+    return x, _report("fista", status, trace, tally, t0, config.tol_inf)

@@ -87,16 +87,16 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
         Nonsmooth term value, e.g. ``mu * ||x||_1``.
     prox : callable
         ``prox(v, t)`` solving ``argmin_x ||x - v||**2 / (2 t) + penalty(x)``.
-    start : ndarray
-        Initial point; must be in the smooth domain unless ``stop`` accepts
-        it.  An infinite start value raises ``ValueError``.
+    start : tuple
+        ``(x, value, gradient)``: the initial point with its smooth value and
+        gradient, both finite.  The caller evaluates and checks the start,
+        so it costs no evaluation here.
     stop : callable, optional
-        ``stop(x, smooth_value, smooth_gradient)`` evaluated at the start
-        and after every accepted iterate; a truthy return ends the run.
+        ``stop(x, smooth_value, smooth_gradient)`` evaluated after every
+        accepted iterate; a truthy return ends the run.
     max_iter : int
         Iteration cap; reaching it is a status, not an error.  So is a
-        diverged or NaN curvature backtracking, or a NaN start value
-        (``"line_search_failed"``).
+        diverged or NaN curvature backtracking (``"line_search_failed"``).
     lipschitz0 : float
         Initial curvature estimate; only ever increased.
     quadratic : bool
@@ -113,14 +113,7 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
     per iteration.  Curvature backtracking and the monotone fallback add
     evaluations only when they trigger.
     """
-    x = np.array(start, dtype=float)
-    fx, gx = smooth(x)
-    if stop is not None and stop(x, fx, gx):
-        return InnerResult(x, 0, 0.0, "converged", lipschitz0)
-    if math.isnan(fx):
-        return InnerResult(x, 0, 0.0, "line_search_failed", lipschitz0)
-    if not math.isfinite(fx):
-        raise ValueError("start point lies outside the smooth domain")
+    x, fx, gx = start
     qx = fx + penalty(x)
     q_start = qx
     L = max(float(lipschitz0), 1e-12)

@@ -104,8 +104,8 @@ class QuadraticModel:
             raise ValueError(f"mu must be finite and nonnegative, got {mu}")
         self.mu = float(mu)
         self.tally = Telemetry() if tally is None else tally
-        # (x, H(x - x_ref)) of the last smooth_eval, and (d, H d) of the last
-        # subspace CG direction: products an inner solver may reuse
+        # copies of (x, H(x - x_ref)) of the last smooth_eval and of (d, H d)
+        # of the last subspace CG direction: products an inner solver may reuse
         self.last_eval = None
         self.step_product = None
 
@@ -130,15 +130,15 @@ class QuadraticModel:
         Both follow from ``hdx = H dx`` with ``dx = x - x_ref``: the gradient
         is ``g_ref + hdx`` and the value needs ``dx @ hdx``.  A caller that
         already knows ``hdx`` passes it and pays no Hessian-vector product;
-        otherwise one product is applied.  The point and its product are kept
-        as ``last_eval``, so a caller moving on from ``x`` along a direction
-        of known product can extend them.
+        otherwise one product is applied.  Copies of the point and its
+        product are kept as ``last_eval``, so a caller moving on from ``x``
+        along a direction of known product can extend them.
         """
         x = self._check_dim(x)
         dx = x - self.x_ref
         if hdx is None:
             hdx = self.apply_hessian(dx)
-        self.last_eval = (x, hdx)
+        self.last_eval = (x.copy(), hdx.copy())
         val = self.f_ref + float(self.g_ref @ dx) + 0.5 * float(dx @ hdx)
         return val, self.g_ref + hdx
 

@@ -109,7 +109,7 @@ def subspace_cg_solve(model, face, v, cg_cap):
     product per CG iteration), and returns early on nonpositive curvature:
     the current iterate if any progress was made, otherwise the steepest
     descent direction ``-v_F``.  The full-space product ``H d``, summed from
-    those of the CG directions, is left on the model as
+    those of the CG directions, is left on the model as a copy
     ``model.step_product = (d, H d)`` for the projected search.
     """
     if cg_cap < 1:
@@ -145,7 +145,7 @@ def subspace_cg_solve(model, face, v, cg_cap):
         p = r + (rs_new / rs) * p
         rs = rs_new
     d[free] = df
-    model.step_product = (d, hd)
+    model.step_product = (d.copy(), hd.copy())
     return d
 
 
@@ -163,12 +163,14 @@ def _known_products(model, z, d):
     """``(H(z - x_ref), H d)`` when the model already holds both, else None.
 
     The first is there when the model's last ``smooth_eval`` was at ``z``,
-    the second when ``d`` is the direction ``subspace_cg_solve`` returned.
-    Both are matched by identity, so a direction from anywhere else pays
-    for its products.
+    the second when ``d`` is the direction ``subspace_cg_solve`` last
+    returned.  Both are matched bit for bit (faster than ``np.array_equal``)
+    against the model's copies, so a point or direction changed in place
+    since pays for its products.
     """
     last, step = model.last_eval, model.step_product
-    if last is None or step is None or last[0] is not z or step[0] is not d:
+    if (last is None or step is None or last[0].tobytes() != z.tobytes()
+            or step[0].tobytes() != d.tobytes()):
         return None
     return last[1], step[1]
 

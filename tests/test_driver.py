@@ -242,6 +242,22 @@ class TestSqaSolve:
         assert report.status == "converged"
         assert report.hess_vec_products <= 1.1 * report.inner_iterations
 
+    def test_fista_inner_solve_pays_no_product_at_its_start(self):
+        # the inner solve starts from the driver's (x, f, g), so the model
+        # Hessian is never applied to the zero step
+        prob = synthetic_quadratic(60, 1e3, seed=5, mu=0.1)
+        steps = []
+
+        def hess_vec(x, v):
+            steps.append(v.copy())
+            return prob.hess_vec(x, v)
+
+        _, report = sqa_solve(dataclasses.replace(prob, hess_vec=hess_vec),
+                              SolverConfig(inner_solver="fista"))
+        assert report.status == "converged"
+        assert len(steps) == report.hess_vec_products
+        assert all(np.any(v) for v in steps)
+
     def test_iteration_cap_status(self):
         prob = synthetic_quadratic(40, 1e4, seed=11, mu=0.01)
         _, report = sqa_solve(
@@ -427,14 +443,17 @@ class TestNonfiniteObjective:
                                           row0_residual)
             np.testing.assert_array_equal(x, x0)
 
-    def test_baseline_start_outside_the_domain_takes_no_gradient(self):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_start_outside_the_domain_takes_no_gradient(self, solver):
         # a +inf start value: the log-det gradient there would raise
         prob = dataclasses.replace(
             covariance_problem(CovarianceProblem(np.eye(2)), 0.1),
             x0=np.diag([1.0, -1.0]).ravel())
-        x, report = fista_baseline_solve(prob, SolverConfig())
+        x, report = _run(prob, solver)
         assert report.status == "nonfinite_oracle"
-        assert (report.outer_iterations, report.fg_evaluations) == (0, 1)
+        assert (report.outer_iterations, report.fg_evaluations,
+                report.hess_vec_products) == (0, 1, 0)
+        assert len(report.trace) == 1
         assert report.trace[0].objective == np.inf
         np.testing.assert_array_equal(x, prob.start_point())
 

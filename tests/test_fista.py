@@ -16,6 +16,12 @@ def _model_pieces(model):
     return smooth, penalty, prox
 
 
+def _start(smooth, x):
+    """The start triple ``fista_composite`` takes: a point, its smooth value
+    and its gradient."""
+    return (np.array(x, dtype=float), *smooth(x))
+
+
 class TestFistaComposite:
     def test_identity_hessian_one_step(self):
         n = 6
@@ -24,8 +30,8 @@ class TestFistaComposite:
         smooth, penalty, prox = _model_pieces(model)
         rng = np.random.default_rng(0)
         start = rng.normal(size=n) * 5
-        res = fista_composite(smooth, penalty, prox, start, max_iter=1,
-                              lipschitz0=1.0)
+        res = fista_composite(smooth, penalty, prox, _start(smooth, start),
+                              max_iter=1, lipschitz0=1.0)
         np.testing.assert_allclose(res.solution, x_ref, atol=1e-12)
 
     def test_diagonal_case_matches_closed_form(self):
@@ -38,20 +44,25 @@ class TestFistaComposite:
         w = x_ref - g_ref / D
         expected = np.sign(w) * np.maximum(np.abs(w) - mu / D, 0.0)
         smooth, penalty, prox = _model_pieces(model)
-        res = fista_composite(smooth, penalty, prox, np.zeros(2),
-                              max_iter=4000, lipschitz0=2.0)
+        res = fista_composite(smooth, penalty, prox,
+                              _start(smooth, np.zeros(2)), max_iter=4000,
+                              lipschitz0=2.0)
         np.testing.assert_allclose(res.solution, expected, atol=1e-8)
 
-    def test_vacuous_stop_returns_start(self):
+    def test_vacuous_stop_ends_after_one_iteration(self):
+        # the caller gates the start, so stop first sees the first iterate,
+        # whose candidate is the only point evaluated
         model = QuadraticModel(np.zeros(2), np.ones(2), 0.0,
                                lambda v: v.copy(), 0.1)
         smooth, penalty, prox = _model_pieces(model)
-        start = np.array([5.0, -3.0])
+        start = _start(smooth, np.array([5.0, -3.0]))
+        before = model.tally.hess_vec_products
         res = fista_composite(smooth, penalty, prox, start,
                               stop=lambda x, fx, gx: True, max_iter=50)
         assert res.status == "converged"
-        assert res.inner_iterations == 0
-        np.testing.assert_array_equal(res.solution, start)
+        assert res.inner_iterations == 1
+        assert model.tally.hess_vec_products - before == 1
+        assert not np.array_equal(res.solution, start[0])
 
     def test_iteration_cap_is_status_not_error(self):
         rng = np.random.default_rng(1)
@@ -60,13 +71,15 @@ class TestFistaComposite:
         model = QuadraticModel(rng.normal(size=5), rng.normal(size=5), 0.0,
                                lambda v: H @ v, 0.3)
         smooth, penalty, prox = _model_pieces(model)
-        res = fista_composite(smooth, penalty, prox, model.x_ref, max_iter=3)
+        res = fista_composite(smooth, penalty, prox,
+                              _start(smooth, model.x_ref), max_iter=3)
         assert res.status == "iteration_cap"
         assert res.inner_iterations == 3
 
     def test_two_hessian_products_per_iteration(self):
         # one product at the momentum point, one at the candidate; the
-        # monotone fallback adds its own and is reported
+        # monotone fallback adds its own and is reported, and the start
+        # costs none
         rng = np.random.default_rng(2)
         A = rng.normal(size=(8, 8))
         H = A @ A.T + np.eye(8)
@@ -76,10 +89,11 @@ class TestFistaComposite:
                                lambda v: H @ v, mu)
         smooth, penalty, prox = _model_pieces(model)
         for K in (5, 10, 20):
+            start = _start(smooth, model.x_ref)
             before = model.tally.hess_vec_products
-            res = fista_composite(smooth, penalty, prox, model.x_ref,
+            res = fista_composite(smooth, penalty, prox, start,
                                   max_iter=K, lipschitz0=1.01 * L_true)
-            expected = 2 * K + 1 + res.monotone_fallbacks
+            expected = 2 * K + res.monotone_fallbacks
             assert model.tally.hess_vec_products - before == expected
 
     def test_one_hessian_product_per_iteration_on_a_quadratic(self):
@@ -93,11 +107,12 @@ class TestFistaComposite:
                                lambda v: H @ v, 0.3)
         smooth, penalty, prox = _model_pieces(model)
         for K in (5, 10, 20):
+            start = _start(smooth, model.x_ref)
             before = model.tally.hess_vec_products
-            res = fista_composite(smooth, penalty, prox, model.x_ref,
+            res = fista_composite(smooth, penalty, prox, start,
                                   max_iter=K, lipschitz0=1.01 * L_true,
                                   quadratic=True)
-            expected = K + 1 + res.monotone_fallbacks
+            expected = K + res.monotone_fallbacks
             assert model.tally.hess_vec_products - before == expected
 
     def test_momentum_point_extrapolation_matches_the_model(self):
@@ -126,7 +141,8 @@ class TestFistaComposite:
             model = QuadraticModel(rng.normal(size=10), rng.normal(size=10),
                                    0.0, lambda v, H=H: H @ v, 0.4)
             smooth, penalty, prox = _model_pieces(model)
-            runs = [fista_composite(smooth, penalty, prox, model.x_ref,
+            runs = [fista_composite(smooth, penalty, prox,
+                                    _start(smooth, model.x_ref),
                                     max_iter=50, quadratic=flag)
                     for flag in (False, True)]
             generic, extrapolated = runs
@@ -150,8 +166,8 @@ class TestFistaComposite:
             return False
 
         smooth, penalty, prox = _model_pieces(model)
-        fista_composite(smooth, penalty, prox, model.x_ref, stop=record,
-                        max_iter=200)
+        fista_composite(smooth, penalty, prox, _start(smooth, model.x_ref),
+                        stop=record, max_iter=200)
         diffs = np.diff(np.array(values))
         assert np.all(diffs <= 1e-10)
 
@@ -166,7 +182,8 @@ class TestFistaComposite:
         c = g_ref - H @ x_ref
         expected, _ = quadratic_l1_minimizer(H, c, mu)
         smooth, penalty, prox = _model_pieces(model)
-        res = fista_composite(smooth, penalty, prox, x_ref, max_iter=5000)
+        res = fista_composite(smooth, penalty, prox, _start(smooth, x_ref),
+                              max_iter=5000)
         np.testing.assert_allclose(res.solution, expected, atol=1e-7)
 
     def test_model_decrease_recorded(self):
@@ -174,24 +191,19 @@ class TestFistaComposite:
         model = QuadraticModel(rng.normal(size=3), rng.normal(size=3), 0.0,
                                lambda v: v.copy(), 0.2)
         smooth, penalty, prox = _model_pieces(model)
-        res = fista_composite(smooth, penalty, prox, model.x_ref, max_iter=100)
+        res = fista_composite(smooth, penalty, prox,
+                              _start(smooth, model.x_ref), max_iter=100)
         q0 = model_value(model, model.x_ref)
         qf = model_value(model, res.solution)
         assert res.model_decrease == pytest.approx(q0 - qf, abs=1e-12)
         assert res.model_decrease >= 0
-
-    def test_infeasible_start_rejected(self):
-        smooth = lambda z: (np.inf, None)
-        with pytest.raises(ValueError):
-            fista_composite(smooth, lambda z: 0.0, lambda v, t: v,
-                            np.zeros(2), max_iter=5)
 
     def test_curvature_limit_is_a_status(self):
         # every trial point lies outside the domain, so the curvature
         # estimate doubles past its limit without accepting a step
         smooth = lambda z: (0.0, np.ones(2)) if not np.any(z) else (np.inf, None)
         res = fista_composite(smooth, lambda z: 0.0, lambda v, t: v,
-                              np.zeros(2), max_iter=5)
+                              _start(smooth, np.zeros(2)), max_iter=5)
         assert res.status == "line_search_failed"
         assert res.inner_iterations == 0
         assert res.model_decrease == 0.0
@@ -215,13 +227,13 @@ class TestFistaComposite:
             return abs(x[0] - 2.0) <= 1e-10
 
         res = fista_composite(smooth, lambda z: 0.0, lambda v, t: v,
-                              np.zeros(1), stop=stop, max_iter=500,
-                              lipschitz0=4.0)
+                              _start(smooth, np.zeros(1)), stop=stop,
+                              max_iter=500, lipschitz0=4.0)
         assert infeasible
         assert res.status == "converged"
         assert np.all(np.diff(values) <= 0.0)
 
-    def test_stop_checked_at_start_and_every_iterate(self):
+    def test_stop_checked_at_every_iterate(self):
         rng = np.random.default_rng(6)
         model = QuadraticModel(rng.normal(size=4), rng.normal(size=4), 0.0,
                                lambda v: v.copy(), 0.2)
@@ -232,7 +244,9 @@ class TestFistaComposite:
             return False
 
         smooth, penalty, prox = _model_pieces(model)
-        res = fista_composite(smooth, penalty, prox, model.x_ref, stop=stop,
+        res = fista_composite(smooth, penalty, prox,
+                              _start(smooth, model.x_ref), stop=stop,
                               max_iter=17)
-        assert len(calls) == res.inner_iterations + 1
-        np.testing.assert_array_equal(calls[0], model.x_ref)
+        assert len(calls) == res.inner_iterations == 17
+        np.testing.assert_array_equal(calls[-1], res.solution)
+        assert not any(np.array_equal(z, model.x_ref) for z in calls)

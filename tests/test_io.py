@@ -60,6 +60,13 @@ class TestParseSvmlight:
         with pytest.raises(SvmlightParseError, match=":2:"):
             parse_svmlight(path)
 
+    def test_token_with_two_colons_reports_line(self, tmp_path):
+        path = tmp_path / "d.svm"
+        path.write_text("+1 1:2:3\n")
+        with pytest.raises(SvmlightParseError) as info:
+            parse_svmlight(path)
+        assert str(info.value) == f"{path}:1: bad feature token '1:2:3'"
+
     def test_bad_label_reports_line(self, tmp_path):
         path = tmp_path / "d.svm"
         path.write_text("spam 1:1.0\n")
@@ -210,6 +217,13 @@ class TestReports:
         with pytest.raises(OSError, match="cannot write report"):
             write_report(report, missing_dir, "json", CONTEXT)
 
+    def test_unknown_format_rejected(self, tmp_path):
+        _, report = self._run()
+        path = tmp_path / "r.xml"
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            write_report(report, path, "xml")
+        assert not path.exists()
+
     def test_seeded_runs_identical_up_to_time(self, tmp_path):
         paths = []
         for tag in ("a", "b"):
@@ -302,6 +316,22 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert f"{path}:1: non-finite value" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, mu, message", [
+        ("# no samples\n", "0.1", "dataset is empty"),
+        ("+1 1:1.0\n-1 1:-1.0\n", None,
+         "logistic problems require an explicit --mu"),
+    ], ids=["empty", "no_mu"])
+    def test_logistic_input_errors(self, capsys, tmp_path, text, mu, message):
+        path = tmp_path / "d.svm"
+        path.write_text(text)
+        argv = ["--problem", "logistic", "--data", str(path)]
+        if mu is not None:
+            argv += ["--mu", mu]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
         assert captured.out == ""
 
     def test_covariance_from_samples(self, capsys, tmp_path):

@@ -372,10 +372,36 @@ class TestSearchReusesCgProducts:
         d = subspace_cg_solve(model, face, v, cg_cap=3)
         q_z = model.smooth_eval(z)[0] + model.mu * np.abs(z).sum()
         before = model.tally.hess_vec_products
-        # an equal array that is not the CG's own direction
-        outcome = obm_projected_line_search(model, z, face, d.copy(), v, q_z)
+        # products are matched bit for bit, and this direction differs from
+        # the CG's own
+        outcome = obm_projected_line_search(model, z, face, 0.9 * d, v, q_z)
         assert outcome.trials >= 1
         assert model.tally.hess_vec_products - before == outcome.trials
+
+    @pytest.mark.parametrize("changed", ["z", "d"])
+    def test_point_or_direction_changed_in_place_pays(self, changed):
+        # the model holds copies of z and d, so after either is changed in
+        # place the unclipped first trial pays a product and is exact
+        rng = np.random.default_rng(30)
+        A = rng.normal(size=(6, 6))
+        H = A @ A.T + np.eye(6)
+        model = QuadraticModel(np.abs(rng.normal(size=6)) + 100.0,
+                               rng.normal(size=6), 0.9, lambda v: H @ v, 0.5)
+        z = model.x_ref + rng.normal(size=6)
+        u = model.smooth_eval(z)[1]
+        v = min_norm_subgradient_from_gradient(u, z, model.mu)
+        face = orthant_face(z, v)
+        d = subspace_cg_solve(model, face, v, cg_cap=3)
+        if changed == "z":
+            z += 1.0
+        else:
+            d *= 0.5
+        before = model.tally.hess_vec_products
+        # an infinite reference value accepts the first trial
+        outcome = obm_projected_line_search(model, z, face, d, v, np.inf)
+        assert outcome.trials == 1
+        assert model.tally.hess_vec_products - before == 1
+        self._check_against_direct_eval(model, outcome)
 
 
 class TestObmSolve:
