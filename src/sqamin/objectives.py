@@ -2,15 +2,17 @@
 
 Each family exposes pure value/gradient/Hessian-vector functions plus a
 constructor returning a :class:`~sqamin.model.CompositeProblem` with the l1
-weight attached.  The logistic oracles multiply by a dense copy of the
-design matrix when that takes no more bytes than its CSR arrays, so BLAS
-runs the products, and by the CSR matrix otherwise; the copy costs at most
-the CSR's size once more per dataset.  The logistic problem's oracles keep
-a one-point cache of the margins and Hessian weights, reused while the
-solver stays at one iterate, so such a problem should not be shared between
-threads.  The log-det objective treats non-positive-definite points as
-``+inf`` so that line searches reject them and every accepted iterate stays
-inside the cone.
+weight attached.  The logistic oracles multiply by one of three layouts of
+the design matrix: a dense copy when that takes no more bytes than its CSR
+arrays, so BLAS runs the products; a CSC copy when the design is tall with
+short rows, so both products loop over the few columns; else the CSR matrix
+itself.  Either copy costs at most the CSR's size once more per dataset,
+and the transposed product runs on a view of the same layout.  The logistic
+problem's oracles keep a one-point cache of the margins and Hessian
+weights, reused while the solver stays at one iterate, so such a problem
+should not be shared between threads.  The log-det objective treats
+non-positive-definite points as ``+inf`` so that line searches reject them
+and every accepted iterate stays inside the cone.
 """
 
 from dataclasses import dataclass
@@ -56,9 +58,9 @@ class LogisticDataset:
     """Binary classification data: sparse row-major features, +/-1 labels.
 
     The oracles multiply by :attr:`operand`, built on first use and kept: a
-    dense ``float64`` copy of the features when it takes no more bytes than
-    the CSR arrays, else the CSR matrix.  A dataset thus holds at most one
-    more copy of the CSR's size.
+    dense ``float64`` copy of the features, a CSC copy, or the CSR matrix
+    itself (see :attr:`operand` for the rule).  A dataset thus holds at most
+    one more copy of the CSR's size.
     """
 
     features: scipy.sparse.csr_matrix
@@ -98,13 +100,24 @@ class LogisticDataset:
 
     @cached_property
     def operand(self):
-        """``features`` as a dense ``float64`` array, so that BLAS runs the
-        products, when that takes no more bytes than the CSR's ``data``,
-        ``indices`` and ``indptr`` arrays; else ``features`` itself."""
+        """The layout the oracles multiply by, the first that applies:
+
+        - ``features`` as a dense ``float64`` array, so that BLAS runs the
+          products, when that takes no more bytes than the CSR's ``data``,
+          ``indices`` and ``indptr`` arrays;
+        - a CSC copy, ``features.tocsc()``, when there are more samples
+          than features and fewer than 32 stored entries per sample on
+          average: both products then loop over the few columns instead of
+          the many short rows, and add the same terms in the same order;
+        - else ``features`` itself.
+
+        Its transpose is a view, so either copy is the only one made."""
         Z = self.features
         csr_bytes = Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes
         if Z.shape[0] * Z.shape[1] * np.dtype(float).itemsize <= csr_bytes:
             return Z.toarray().astype(float, copy=False)
+        if Z.shape[0] > Z.shape[1] and Z.nnz < 32 * Z.shape[0]:
+            return Z.tocsc()
         return Z
 
 
@@ -125,20 +138,23 @@ def _margins(data, x):
 
 class _LogisticLinearization:
     """Margins ``y * (Z@x)`` at the last point asked for, shared by value,
-    gradient and Hessian products there; the point is compared by value with
-    a stored copy, so mutating ``x`` in place never gives stale results.  The
-    weights ``w = s(1-s)`` are kept from the first Hessian product at a point
-    and the transposed operand from its first use (a view of a dense
-    operand, a CSC copy of a CSR one).  Not safe to share between threads."""
+    gradient and Hessian products there; the point is matched by its shape
+    and a stored copy of its bytes, so mutating ``x`` in place never gives
+    stale results.  The weights ``w = s(1-s)`` are kept from the first
+    Hessian product at a point and the transposed operand from its first
+    use: a view of the operand in every layout (dense, CSC or CSR), so no
+    copy is made for it.  Not safe to share between threads."""
 
     def __init__(self, data):
         self.data = data
-        self._x = self._m = self._w = None
+        self._key = self._m = self._w = None
 
     def _margins_at(self, x):
-        if not np.array_equal(x, self._x):
+        x = np.asarray(x, dtype=float)
+        key = x.shape, x.tobytes()
+        if key != self._key:
             m = _margins(self.data, x)
-            self._x, self._m, self._w = np.array(x, dtype=float), m, None
+            self._key, self._m, self._w = key, m, None
         return self._m
 
     @cached_property

@@ -5,11 +5,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sqamin import (
     CompositeProblem,
     CovarianceProblem,
     LbfgsStore,
+    LogisticDataset,
     QuadraticModel,
     SolverConfig,
     covariance_problem,
@@ -378,6 +380,34 @@ class TestLogisticOracleCache:
                      "hess_vec_products"):
             assert getattr(report, name) == getattr(r_pure, name)
         assert report.trace == r_pure.trace
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_csc_layout_takes_the_csr_steps(self, solver):
+        # a tall design with 4 stored entries per row takes the CSC copy;
+        # forcing the CSR matrix must not move a bit of the run
+        rng = np.random.default_rng(11)
+        Z = scipy.sparse.random(400, 40, density=0.1, format="csr",
+                                random_state=rng)
+        y = np.where(Z @ rng.normal(size=40) + 0.1 * rng.normal(size=400)
+                     >= 0, 1.0, -1.0)
+        runs = []
+        for force_csr in (False, True):
+            data = LogisticDataset(Z, y)
+            if force_csr:
+                vars(data)["operand"] = data.features
+            else:
+                assert data.operand.format == "csc"
+            runs.append(_run(logistic_problem(data, 0.01), solver))
+        (x, report), (x_csr, r_csr) = runs
+        assert report.status == "converged"
+        assert x.tobytes() == x_csr.tobytes()
+        for name in ("outer_iterations", "inner_iterations", "fg_evaluations",
+                     "hess_vec_products"):
+            assert getattr(report, name) == getattr(r_csr, name)
+        rows, rows_csr = (np.array([dataclasses.astuple(row) for row in r.trace])
+                          for r in (report, r_csr))
+        assert rows.shape == rows_csr.shape
+        assert rows.tobytes() == rows_csr.tobytes()
 
 
 class TestNonfiniteObjective:

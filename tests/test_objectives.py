@@ -109,11 +109,18 @@ class TestLogisticDataset:
 
 def _one_per_row_dataset(rng, n_samples=12, n_features=6):
     # one nonzero per row: the CSR arrays take fewer bytes than a dense copy
-    cols = rng.integers(0, n_features, size=n_samples)
+    return _rows_dataset(rng, n_features, np.ones(n_samples, dtype=int))
+
+
+def _rows_dataset(rng, n_features, counts):
+    # row i stores counts[i] entries, in distinct random columns
+    indices = [np.sort(rng.choice(n_features, size=c, replace=False))
+               for c in counts]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
     Z = scipy.sparse.csr_matrix(
-        (rng.normal(size=n_samples), cols, np.arange(n_samples + 1)),
-        shape=(n_samples, n_features))
-    y = np.where(rng.uniform(size=n_samples) > 0.5, 1.0, -1.0)
+        (rng.normal(size=indptr[-1]), np.concatenate(indices), indptr),
+        shape=(len(counts), n_features))
+    y = np.where(rng.uniform(size=len(counts)) > 0.5, 1.0, -1.0)
     return LogisticDataset(Z, y)
 
 
@@ -123,7 +130,9 @@ def _csr_bytes(Z):
 
 class TestLogisticLayout:
     """The oracles multiply by a dense copy of the features exactly when it
-    takes no more bytes than the CSR arrays."""
+    takes no more bytes than the CSR arrays; else by a CSC copy exactly when
+    the design is tall with fewer than 32 stored entries per row on average;
+    else by the CSR matrix itself."""
 
     @staticmethod
     def _row(n_features, columns):
@@ -141,9 +150,36 @@ class TestLogisticLayout:
         np.testing.assert_array_equal(data.operand, data.features.toarray())
 
     def test_sparse_features_keep_the_csr_layout(self):
-        data = _one_per_row_dataset(np.random.default_rng(21))
-        assert 12 * 6 * 8 > _csr_bytes(data.features)
+        # a wide design: the CSR loops over the fewer rows
+        data = _one_per_row_dataset(np.random.default_rng(21), 6, 12)
+        assert 6 * 12 * 8 > _csr_bytes(data.features)
         assert data.operand is data.features
+
+    def test_tall_short_rows_take_a_csc_copy(self):
+        data = _one_per_row_dataset(np.random.default_rng(24))
+        assert 12 * 6 * 8 > _csr_bytes(data.features)
+        Z, C = data.features, data.operand
+        assert C.format == "csc" and C.has_sorted_indices
+        assert C.dtype == Z.dtype and C.nnz == Z.nnz
+        np.testing.assert_array_equal(C.toarray(), Z.toarray())
+        # the transposed product runs on a view of the copy
+        assert np.shares_memory(C.T.data, C.data)
+
+    def test_tall_long_rows_keep_the_csr_layout(self):
+        # 40 entries per row: 40*12 + 4 CSR bytes per row against 64*8 dense
+        data = _rows_dataset(np.random.default_rng(25), 64, np.full(80, 40))
+        assert 80 * 64 * 8 > _csr_bytes(data.features)
+        assert data.operand is data.features
+
+    def test_csc_needs_fewer_than_32_entries_per_row(self):
+        counts = np.full(80, 32)
+        at_boundary = _rows_dataset(np.random.default_rng(26), 64, counts)
+        assert at_boundary.features.nnz == 32 * 80
+        assert at_boundary.operand is at_boundary.features
+        counts[-1] -= 1
+        under = _rows_dataset(np.random.default_rng(26), 64, counts)
+        assert under.features.nnz == 32 * 80 - 1
+        assert under.operand.format == "csc"
 
     def test_equal_bytes_take_the_dense_layout(self):
         # 2 stored entries: 2*8 + 2*4 + 2*4 = 32 bytes of CSR, and 4 dense
@@ -163,8 +199,9 @@ class TestLogisticLayout:
             0.5 * (np.log1p(np.exp(0.0)) + np.log1p(np.exp(0.5))), rel=1e-12)
 
     def test_both_layouts_agree(self):
-        # one matrix stored twice: without its zeros (CSR layout) and with
-        # every entry stored (dense layout)
+        # one matrix stored twice: without its zeros (CSC layout, or the
+        # CSR matrix when forced) and with every entry stored (dense
+        # layout); the sparse layouts add the same terms in the same order
         rng = np.random.default_rng(22)
         n_samples, n_features = 40, 30
         Zd = rng.normal(size=(n_samples, n_features))
@@ -174,15 +211,17 @@ class TestLogisticLayout:
              np.arange(0, Zd.size + 1, n_features)), shape=Zd.shape)
         y = np.where(rng.uniform(size=n_samples) > 0.5, 1.0, -1.0)
         sparse = LogisticDataset(scipy.sparse.csr_matrix(Zd), y)
+        csr = LogisticDataset(sparse.features, y)
+        vars(csr)["operand"] = csr.features
         dense = LogisticDataset(full, y)
-        assert sparse.operand is sparse.features
+        assert sparse.operand.format == "csc"
         assert isinstance(dense.operand, np.ndarray)
 
         def close(a, b):
             a, b = np.asarray(a), np.asarray(b)
             return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
-        a, b = (logistic_problem(d, 0.1) for d in (sparse, dense))
+        a, b, c = (logistic_problem(d, 0.1) for d in (sparse, dense, csr))
         for x, v in rng.normal(size=(5, 2, n_features)):
             assert close(logistic_value(dense, x), logistic_value(sparse, x))
             assert close(logistic_gradient(dense, x),
@@ -192,6 +231,9 @@ class TestLogisticLayout:
             assert close(b.value(x), a.value(x))
             assert close(b.gradient(x), a.gradient(x))
             assert close(b.hess_vec(x, v), a.hess_vec(x, v))
+            assert _bitwise(c.value(x), a.value(x))
+            assert _bitwise(c.gradient(x), a.gradient(x))
+            assert _bitwise(c.hess_vec(x, v), a.hess_vec(x, v))
 
     def test_overflowing_products_are_silent(self):
         # BLAS flags the overflow; the non-finite margins go to the solver
@@ -381,6 +423,18 @@ class TestLogisticProblemCache:
         y = x + 1.0
         assert _bitwise(prob.hess_vec(y, v), logistic_hess_vec(data, y, v))
 
+    def test_same_bytes_in_another_shape_raise(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        data = _small_dataset(rng)
+        prob = logistic_problem(data, 0.1)
+        x = rng.normal(size=6)
+        expected = prob.value(x)
+        calls = self._count_margins(monkeypatch)
+        with pytest.raises(ValueError, match="expected dimension 6"):
+            prob.value(x.reshape(2, 3).copy())
+        assert _bitwise(prob.value(x), expected)
+        assert len(calls) == 1  # only the failed attempt
+
     def test_margins_computed_once_per_point(self, monkeypatch):
         rng = np.random.default_rng(8)
         data = _small_dataset(rng)
@@ -396,8 +450,8 @@ class TestLogisticProblemCache:
         assert len(calls) == 1
 
     @staticmethod
-    def _count_method(monkeypatch, cls, name):
-        calls = []
+    def _count_method(monkeypatch, cls, name, calls=None):
+        calls = [] if calls is None else calls
         original = getattr(cls, name)
 
         def counted(self, *args, **kwargs):
@@ -408,29 +462,36 @@ class TestLogisticProblemCache:
         return calls
 
     def test_construction_computes_nothing(self, monkeypatch):
-        # one dataset per layout: the dense copy and the CSR transpose are
-        # each built once, on first use, and only on their own layout
+        # one dataset per layout: the dense or CSC copy is built once, on
+        # first use, and only in its own layout
         rng = np.random.default_rng(9)
-        for data, dense in ((_small_dataset(rng), True),
-                            (_one_per_row_dataset(rng), False)):
+        for data, layout in ((_small_dataset(rng), "dense"),
+                             (_one_per_row_dataset(rng), "csc"),
+                             (_one_per_row_dataset(rng, 6, 12), "csr")):
             calls = self._count_margins(monkeypatch)
             csr = type(data.features)
-            transposes = self._count_method(monkeypatch, csr, "transpose")
-            copies = self._count_method(monkeypatch, csr, "toarray")
+            transposes = []
+            for cls in (csr, scipy.sparse.csc_matrix):
+                self._count_method(monkeypatch, cls, "transpose", transposes)
+            dense = self._count_method(monkeypatch, csr, "toarray")
+            csc = self._count_method(monkeypatch, csr, "tocsc")
             prob = logistic_problem(data, 0.1)
-            assert calls == [] and transposes == [] and copies == []
+            assert calls == [] and transposes == [] and dense == [] and csc == []
             assert "operand" not in vars(data)
-            prob.value(np.zeros(6))
+            n = data.n_features
+            prob.value(np.zeros(n))
             assert transposes == []
-            assert len(copies) == (1 if dense else 0)
-            for x in np.eye(6):
+            assert len(dense) == (layout == "dense")
+            assert len(csc) == (layout == "csc")
+            for x in np.eye(n):
                 prob.gradient(x)
                 prob.hess_vec(x, x)
-            # the dense operand's transpose is a view, the CSR's a copy
-            # built once per problem
-            assert len(transposes) == (0 if dense else 1)
-            assert len(copies) == (1 if dense else 0)
-            assert len(calls) == 1 + 6
+            # the transpose is a view in every layout: the dense one an
+            # ndarray attribute, the sparse ones taken once per problem
+            assert len(transposes) == (layout != "dense")
+            assert len(dense) == (layout == "dense")
+            assert len(csc) == (layout == "csc")
+            assert len(calls) == 1 + n
             monkeypatch.undo()
 
 
