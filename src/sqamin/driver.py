@@ -285,8 +285,7 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
                                     lipschitz0=warm_lipschitz, quadratic=True)
             warm_lipschitz = inner.lipschitz
         else:
-            inner = obm_solve(model, x, stop, outer_k=k + 1, store=store,
-                              max_iter=config.max_inner)
+            inner = obm_solve(model, stop, k + 1, store, config.max_inner)
         tally.inner_iterations += inner.inner_iterations
         d = inner.solution - x
         stalled = inner.status != "converged" and not inner.model_decrease > 0.0

@@ -104,9 +104,8 @@ class QuadraticModel:
             raise ValueError(f"mu must be finite and nonnegative, got {mu}")
         self.mu = float(mu)
         self.tally = Telemetry() if tally is None else tally
-        # copies of (x, H(x - x_ref)) of the last smooth_eval and of (d, H d)
-        # of the last subspace CG direction: products an inner solver may reuse
-        self.last_eval = None
+        # products an inner solver may reuse; at the reference point H 0 = 0
+        self.last_eval = (self.x_ref.copy(), np.zeros_like(self.x_ref))
         self.step_product = None
 
     @property

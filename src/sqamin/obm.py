@@ -106,10 +106,10 @@ def subspace_cg_solve(model, face, v, cg_cap):
     """Truncated CG on the face-reduced Newton system ``H_FF d_F = -v_F``.
 
     Starts from zero, applies the Hessian to zero-padded directions (one
-    product per CG iteration), and returns early on nonpositive curvature:
-    the current iterate if any progress was made, otherwise the steepest
-    descent direction ``-v_F``.  The full-space product ``H d``, summed from
-    those of the CG directions, is left on the model as a copy
+    product per CG iteration), and returns early on nonpositive or NaN
+    curvature: the current iterate if any progress was made, otherwise the
+    steepest descent direction ``-v_F``.  The full-space product ``H d``,
+    summed from those of the CG directions, is left on the model as a copy
     ``model.step_product = (d, H d)`` for the projected search.
     """
     if cg_cap < 1:
@@ -131,7 +131,7 @@ def subspace_cg_solve(model, face, v, cg_cap):
         hp = model.apply_hessian(padded)
         w = hp[free]
         curvature = float(p @ w)
-        if curvature <= 0.0:
+        if not curvature > 0.0:
             if i == 0:
                 df, hd = r.copy(), hp  # the first direction is r itself
             break
@@ -162,14 +162,14 @@ class ProjectedSearchResult(NamedTuple):
 def _known_products(model, z, d):
     """``(H(z - x_ref), H d)`` when the model already holds both, else None.
 
-    The first is there when the model's last ``smooth_eval`` was at ``z``,
-    the second when ``d`` is the direction ``subspace_cg_solve`` last
-    returned.  Both are matched bit for bit (faster than ``np.array_equal``)
-    against the model's copies, so a point or direction changed in place
-    since pays for its products.
+    The first is there when ``z`` is the model's last evaluated point, at
+    first its reference point, and the second when ``d`` is the direction
+    ``subspace_cg_solve`` last returned.  Both are matched bit for bit
+    (faster than ``np.array_equal``) against the model's copies, so a point
+    or direction changed in place since pays for its products.
     """
     last, step = model.last_eval, model.step_product
-    if (last is None or step is None or last[0].tobytes() != z.tobytes()
+    if (step is None or last[0].tobytes() != z.tobytes()
             or step[0].tobytes() != d.tobytes()):
         return None
     return last[1], step[1]
@@ -182,7 +182,8 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     Armijo test against the subgradient linearization and does not increase
     the model value ``q_ref`` at ``z`` (projection can flip the sign of the
     linearized change, so the plain-decrease guard keeps the iterates
-    monotone).  Returns ``z`` flagged as stalled when the step underflows.
+    monotone).  Returns ``z`` flagged as stalled when the step underflows,
+    or at once, with a NaN ``q_value``, at a NaN trial.
 
     A trial that the projection leaves unclipped lies on the ray
     ``z + alpha d``; when the model holds ``H(z - x_ref)`` and ``H d`` (see
@@ -205,6 +206,9 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
         sval, sgrad = model.smooth_eval(cand, hdx)
         q_cand = sval + model.mu * float(np.abs(cand).sum())
         trials += 1
+        if math.isnan(q_cand):
+            return ProjectedSearchResult(z, 0.0, trials, math.nan, None,
+                                         math.nan, True)
         linearized = float(v @ (cand - z))
         if q_cand <= q_ref + ARMIJO_CONSTANT * linearized and q_cand <= q_ref:
             return ProjectedSearchResult(cand, alpha, trials, sval, sgrad,
@@ -217,14 +221,16 @@ def _ista_safeguard(model, z, sgrad, q_ref):
     """Backtracked proximal-gradient step on the model; guarantees decrease.
 
     Used when the projected search stalls (face identification can produce
-    arbitrarily small steps).  Returns None when no decrease is achievable,
-    i.e. the iterate is numerically optimal for the model.
+    arbitrarily small steps).  Returns None when no decrease is achievable:
+    the iterate is numerically optimal for the model, or a trial is NaN.
     """
     step = 1.0
     for _ in range(60):
         cand = soft_threshold(z - step * sgrad, step * model.mu)
         sval, sgrad_c = model.smooth_eval(cand)
         q_cand = sval + model.mu * float(np.abs(cand).sum())
+        if math.isnan(q_cand):
+            return None
         if q_cand < q_ref - 1e-15 * max(1.0, abs(q_ref)):
             return ProjectedSearchResult(cand, step, 1, sval, sgrad_c,
                                          q_cand, False)
@@ -232,7 +238,7 @@ def _ista_safeguard(model, z, sgrad, q_ref):
     return None
 
 
-def obm_solve(model, start, stop, outer_k, store=None, max_iter=200):
+def obm_solve(model, stop, outer_k, store=None, max_iter=200):
     """Minimize the model by orthant-face identification plus subspace steps.
 
     The subspace phase runs truncated conjugate gradients with the
@@ -241,24 +247,19 @@ def obm_solve(model, start, stop, outer_k, store=None, max_iter=200):
     ``stop`` has the signature ``stop(z, smooth_value, smooth_grad)`` and is
     checked at the start and after every accepted iterate.  Model values are
     nonincreasing along the iterates; a stalled projected search falls back
-    to a proximal-gradient step with guaranteed decrease before giving up.
-    A NaN model value at the start admits no decrease: the solve ends there
-    with status ``"stalled"``.
+    to a proximal-gradient step with guaranteed decrease before giving up,
+    and a NaN trial value ends the solve with status ``"stalled"``.
 
-    The start costs one Hessian-vector product, each CG iteration one, and
-    each projected-search trial one unless it is an unclipped point along a
-    CG direction, whose product the CG already applied.  Quasi-Newton
-    directions and safeguard steps pay one per trial.
+    The start, the model's reference point, costs no Hessian-vector product,
+    each CG iteration one, and each projected-search trial one unless it is
+    an unclipped point along a CG direction, whose product the CG already
+    applied.  Quasi-Newton directions and safeguard steps pay one per trial.
     """
-    z = np.array(start, dtype=float)
-    sval, sgrad = model.smooth_eval(z)
-    q_z = sval + model.mu * float(np.abs(z).sum())
-    q_start = q_z
+    z, sval, sgrad = model.x_ref.copy(), model.f_ref, model.g_ref
+    q_z = q_start = model.reference_objective()
     iterations = 0
     status = "iteration_cap"
     done = stop is not None and stop(z, sval, sgrad)
-    if not done and math.isnan(q_z):
-        return InnerResult(z, 0, 0.0, "stalled")
     while not done and iterations < max_iter:
         v = min_norm_subgradient_from_gradient(sgrad, z, model.mu)
         face = orthant_face(z, v)
@@ -270,11 +271,11 @@ def obm_solve(model, start, stop, outer_k, store=None, max_iter=200):
             outcome = obm_projected_line_search(model, z, face, d, v, q_ref=q_z)
         else:
             outcome = ProjectedSearchResult(z, 0.0, 0, sval, sgrad, q_z, True)
-        if outcome.stalled:
+        if outcome.stalled and not math.isnan(outcome.q_value):
             outcome = _ista_safeguard(model, z, sgrad, q_z)
-            if outcome is None:
-                status = "stalled"
-                break
+        if outcome is None or outcome.stalled:
+            status = "stalled"
+            break
         z, sval, sgrad, q_z = (outcome.point, outcome.smooth_value,
                                outcome.smooth_grad, outcome.q_value)
         iterations += 1

@@ -244,9 +244,12 @@ class TestSqaSolve:
         assert report.status == "converged"
         assert report.hess_vec_products <= 1.1 * report.inner_iterations
 
-    def test_fista_inner_solve_pays_no_product_at_its_start(self):
-        # the inner solve starts from the driver's (x, f, g), so the model
-        # Hessian is never applied to the zero step
+    @pytest.mark.parametrize("inner", ["fista", "obm_cg", "obm_qn"])
+    def test_inner_solve_pays_no_product_at_its_start(self, inner,
+                                                      monkeypatch):
+        # the inner solve starts from the model's reference point, whose
+        # value and gradient the driver has evaluated, so the model Hessian
+        # is never applied to the zero step
         prob = synthetic_quadratic(60, 1e3, seed=5, mu=0.1)
         steps = []
 
@@ -254,8 +257,15 @@ class TestSqaSolve:
             steps.append(v.copy())
             return prob.hess_vec(x, v)
 
+        lbfgs_hessian_vec = LbfgsStore.hessian_vec
+
+        def lbfgs_recorded(store, v):
+            steps.append(np.array(v, dtype=float))
+            return lbfgs_hessian_vec(store, v)
+
+        monkeypatch.setattr(LbfgsStore, "hessian_vec", lbfgs_recorded)
         _, report = sqa_solve(dataclasses.replace(prob, hess_vec=hess_vec),
-                              SolverConfig(inner_solver="fista"))
+                              SolverConfig(inner_solver=inner))
         assert report.status == "converged"
         assert len(steps) == report.hess_vec_products
         assert all(np.any(v) for v in steps)

@@ -103,6 +103,17 @@ class TestSmoothEvalFromKnownProduct:
         np.testing.assert_array_equal(last_x, evaluated)
         np.testing.assert_array_equal(last_hdx, sgrad - model.g_ref)
 
+    def test_a_fresh_model_holds_its_reference_point_and_zero(self):
+        # H 0 = 0, so the reference point's product is known without one;
+        # the model keeps a copy, which the caller's in-place edit misses
+        x_ref = np.array([1.0, -2.0, 0.5])
+        model = QuadraticModel(x_ref, np.ones(3), 0.0, lambda v: 2.0 * v, 0.1)
+        x_ref += 1.0
+        last_x, last_hdx = model.last_eval
+        np.testing.assert_array_equal(last_x, [1.0, -2.0, 0.5])
+        np.testing.assert_array_equal(last_hdx, np.zeros(3))
+        assert model.tally.hess_vec_products == 0
+
 
 class TestLinearModelValue:
     def test_value_at_reference(self):

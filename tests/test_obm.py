@@ -34,6 +34,18 @@ def _random_model(rng, n=6, mu=0.5):
     )
 
 
+def _centred_at(model, y):
+    """The same model, with its reference point moved to ``y``."""
+    f_y, g_y = model.smooth_eval(y)
+    return QuadraticModel(y, g_y, f_y, model.hessian, model.mu)
+
+
+def _nan_model(x_ref, g_ref, mu=0.1):
+    """A model whose every Hessian product is NaN."""
+    return QuadraticModel(x_ref, g_ref, 0.0,
+                          lambda v: np.full(v.shape, np.nan), mu)
+
+
 class TestMinNormSubgradient:
     def test_positive_component(self):
         rng = np.random.default_rng(0)
@@ -220,14 +232,14 @@ class TestSubspaceCgSolve:
                 assert v @ d < 0
 
     def test_nonpositive_curvature_falls_back_to_steepest_descent(self):
+        # a concave model and a NaN one: the curvature test must trigger
         n = 3
-        H = -np.eye(n)  # concave model: curvature test must trigger
-        model = QuadraticModel(np.zeros(n), np.zeros(n), 0.0,
-                               lambda v: H @ v, 0.0)
         face = OrthantFace(np.ones(n, dtype=np.int8))
         v = np.array([1.0, -2.0, 0.5])
-        d = subspace_cg_solve(model, face, v, cg_cap=3)
-        np.testing.assert_allclose(d, -v)
+        for hessian in (lambda w: -w, lambda w: np.full(n, np.nan)):
+            model = QuadraticModel(np.zeros(n), np.zeros(n), 0.0, hessian, 0.0)
+            d = subspace_cg_solve(model, face, v, cg_cap=3)
+            np.testing.assert_allclose(d, -v)
 
 
 class TestProjectedLineSearch:
@@ -408,7 +420,7 @@ class TestObmSolve:
     def test_immediate_stop_at_exact_minimizer(self):
         rng = np.random.default_rng(14)
         model = _random_model(rng, n=4)
-        ybar = model_exact_minimizer(model)
+        model = _centred_at(model, model_exact_minimizer(model))
         calls = []
 
         def stop(z, sval, sgrad):
@@ -416,7 +428,7 @@ class TestObmSolve:
             calls.append(np.linalg.norm(Fq))
             return np.linalg.norm(Fq) <= 1e-8
 
-        res = obm_solve(model, ybar, stop, outer_k=1)
+        res = obm_solve(model, stop, outer_k=1)
         assert res.status == "converged"
         assert res.inner_iterations == 0
         assert calls[0] <= 1e-8
@@ -434,7 +446,7 @@ class TestObmSolve:
             Fq = sgrad - np.clip(sgrad - z / 0.5, -mu, mu)
             return np.linalg.norm(Fq) <= 1e-12
 
-        res = obm_solve(model, x_ref, stop, outer_k=100, max_iter=500)
+        res = obm_solve(model, stop, outer_k=100, max_iter=500)
         np.testing.assert_allclose(res.solution, expected, atol=1e-8)
 
     def test_qn_variant_minimizes_store_model(self):
@@ -456,8 +468,7 @@ class TestObmSolve:
             Fq = sgrad - np.clip(sgrad - z / 0.5, -mu, mu)
             return np.linalg.norm(Fq) <= 1e-10
 
-        res = obm_solve(model, model.x_ref, stop, outer_k=1, store=store,
-                        max_iter=300)
+        res = obm_solve(model, stop, outer_k=1, store=store, max_iter=300)
         assert res.status == "converged"
         np.testing.assert_allclose(res.solution, ybar, atol=1e-6)
 
@@ -470,7 +481,7 @@ class TestObmSolve:
             values.append(sval + model.mu * np.abs(z).sum())
             return False
 
-        obm_solve(model, model.x_ref, stop, outer_k=5, max_iter=60)
+        obm_solve(model, stop, outer_k=5, max_iter=60)
         assert np.all(np.diff(np.array(values)) <= 1e-11)
 
     def test_subspace_objective_identity_on_face(self):
@@ -540,7 +551,7 @@ class TestObmStallRecovery:
             return outcome
 
         monkeypatch.setattr(obm, "obm_projected_line_search", counted_search)
-        res = obm_solve(model, model.x_ref, stop, outer_k=1, max_iter=60)
+        res = obm_solve(model, stop, outer_k=1, max_iter=60)
         # the direction did not come from the CG, so every trial pays
         assert searches and all(t == p for t, p in searches)
         assert outcomes and all(o is not None for o in outcomes)
@@ -554,8 +565,39 @@ class TestObmStallRecovery:
         model = QuadraticModel(np.zeros(3), np.array([-3.0, 0.5, 2.0]), 0.0,
                                lambda w: w.copy(), 1.0)
         ybar = np.array([2.0, 0.0, -1.0])
-        res = obm_solve(model, ybar, None, outer_k=1)
+        res = obm_solve(_centred_at(model, ybar), None, outer_k=1)
         assert res.status == "stalled"
         assert res.inner_iterations == 0
         assert res.model_decrease == 0.0
         np.testing.assert_array_equal(res.solution, ybar)
+
+    def test_nan_trial_value_stalls_at_once(self, monkeypatch):
+        # the CG falls back to steepest descent on the NaN curvature, and
+        # the projection clips the first trial, which then pays a NaN
+        # product: no decrease is measurable, so neither more trials nor
+        # the safeguard are tried
+        model = _nan_model([1.0, -1.0, 0.5], np.array([3.0, 0.2, -0.1]))
+        projections = []
+        project = obm.orthant_project
+
+        def recorded(w, face):
+            projections.append((w, project(w, face)))
+            return projections[-1][1]
+
+        monkeypatch.setattr(obm, "orthant_project", recorded)
+        res = obm_solve(model, None, outer_k=1)
+        ray, cand = projections[0]
+        assert not np.array_equal(cand, ray)
+        assert res.status == "stalled"
+        assert res.inner_iterations == 0
+        assert res.model_decrease == 0.0
+        assert model.tally.hess_vec_products <= 2
+        np.testing.assert_array_equal(res.solution, model.x_ref)
+
+    def test_safeguard_gives_up_at_its_first_nan_trial(self):
+        model = _nan_model([1.0, -1.0, 0.5], np.array([3.0, 0.2, -0.1]))
+        z = model.x_ref
+        outcome = obm._ista_safeguard(model, z, model.g_ref,
+                                      model.reference_objective())
+        assert outcome is None
+        assert model.tally.hess_vec_products == 1
