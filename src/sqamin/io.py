@@ -8,6 +8,7 @@ convergence reports with a fixed schema.
 import csv
 import json
 import math
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -36,6 +37,10 @@ _SUMMARY_FIELDS = tuple(name for name in _REPORT_FIELDS
 _TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 
 
+_PAIR = [("index", np.int64), ("value", np.float64)]
+_MAX_INDEX = int(np.iinfo(np.int32).max)
+
+
 class SvmlightParseError(ValueError):
     """Malformed SVMLight input; the message carries the line number."""
 
@@ -43,11 +48,59 @@ class SvmlightParseError(ValueError):
 def parse_svmlight(path, n_features=None):
     """Parse "label idx:val ..." lines into a :class:`LogisticDataset`.
 
-    Indices are 1-based in the file and strictly increasing within a line;
-    any positive label maps to +1, everything else to -1; text after '#' is
-    ignored.  The feature count is inferred from the largest index unless
-    ``n_features`` overrides it (it must then cover every index seen).
+    Indices are 1-based in the file, at most ``2**31 - 1`` and strictly
+    increasing within a line; any positive label maps to +1, everything
+    else to -1; text after '#' is ignored.  The feature count is inferred
+    from the largest index unless ``n_features`` overrides it (it must then
+    cover every index seen).
+
+    Python reads the file line by line and keeps each line's label and
+    feature count; one ``np.loadtxt`` call converts all the ``idx:val``
+    tokens, streamed to it, and :class:`LogisticDataset` checks the values,
+    index range and order.  When that raises ``ValueError``, the file is
+    read again token by token: that pass raises :class:`SvmlightParseError`
+    naming ``path:line``, or accepts the few tokens that only Python's
+    ``int`` and ``float`` read (such as ``1_0``) with the same values.
     """
+    labels, counts = [], []
+    try:
+        with (open(path, "r", encoding="utf-8") as handle,
+              warnings.catch_warnings()):
+            # a file of labels and comments only has no feature token
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            pairs = np.loadtxt(_feature_tokens(handle, labels, counts),
+                               delimiter=":", dtype=_PAIR, ndmin=1)
+        index = pairs["index"]
+        # astype(np.int32) below would wrap an index outside this range
+        if index.size and not 1 <= index.min() <= index.max() <= _MAX_INDEX:
+            raise ValueError("feature index outside [1, 2**31 - 1]")
+        n = int(index.max(initial=0)) if n_features is None else int(n_features)
+        matrix = scipy.sparse.csr_matrix(
+            (np.ascontiguousarray(pairs["value"]),
+             (index - 1).astype(np.int32),
+             np.cumsum([0] + counts).astype(np.int32)),
+            shape=(len(labels), n),
+        )
+        y = np.array([1.0 if float(label) > 0 else -1.0 for label in labels])
+        return LogisticDataset(matrix, y)
+    except ValueError:
+        return _parse_lines(path, n_features)
+
+
+def _feature_tokens(handle, labels, counts):
+    """Yield the ``idx:val`` tokens of each data line of ``handle``, after
+    appending the line's label token to ``labels`` and its number of
+    feature tokens to ``counts``."""
+    for raw in handle:
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            labels.append(tokens[0])
+            counts.append(len(tokens) - 1)
+            yield from tokens[1:]
+
+
+def _parse_lines(path, n_features):
+    """:func:`parse_svmlight` one token at a time, naming the first bad line."""
     labels = []
     indptr = [0]
     indices = []
@@ -83,6 +136,9 @@ def parse_svmlight(path, n_features=None):
                 if idx < 1:
                     raise SvmlightParseError(
                         f"{path}:{lineno}: index {idx} is not positive")
+                if idx > _MAX_INDEX:
+                    raise SvmlightParseError(
+                        f"{path}:{lineno}: index {idx} exceeds {_MAX_INDEX}")
                 if idx <= previous:
                     raise SvmlightParseError(
                         f"{path}:{lineno}: indices not strictly increasing")

@@ -247,8 +247,10 @@ def obm_solve(model, stop, outer_k, store=None, max_iter=200):
     ``stop`` has the signature ``stop(z, smooth_value, smooth_grad)`` and is
     checked at the start and after every accepted iterate.  Model values are
     nonincreasing along the iterates; a stalled projected search falls back
-    to a proximal-gradient step with guaranteed decrease before giving up,
-    and a NaN trial value ends the solve with status ``"stalled"``.
+    to a proximal-gradient step with guaranteed decrease before giving up.
+    A NaN trial value, or a zero minimum-norm subgradient (an exact model
+    minimizer, where no step decreases the model), ends the solve with
+    status ``"stalled"``.
 
     The start, the model's reference point, costs no Hessian-vector product,
     each CG iteration one, and each projected-search trial one unless it is
@@ -271,7 +273,8 @@ def obm_solve(model, stop, outer_k, store=None, max_iter=200):
             outcome = obm_projected_line_search(model, z, face, d, v, q_ref=q_z)
         else:
             outcome = ProjectedSearchResult(z, 0.0, 0, sval, sgrad, q_z, True)
-        if outcome.stalled and not math.isnan(outcome.q_value):
+        # a zero v marks an exact model minimizer: no step decreases the model
+        if outcome.stalled and not math.isnan(outcome.q_value) and np.any(v):
             outcome = _ista_safeguard(model, z, sgrad, q_z)
         if outcome is None or outcome.stalled:
             status = "stalled"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sqamin import (
     write_report,
     write_svmlight,
 )
+import sqamin.io as sqio
 from sqamin.cli import _build_parser, _load_problem, main
 from sqamin.io import SOLVERS
 
@@ -139,6 +141,165 @@ class TestParseSvmlight:
             back = parse_svmlight(path, n_features=n_cols)
             assert (back.features != data.features).nnz == 0
             np.testing.assert_array_equal(back.labels, data.labels)
+
+
+def _write(tmp_path, text, name="d.svm"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _assert_same_arrays(a, b):
+    """Byte-equal CSR arrays and labels, dtypes included."""
+    for x, y in ((a.features.data, b.features.data),
+                 (a.features.indices, b.features.indices),
+                 (a.features.indptr, b.features.indptr),
+                 (a.labels, b.labels)):
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+    assert a.features.shape == b.features.shape
+
+
+class TestParsePaths:
+    """``parse_svmlight`` converts all feature tokens with one numpy call and
+    falls back to the token loop ``_parse_lines`` on any ``ValueError``; the
+    two must agree byte for byte, and the loop alone names the bad line."""
+
+    @pytest.fixture
+    def loop_calls(self, monkeypatch):
+        calls = []
+        loop = sqio._parse_lines
+
+        def recorded(path, n_features):
+            calls.append(path)
+            return loop(path, n_features)
+
+        monkeypatch.setattr(sqio, "_parse_lines", recorded)
+        return calls
+
+    @pytest.mark.parametrize("text, via_loop", [
+        ("+1 1:0.5 3:2\r\n-1 2:1.5\r\n", False),
+        ("+1 1:0.5 3:2\r-1 2:1.5\r", False),
+        ("+1\t1:0.5  \t 3:2\n-1   2:1.5\t\n", False),
+        ("+1 1:0.5\f3:2\n-1 2:1.5\n", False),
+        ("+1\n-1 2:1.5\n+1\n", False),
+        ("# a\n+1 1:1 # b\n   # c\n-1 2:2\n", False),
+        ("+1 1:0.5\n-1 2:1.5", False),
+        ("+1 +5:1.0 07:2.0\n", False),
+        ("-1 1:-0 2:-0.0 3:0 4:+0\n", False),
+        ("+1 1:5e-324 2:1e-400 3:2.2250738585072014e-308 4:-1e-400\n",
+         False),
+        ("+1 1_0:1 11:2_5\n-1 \u0663:1\n", True),
+    ], ids=["crlf", "lone_cr", "tabs_and_spaces", "form_feed", "label_only",
+            "comment_only", "no_trailing_newline", "plus_and_zero_padded",
+            "negative_zero", "subnormal_and_underflow", "python_only"])
+    def test_fast_path_matches_the_loop(self, tmp_path, loop_calls, text,
+                                        via_loop):
+        path = _write(tmp_path, text)
+        data = parse_svmlight(path)
+        assert loop_calls == ([path] if via_loop else [])
+        _assert_same_arrays(data, sqio._parse_lines(path, None))
+
+    def test_form_feed_does_not_split_a_line(self, tmp_path):
+        path = _write(tmp_path, "+1 1:0.5\f3:2\n-1 2:abc\n")
+        with pytest.raises(SvmlightParseError) as info:
+            parse_svmlight(path)
+        assert str(info.value) == f"{path}:2: bad feature token '2:abc'"
+
+    def test_values_and_signs_kept(self, tmp_path):
+        path = _write(tmp_path, "-1 1:-0 2:1e-400 3:5e-324 4:-0.0\n"
+                                "+1 +5:1.0 07:2.5\n+1 \u0663:4 1_0:3\n",
+                      name="v.svm")
+        data = parse_svmlight(path)
+        Z = data.features
+        np.testing.assert_array_equal(Z.indptr, [0, 4, 6, 8])
+        np.testing.assert_array_equal(Z.indices, [0, 1, 2, 3, 4, 6, 2, 9])
+        assert list(np.signbit(Z.data[:4])) == [True, False, False, True]
+        assert Z.data[2] == 5e-324
+        np.testing.assert_array_equal(Z.data[4:], [1.0, 2.5, 4.0, 3.0])
+
+    def test_random_files_match_the_loop(self, tmp_path, loop_calls):
+        # 17-digit values over a wide exponent range, as write_svmlight emits
+        rng = np.random.default_rng(13)
+        Z = scipy.sparse.random(200, 50, density=0.2, random_state=13,
+                                format="csr")
+        Z.data = rng.normal(size=Z.data.size) * 10.0 ** rng.integers(
+            -300, 300, size=Z.data.size)
+        Z.sort_indices()
+        labels = np.where(rng.uniform(size=200) > 0.5, 1.0, -1.0)
+        path = tmp_path / "r.svm"
+        write_svmlight(LogisticDataset(Z, labels), path)
+        data = parse_svmlight(path, n_features=50)
+        assert loop_calls == []
+        _assert_same_arrays(data, sqio._parse_lines(path, 50))
+        assert Z.data.tobytes() == data.features.data.tobytes()
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("+1 1:1\nspam 1:1.0\n", 2, "bad label 'spam'"),
+        ("+1 1:1\n-1 5\n", 2, "bad feature token '5'"),
+        ("+1 2:abc\n", 1, "bad feature token '2:abc'"),
+        ("+1 3:\n", 1, "bad feature token '3:'"),
+        ("+1 :3\n", 1, "bad feature token ':3'"),
+        ("+1 1.0:2\n", 1, "bad feature token '1.0:2'"),
+        ("+1 1:0x1p3\n", 1, "bad feature token '1:0x1p3'"),
+        ("+1 1:0.5\n-1 2:inf\n", 2, "non-finite value in '2:inf'"),
+        ("+1 0:1.0\n", 1, "index 0 is not positive"),
+        ("+1 -4:1.0\n", 1, "index -4 is not positive"),
+        ("+1 -4294967291:1.0\n", 1, "index -4294967291 is not positive"),
+        ("+1 3000000000:1.0\n", 1, "index 3000000000 exceeds 2147483647"),
+        ("+1 4294967301:1.0\n", 1, "index 4294967301 exceeds 2147483647"),
+        ("+1 99999999999999999999:1.0\n", 1,
+         "index 99999999999999999999 exceeds 2147483647"),
+        ("+1 1:1\n-1 3:1.0 2:1.0\n", 2, "indices not strictly increasing"),
+        ("+1 2:1.0 2:4.0\n", 1, "indices not strictly increasing"),
+    ], ids=["label", "token_no_colon", "token_value", "token_empty_value",
+            "token_empty_index", "token_float_index", "token_hex_value",
+            "nonfinite", "zero_index", "negative_index", "negative_wraps_to_4",
+            "index_above_int32", "positive_wraps_to_4", "index_above_int64",
+            "decreasing", "duplicate"])
+    def test_exact_message(self, tmp_path, text, where, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(SvmlightParseError) as info:
+            parse_svmlight(path)
+        assert str(info.value) == f"{path}:{where}: {message}"
+
+    def test_exact_message_for_too_few_features(self, tmp_path):
+        path = _write(tmp_path, "+1 1:1.0 3:2.0\n")
+        with pytest.raises(SvmlightParseError) as info:
+            parse_svmlight(path, n_features=2)
+        assert str(info.value) == (
+            f"{path}: n_features=2 smaller than largest index 3")
+
+    @pytest.mark.parametrize("text, message", [
+        ("+1 1:1\n-1 2:x\n+1 0:1\n", ":2: bad feature token '2:x'"),
+        ("+1 2:1 1:1\n-1 2:x\n", ":1: indices not strictly increasing"),
+        ("+1 1:nan\nspam\n", ":1: non-finite value in '1:nan'"),
+    ], ids=["two_bad_tokens", "order_before_token", "value_before_label"])
+    def test_first_bad_line_named(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(SvmlightParseError) as info:
+            parse_svmlight(path)
+        assert str(info.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize("text, n_features, shape", [
+        ("+1\n-1\n", None, (2, 0)),
+        ("+1\n-1 # none\n", 5, (2, 5)),
+        ("# a\n\n   # b\n", None, (0, 0)),
+    ], ids=["label_only", "label_only_wide", "comment_only"])
+    def test_no_feature_tokens_without_warnings(self, tmp_path, loop_calls,
+                                                text, n_features, shape):
+        path = _write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = parse_svmlight(path, n_features=n_features)
+        assert data.features.shape == shape
+        assert data.features.nnz == 0
+        assert loop_calls == []
+
+    def test_missing_file_is_not_retried(self, tmp_path, loop_calls):
+        with pytest.raises(FileNotFoundError):
+            parse_svmlight(tmp_path / "missing.svm")
+        assert loop_calls == []
 
 
 class TestSampleCovariance:
@@ -316,6 +477,16 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert f"{path}:1: non-finite value" in captured.err
+        assert captured.out == ""
+
+    def test_logistic_huge_index_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.svm"
+        path.write_text("+1 1:0.5\n-1 3000000000:1.0\n")
+        code = main(["--problem", "logistic", "--data", str(path),
+                     "--mu", "0.1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"{path}:2: index 3000000000 exceeds 2147483647" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("text, mu, message", [

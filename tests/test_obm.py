@@ -560,16 +560,19 @@ class TestObmStallRecovery:
         assert res.model_decrease == pytest.approx(values[0] - values[-1])
 
     def test_stalls_in_place_at_the_model_minimizer(self):
-        # at the exact minimizer the minimum-norm subgradient is zero, so the
-        # subspace step is zero and no proximal step decreases the model
+        # at the exact minimizer the minimum-norm subgradient is zero and no
+        # step decreases the model, so the solve stops there without paying
+        # a Hessian product
         model = QuadraticModel(np.zeros(3), np.array([-3.0, 0.5, 2.0]), 0.0,
                                lambda w: w.copy(), 1.0)
         ybar = np.array([2.0, 0.0, -1.0])
-        res = obm_solve(_centred_at(model, ybar), None, outer_k=1)
+        model = _centred_at(model, ybar)
+        res = obm_solve(model, None, outer_k=1)
         assert res.status == "stalled"
         assert res.inner_iterations == 0
         assert res.model_decrease == 0.0
         np.testing.assert_array_equal(res.solution, ybar)
+        assert model.tally.hess_vec_products == 0
 
     def test_nan_trial_value_stalls_at_once(self, monkeypatch):
         # the CG falls back to steepest descent on the NaN curvature, and
