@@ -113,6 +113,10 @@ def _print_summary(report, stream):
     print(f"inner iterations: {report.inner_iterations}", file=stream)
     print(f"function/gradient evals: {report.fg_evaluations}", file=stream)
     print(f"Hessian-vector mults: {report.hess_vec_products}", file=stream)
+    print(f"L-BFGS skipped updates: {report.lbfgs_skipped_updates}",
+          file=stream)
+    print(f"L-BFGS fallback solves: {report.lbfgs_fallback_solves}",
+          file=stream)
     print(f"time (s): {report.wall_time_seconds:.2f}", file=stream)
     print(f"final residual (inf-norm): {report.final_residual_inf:.3e}",
           file=stream)

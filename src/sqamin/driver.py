@@ -222,6 +222,8 @@ def _report(solver, status, trace, tally, t0, tol_inf):
         wall_time_seconds=time.perf_counter() - t0,
         final_residual_inf=res_inf,
         trace=trace,
+        lbfgs_skipped_updates=tally.lbfgs_skipped_updates,
+        lbfgs_fallback_solves=tally.lbfgs_fallback_solves,
     )
 
 

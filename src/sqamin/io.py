@@ -32,8 +32,11 @@ SOLVERS = ("fista",) + tuple(f"sqa_{name}" for name in INNER_SOLVERS)
 PROBLEM_KINDS = ("logistic", "covariance", "synthetic")
 
 _REPORT_FIELDS = tuple(f.name for f in fields(ConvergenceReport))
+# the CSV summary keeps its six columns; later counters are JSON-only
 _SUMMARY_FIELDS = tuple(name for name in _REPORT_FIELDS
-                        if name not in ("solver", "status", "trace"))
+                        if name not in ("solver", "status", "trace",
+                                        "lbfgs_skipped_updates",
+                                        "lbfgs_fallback_solves"))
 _TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 
 
@@ -218,10 +221,14 @@ def write_report(report, path, report_format="json", context=None):
 
 
 def read_report(path):
-    """Load a JSON report back into a :class:`ConvergenceReport`."""
+    """Load a JSON report back into a :class:`ConvergenceReport`.
+
+    A report written before the L-BFGS counters existed loads with them 0.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    report = ConvergenceReport(**{name: payload[name] for name in _REPORT_FIELDS})
+    report = ConvergenceReport(**{name: payload[name] for name in _REPORT_FIELDS
+                                  if name in payload})
     report.trace = [TraceRow(**{name: row[name] for name in _TRACE_FIELDS})
                     for row in report.trace]
     return report

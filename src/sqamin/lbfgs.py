@@ -2,48 +2,98 @@
 
 The store keeps at most ``memory`` curvature-guarded correction pairs from
 outer-iteration differences.  The implied Hessian approximation ``B`` (base
-``sigma * I`` with ``sigma = y@y / s@y`` of the newest pair) is applied
-through the compact low-rank representation
+``sigma * I`` with ``sigma = y@y / s@y`` of the newest pair) is the compact
+representation of Byrd, Nocedal and Schnabel (1994)
 
     B = sigma*I - U W^{-1} U.T,   U = [sigma*S  Y],
     W = [[sigma*S.T@S, L], [L.T, -D]],
 
-with ``D`` the diagonal and ``L`` the strictly lower triangle of ``S.T@Y``.
-Reduced solves restricted to the free variables of an orthant face invert
-``B_FF = sigma*I - U_F W^{-1} U_F.T`` via the Sherman-Morrison-Woodbury
-identity, which needs only one dense factorization of size at most
-``2*memory`` and never forms an n-by-n matrix.
+with ``D`` the diagonal and ``L`` the strictly lower triangle of ``S.T@Y``,
+the pairs taken oldest first.
+
+The pairs live in two ``memory``-by-n ring buffers, one row per pair, and a
+new pair overwrites the oldest row.  Chronological order lives only in an
+age index per row, which fixes ``L`` and ``D``; the small matrices are kept
+in buffer-row order, which permutes ``W`` symmetrically and leaves ``B`` as
+it is.
+The Grams ``S.T@S``, ``S.T@Y`` and ``Y.T@Y`` are ``memory``-square arrays,
+and each accepted pair rewrites one row and one column of each at
+O(n*memory) cost.  ``U`` and ``W`` are never formed.  Products with ``B``
+solve ``W`` by block elimination on ``D``, which needs one Cholesky factor
+per accepted pair, of the SPD matrix ``sigma*S.T@S + L D^{-1} L.T``.
+
+Reduced solves on the free variables ``F`` of an orthant face (``A`` the
+active ones) invert ``B_FF`` by the Sherman-Morrison-Woodbury identity,
+whose middle matrix ``W - U_F.T@U_F/sigma`` has the blocks
+
+    P = sigma*S_A.T@S_A,   Q = L - S_F.T@Y_F,   -N = -(D + Y_F.T@Y_F/sigma).
+
+Eliminating on the SPD ``N`` leaves the Schur complement ``P + Q N^{-1} Q.T``,
+SPD whenever ``B_FF`` is, so a solve takes two ``memory``-square Choleskys
+and never forms an n-by-n matrix.  ``P`` comes from the active coordinates,
+so it needs no cancellation; ``S_F.T@Y_F`` and ``Y_F.T@Y_F`` come from the
+smaller of the free and active sets, the active part subtracted from the
+kept Grams when the active set is the smaller.
 """
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = ["LbfgsStore", "lbfgs_update", "lbfgs_reduced_inverse_solve"]
 
 CURVATURE_GUARD = 1e-10
 
 
+# The systems are at most ``memory`` square, so the LAPACK routines are
+# called directly: scipy.linalg's checking wrappers cost more than the work.
+def _cholesky(A):
+    """Lower Cholesky factor of a symmetric matrix; LinAlgError unless SPD."""
+    R, info = dpotrf(A, lower=1, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return R
+
+
+def _cho_solve(R, b):
+    """Solve ``R R.T x = b`` for a lower Cholesky factor ``R``."""
+    return dpotrs(R, b, lower=1)[0]
+
+
+def _lower_solve(R, b, trans=0):
+    """Solve ``R x = b`` (``R.T x = b`` if ``trans``) for lower-triangular ``R``."""
+    return dtrtrs(R, b, lower=1, trans=trans)[0]
+
+
 class LbfgsStore:
-    """Correction pairs plus refreshed compact factors."""
+    """Correction pairs in ring buffers plus their compact-form factors."""
 
     def __init__(self, memory=50):
         if memory < 1:
             raise ValueError(f"memory must be positive, got {memory}")
         self.memory = memory
-        self._s = []
-        self._y = []
         self.gamma_scale = 1.0  # inverse-Hessian base scale, s@y / y@y
-        self._U = None
-        self._W_lu = None
-        self._W = None
+        self._S = self._Y = None  # memory-by-n ring buffers, allocated lazily
+        self._SS = np.zeros((memory, memory))
+        self._SY = np.zeros((memory, memory))  # _SY[i, j] = s_i @ y_j
+        self._YY = np.zeros((memory, memory))
+        self._age = np.zeros(memory, dtype=np.int64)
+        self._count = 0  # pairs accepted so far; the next one's age
+        self._L = None  # strictly-lower part of S.T@Y by age, row order
+        self._d = None  # diagonal of S.T@Y
+        self._C_chol = None  # lower factor of sigma*S.T@S + L D^{-1} L.T
 
     def __len__(self):
-        return len(self._s)
+        return min(self._count, self.memory)
 
     @property
     def sigma(self):
         """Base scale of the direct Hessian approximation."""
         return 1.0 / self.gamma_scale
+
+    def pairs(self):
+        """The stored ``(s, y)`` rows, oldest first, as views of the buffers."""
+        order = np.argsort(self._age[:len(self)])
+        return [(self._S[i], self._Y[i]) for i in order]
 
     def update(self, s, y):
         """Append a pair unless it fails the curvature guard.
@@ -58,39 +108,41 @@ class LbfgsStore:
         sy = float(s @ y)
         if sy <= CURVATURE_GUARD * float(np.linalg.norm(s) * np.linalg.norm(y)):
             return False
-        self._s.append(s.copy())
-        self._y.append(y.copy())
-        if len(self._s) > self.memory:
-            self._s.pop(0)
-            self._y.pop(0)
-        self.gamma_scale = sy / float(y @ y)
-        self._refresh()
+        if self._S is None:
+            self._S = np.empty((self.memory, s.size))
+            self._Y = np.empty((self.memory, s.size))
+        slot = self._count % self.memory  # the oldest row once full
+        self._S[slot] = s
+        self._Y[slot] = y
+        self._age[slot] = self._count
+        self._count += 1
+        k = len(self)
+        S, Y = self._S[:k], self._Y[:k]
+        self._SS[slot, :k] = self._SS[:k, slot] = S @ s
+        self._SY[:k, slot] = S @ y
+        self._SY[slot, :k] = Y @ s
+        self._YY[slot, :k] = self._YY[:k, slot] = Y @ y
+        self.gamma_scale = sy / self._YY[slot, slot]
+        age = self._age[:k]
+        SY = self._SY[:k, :k]
+        self._L = np.where(age[:, None] > age[None, :], SY, 0.0)
+        self._d = SY.diagonal().copy()
+        C = self.sigma * self._SS[:k, :k] + (self._L / self._d) @ self._L.T
+        self._C_chol = _cholesky(C)
         return True
-
-    def _refresh(self):
-        S = np.stack(self._s, axis=1)
-        Y = np.stack(self._y, axis=1)
-        m = S.shape[1]
-        sigma = self.sigma
-        SY = S.T @ Y
-        D = np.diag(np.diag(SY))
-        Lmat = np.tril(SY, -1)
-        W = np.empty((2 * m, 2 * m))
-        W[:m, :m] = sigma * (S.T @ S)
-        W[:m, m:] = Lmat
-        W[m:, :m] = Lmat.T
-        W[m:, m:] = -D
-        self._U = np.hstack([sigma * S, Y])
-        self._W = W
-        self._W_lu = scipy.linalg.lu_factor(W)
 
     def hessian_vec(self, v):
         """Apply the direct approximation ``B`` to ``v``."""
         v = np.asarray(v, dtype=float)
-        if not self._s:
+        k = len(self)
+        if k == 0:
             return v.copy()
-        coeff = scipy.linalg.lu_solve(self._W_lu, self._U.T @ v)
-        return self.sigma * v - self._U @ coeff
+        S, Y = self._S[:k], self._Y[:k]
+        sigma, L, d = self.sigma, self._L, self._d
+        q = Y @ v
+        x = _cho_solve(self._C_chol, sigma * (S @ v) + L @ (q / d))
+        y = (L.T @ x - q) / d
+        return sigma * v - S.T @ (sigma * x) - Y.T @ y
 
 
 def lbfgs_update(store, s, y, tally=None):
@@ -106,27 +158,53 @@ def lbfgs_reduced_inverse_solve(store, face, v, tally=None):
 
     Returns ``d`` with ``d_F = -(B_FF)^{-1} v_F`` and zeros on the active
     set, where ``B_FF`` is the free principal block of the store's Hessian
-    approximation.  A singular reduced system falls back to scaled steepest
-    descent, flagged in the telemetry.
+    approximation.  A reduced system that cannot be Cholesky factored falls
+    back to scaled steepest descent, flagged in the telemetry.
     """
     v = np.asarray(v, dtype=float)
     free = face.free_mask
     d = np.zeros_like(v)
-    if not np.any(free):
+    n_free = int(np.count_nonzero(free))
+    if n_free == 0:
         return d
     vf = v[free]
     sigma = store.sigma
-    if len(store) == 0:
+    k = len(store)
+    if k == 0:
         d[free] = -vf / sigma
         return d
-    Uf = store._U[free, :]
-    M = store._W - (Uf.T @ Uf) / sigma
+    S, Y = store._S[:k], store._Y[:k]
+    # taking index arrays gathers columns of the row buffers faster than a
+    # boolean mask does
+    active = np.flatnonzero(~free)
+    S_A = S.take(active, axis=1)
+    P = sigma * (S_A @ S_A.T)
+    if n_free <= v.size - n_free:
+        free_ix = np.flatnonzero(free)
+        S_F, Y_F = S.take(free_ix, axis=1), Y.take(free_ix, axis=1)
+        SY_F, YY_F = S_F @ Y_F.T, Y_F @ Y_F.T
+    else:
+        Y_A = Y.take(active, axis=1)
+        SY_F = store._SY[:k, :k] - S_A @ Y_A.T
+        YY_F = store._YY[:k, :k] - Y_A @ Y_A.T
+    Q = store._L - SY_F
+    N = YY_F / sigma
+    N.flat[::k + 1] += store._d
+    v_zeroed = np.where(free, v, 0.0)
+    p = sigma * (S @ v_zeroed)
+    q = Y @ v_zeroed
     try:
-        coeff = scipy.linalg.solve(M, Uf.T @ vf)
-        df = -(vf / sigma + (Uf @ coeff) / sigma**2)
-    except (scipy.linalg.LinAlgError, ValueError):
+        R_N = _cholesky(N)
+        # N^{-1} Q.T = R_N^{-T} G and N^{-1} q = R_N^{-T} h
+        Gh = _lower_solve(R_N, np.column_stack([Q.T, q]))
+        G, h = Gh[:, :k], Gh[:, k]
+        x = _cho_solve(_cholesky(P + G.T @ G), p + G.T @ h)
+        y = _lower_solve(R_N, G @ x - h, trans=1)
+    except np.linalg.LinAlgError:
         if tally is not None:
             tally.lbfgs_fallback_solves += 1
-        df = -vf / sigma
-    d[free] = df
+        d[free] = -vf / sigma
+        return d
+    w = S.T @ x + Y.T @ (y / sigma)
+    d[free] = -(vf + w[free]) / sigma
     return d

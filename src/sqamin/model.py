@@ -213,7 +213,10 @@ class TraceRow:
 
 @dataclass
 class ConvergenceReport:
-    """Per-run counters and the accepted-iterate trace."""
+    """Per-run counters and the accepted-iterate trace.
+
+    The L-BFGS counters stay 0 on the paths without a store.
+    """
 
     solver: str
     status: str
@@ -224,3 +227,5 @@ class ConvergenceReport:
     wall_time_seconds: float
     final_residual_inf: float
     trace: list = field(default_factory=list)
+    lbfgs_skipped_updates: int = 0
+    lbfgs_fallback_solves: int = 0

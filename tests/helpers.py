@@ -201,19 +201,18 @@ def lbfgs_inverse_vec(store, v):
     The standard two-loop recursion with base ``gamma_scale * I``, an
     independent route to the matrix the store applies in compact form.
     """
+    pairs = store.pairs()
     q = np.array(v, dtype=float)
     alphas = []
     rhos = []
-    for s, y in zip(reversed(store._s), reversed(store._y)):
+    for s, y in reversed(pairs):
         rho = 1.0 / float(s @ y)
         a = rho * float(s @ q)
         q -= a * y
         alphas.append(a)
         rhos.append(rho)
     r = store.gamma_scale * q
-    for (s, y), a, rho in zip(
-        zip(store._s, store._y), reversed(alphas), reversed(rhos)
-    ):
+    for (s, y), a, rho in zip(pairs, reversed(alphas), reversed(rhos)):
         b = rho * float(y @ r)
         r += (a - b) * s
     return r

@@ -316,6 +316,46 @@ class TestSqaSolve:
                      "fg_evaluations", "hess_vec_products"):
             assert getattr(rep_default, name) == getattr(rep_lbfgs, name)
 
+    def test_report_carries_the_lbfgs_skip_count(self, monkeypatch):
+        # a Huber loss is linear far from its centre, so the first steps
+        # from zero see no curvature (y = 0) and the guard skips them
+        c = np.array([5.0, -4.0, 3.0])
+
+        def value(x):
+            r = np.abs(x - c)
+            return float(np.where(r <= 1.0, 0.5 * r**2, r - 0.5).sum())
+
+        prob = CompositeProblem(
+            value, lambda x: np.clip(x - c, -1.0, 1.0),
+            lambda x, v: np.where(np.abs(x - c) <= 1.0, v, 0.0), 3, 0.1)
+        accepted = []
+        update = LbfgsStore.update
+
+        def recording_update(store, s, y):
+            accepted.append(update(store, s, y))
+            return accepted[-1]
+
+        monkeypatch.setattr(LbfgsStore, "update", recording_update)
+        x, report = sqa_solve(prob, SolverConfig(inner_solver="obm_qn"))
+        assert report.status == "converged"
+        np.testing.assert_allclose(x, c - 0.1 * np.sign(c), atol=1e-5)
+        skipped = accepted.count(False)
+        assert skipped >= 1
+        assert report.lbfgs_skipped_updates == skipped
+        assert report.lbfgs_fallback_solves == 0
+
+    def test_qn_below_its_rounding_floor_ends_early_without_warnings(self):
+        # tol_inf=1e-10 lies below what this instance's L-BFGS model can
+        # resolve; the run must stop on its own long before max_outer, and
+        # tier-1 turns any warning from the reduced solves into an error
+        prob = synthetic_quadratic(500, 1e4, seed=(11, 2), mu=1.0)
+        _, report = sqa_solve(
+            prob, SolverConfig(inner_solver="obm_qn", tol_inf=1e-10))
+        assert report.status == "inner_stall"
+        assert report.outer_iterations < 300
+        assert report.final_residual_inf < 1e-6
+        assert report.lbfgs_fallback_solves == 0
+
 
 def _counting(calls, name, fn):
     def counted(*args):

@@ -355,6 +355,17 @@ class TestReports:
                    (b.k, b.objective, b.residual_inf, b.alpha,
                     b.inner_iterations, b.eta)
 
+    def test_json_without_lbfgs_counters_loads_them_as_zero(self, tmp_path):
+        _, report = self._run()
+        path = tmp_path / "r.json"
+        write_report(report, path, "json", CONTEXT)
+        payload = json.loads(path.read_text())
+        del payload["lbfgs_skipped_updates"], payload["lbfgs_fallback_solves"]
+        path.write_text(json.dumps(payload))
+        back = read_report(path)
+        assert back.lbfgs_skipped_updates == back.lbfgs_fallback_solves == 0
+        assert back.outer_iterations == report.outer_iterations
+
     def test_csv_layout(self, tmp_path):
         _, report = self._run()
         path = tmp_path / "r.csv"
@@ -429,6 +440,14 @@ class TestCli:
         assert code == 0
         assert "status: converged" in out
         assert "Hessian-vector mults:" in out
+
+    def test_summary_prints_the_lbfgs_counters(self, capsys):
+        code = main(["--problem", "synthetic", "--solver", "sqa_obm_qn",
+                     "--n", "30", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "L-BFGS skipped updates: 0" in out
+        assert "L-BFGS fallback solves: 0" in out
 
     def test_tolerance_flag_respected(self, capsys, tmp_path):
         report_path = tmp_path / "run.json"

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+import sqamin.lbfgs
 from sqamin import (
     LbfgsStore,
     OrthantFace,
@@ -54,6 +54,69 @@ class TestUpdatePolicy:
         store = LbfgsStore(memory=4)
         store.update(np.array([1.0, 0.0]), np.array([4.0, 0.0]))
         assert store.gamma_scale == pytest.approx(0.25)
+
+
+def _snapshot(store):
+    return {name: np.copy(value) for name, value in vars(store).items()}
+
+
+class TestRingBuffer:
+    """A memory-3 store offered 8 pairs, the fifth skipped: the 7 kept
+    wrap the ring to a row order (6, 4, 5) unlike the age order."""
+
+    n = 8
+
+    def _wrapped_store(self):
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(self.n, self.n))
+        A = A @ A.T + np.eye(self.n)
+        store = LbfgsStore(memory=3)
+        kept = []
+        for i in range(8):
+            s = rng.normal(size=self.n)
+            y = -s if i == 4 else A @ s
+            if i == 4:
+                before = _snapshot(store)
+                assert not store.update(s, y)
+                after = _snapshot(store)
+                assert before.keys() == after.keys()
+                for name in before:
+                    np.testing.assert_array_equal(after[name], before[name],
+                                                  err_msg=name)
+            else:
+                assert store.update(s, y)
+                kept.append((s, y))
+        return store, kept[-3:], rng
+
+    def test_pairs_are_the_newest_oldest_first(self):
+        store, newest, _ = self._wrapped_store()
+        assert len(store) == 3
+        for (s, y), (s_ref, y_ref) in zip(store.pairs(), newest, strict=True):
+            np.testing.assert_array_equal(s, s_ref)
+            np.testing.assert_array_equal(y, y_ref)
+
+    def test_hessian_is_the_inverse_of_the_two_loop_recursion(self):
+        store, _, _ = self._wrapped_store()
+        B = materialize_operator(store.hessian_vec, self.n)
+        H = materialize_operator(lambda v: lbfgs_inverse_vec(store, v), self.n)
+        np.testing.assert_allclose(B, np.linalg.inv(H), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("n_free", [3, 6])  # both sides of n/2
+    def test_reduced_solve_matches_dense_on_either_gram_branch(self, n_free):
+        store, _, rng = self._wrapped_store()
+        omega = np.zeros(self.n, dtype=np.int8)
+        picked = rng.choice(self.n, size=n_free, replace=False)
+        omega[picked] = rng.choice([-1, 1], size=n_free)
+        face = OrthantFace(omega)
+        free = face.free_mask
+        B = materialize_operator(store.hessian_vec, self.n)
+        v = rng.normal(size=self.n)
+        expected = np.zeros(self.n)
+        expected[free] = -np.linalg.solve(B[np.ix_(free, free)], v[free])
+        tally = Telemetry()
+        d = lbfgs_reduced_inverse_solve(store, face, v, tally)
+        np.testing.assert_allclose(d, expected, rtol=1e-9, atol=1e-11)
+        assert tally.lbfgs_fallback_solves == 0
 
 
 class TestApplies:
@@ -152,10 +215,12 @@ class TestReducedSolve:
         omega = np.array([1, 0, -1, 1, 0, 1], dtype=np.int8)
         v = rng.normal(size=6)
 
-        def singular(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("singular matrix")
+        def not_positive_definite(a, **kwargs):
+            return a, 1  # LAPACK's report of a non-positive leading minor
 
-        monkeypatch.setattr(scipy.linalg, "solve", singular)
+        # the reduced solve's Cholesky factorizations; the store's own
+        # factor was computed before the patch
+        monkeypatch.setattr(sqamin.lbfgs, "dpotrf", not_positive_definite)
         tally = Telemetry()
         d = lbfgs_reduced_inverse_solve(store, OrthantFace(omega), v, tally)
         free = omega != 0
