@@ -32,11 +32,12 @@ SOLVERS = ("fista",) + tuple(f"sqa_{name}" for name in INNER_SOLVERS)
 PROBLEM_KINDS = ("logistic", "covariance", "synthetic")
 
 _REPORT_FIELDS = tuple(f.name for f in fields(ConvergenceReport))
-# the CSV summary keeps its six columns; later counters are JSON-only
+# counters added after the first JSON reports; they are JSON-only, so the
+# CSV summary keeps its six columns, and older JSON reports load them as 0
+_LBFGS_COUNTERS = ("lbfgs_skipped_updates", "lbfgs_fallback_solves")
 _SUMMARY_FIELDS = tuple(name for name in _REPORT_FIELDS
-                        if name not in ("solver", "status", "trace",
-                                        "lbfgs_skipped_updates",
-                                        "lbfgs_fallback_solves"))
+                        if name not in ("solver", "status", "trace")
+                        + _LBFGS_COUNTERS)
 _TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 
 
@@ -227,8 +228,9 @@ def read_report(path):
     """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    report = ConvergenceReport(**{name: payload[name] for name in _REPORT_FIELDS
-                                  if name in payload})
+    report = ConvergenceReport(**{
+        name: payload.get(name, 0) if name in _LBFGS_COUNTERS else payload[name]
+        for name in _REPORT_FIELDS})
     report.trace = [TraceRow(**{name: row[name] for name in _TRACE_FIELDS})
                     for row in report.trace]
     return report

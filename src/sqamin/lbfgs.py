@@ -16,11 +16,11 @@ new pair overwrites the oldest row.  Chronological order lives only in an
 age index per row, which fixes ``L`` and ``D``; the small matrices are kept
 in buffer-row order, which permutes ``W`` symmetrically and leaves ``B`` as
 it is.
-The Grams ``S.T@S``, ``S.T@Y`` and ``Y.T@Y`` are ``memory``-square arrays,
-and each accepted pair rewrites one row and one column of each at
-O(n*memory) cost.  ``U`` and ``W`` are never formed.  Products with ``B``
-solve ``W`` by block elimination on ``D``, which needs one Cholesky factor
-per accepted pair, of the SPD matrix ``sigma*S.T@S + L D^{-1} L.T``.
+The Grams ``S.T@S`` and ``S.T@Y`` are ``memory``-square arrays, and each
+accepted pair rewrites one row and one column of each at O(n*memory) cost.
+``U`` and ``W`` are never formed.  Products with ``B`` solve ``W`` by block
+elimination on ``D``, which needs one Cholesky factor per accepted pair, of
+the SPD matrix ``sigma*S.T@S + L D^{-1} L.T``.
 
 Reduced solves on the free variables ``F`` of an orthant face (``A`` the
 active ones) invert ``B_FF`` by the Sherman-Morrison-Woodbury identity,
@@ -30,10 +30,8 @@ whose middle matrix ``W - U_F.T@U_F/sigma`` has the blocks
 
 Eliminating on the SPD ``N`` leaves the Schur complement ``P + Q N^{-1} Q.T``,
 SPD whenever ``B_FF`` is, so a solve takes two ``memory``-square Choleskys
-and never forms an n-by-n matrix.  ``P`` comes from the active coordinates,
-so it needs no cancellation; ``S_F.T@Y_F`` and ``Y_F.T@Y_F`` come from the
-smaller of the free and active sets, the active part subtracted from the
-kept Grams when the active set is the smaller.
+and never forms an n-by-n matrix.  Each block is formed from the columns
+it names, so none needs cancellation.
 """
 
 import numpy as np
@@ -75,7 +73,6 @@ class LbfgsStore:
         self._S = self._Y = None  # memory-by-n ring buffers, allocated lazily
         self._SS = np.zeros((memory, memory))
         self._SY = np.zeros((memory, memory))  # _SY[i, j] = s_i @ y_j
-        self._YY = np.zeros((memory, memory))
         self._age = np.zeros(memory, dtype=np.int64)
         self._count = 0  # pairs accepted so far; the next one's age
         self._L = None  # strictly-lower part of S.T@Y by age, row order
@@ -99,7 +96,8 @@ class LbfgsStore:
         """Append a pair unless it fails the curvature guard.
 
         Returns True if the pair was stored.  Skipped pairs leave the store
-        (and its factors) untouched.
+        (and its factors) untouched, and so does a pair whose factor fails,
+        which raises LinAlgError.
         """
         s = np.asarray(s, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -109,26 +107,32 @@ class LbfgsStore:
         if sy <= CURVATURE_GUARD * float(np.linalg.norm(s) * np.linalg.norm(y)):
             return False
         if self._S is None:
-            self._S = np.empty((self.memory, s.size))
-            self._Y = np.empty((self.memory, s.size))
+            self._S = np.zeros((self.memory, s.size))
+            self._Y = np.zeros((self.memory, s.size))
         slot = self._count % self.memory  # the oldest row once full
+        k = min(self._count + 1, self.memory)
+        # the new Grams, L, D and factor are built on copies and stored only
+        # once the factor exists; row ``slot`` of S and Y is still the old
+        # pair, so the diagonal entries are set from the new one
+        S, Y = self._S[:k], self._Y[:k]
+        SS, SY = self._SS[:k, :k].copy(), self._SY[:k, :k].copy()
+        SS[slot] = SS[:, slot] = S @ s
+        SY[:, slot] = S @ y
+        SY[slot] = Y @ s
+        SS[slot, slot], SY[slot, slot] = s @ s, sy
+        age = self._age[:k].copy()
+        age[slot] = self._count
+        L = np.where(age[:, None] > age[None, :], SY, 0.0)
+        d = SY.diagonal().copy()
+        gamma_scale = sy / float(y @ y)
+        C_chol = _cholesky((1.0 / gamma_scale) * SS + (L / d) @ L.T)
         self._S[slot] = s
         self._Y[slot] = y
+        self._SS[:k, :k], self._SY[:k, :k] = SS, SY
         self._age[slot] = self._count
         self._count += 1
-        k = len(self)
-        S, Y = self._S[:k], self._Y[:k]
-        self._SS[slot, :k] = self._SS[:k, slot] = S @ s
-        self._SY[:k, slot] = S @ y
-        self._SY[slot, :k] = Y @ s
-        self._YY[slot, :k] = self._YY[:k, slot] = Y @ y
-        self.gamma_scale = sy / self._YY[slot, slot]
-        age = self._age[:k]
-        SY = self._SY[:k, :k]
-        self._L = np.where(age[:, None] > age[None, :], SY, 0.0)
-        self._d = SY.diagonal().copy()
-        C = self.sigma * self._SS[:k, :k] + (self._L / self._d) @ self._L.T
-        self._C_chol = _cholesky(C)
+        self.gamma_scale = gamma_scale
+        self._L, self._d, self._C_chol = L, d, C_chol
         return True
 
     def hessian_vec(self, v):
@@ -164,8 +168,7 @@ def lbfgs_reduced_inverse_solve(store, face, v, tally=None):
     v = np.asarray(v, dtype=float)
     free = face.free_mask
     d = np.zeros_like(v)
-    n_free = int(np.count_nonzero(free))
-    if n_free == 0:
+    if not free.any():
         return d
     vf = v[free]
     sigma = store.sigma
@@ -176,19 +179,12 @@ def lbfgs_reduced_inverse_solve(store, face, v, tally=None):
     S, Y = store._S[:k], store._Y[:k]
     # taking index arrays gathers columns of the row buffers faster than a
     # boolean mask does
-    active = np.flatnonzero(~free)
-    S_A = S.take(active, axis=1)
+    S_A = S.take(np.flatnonzero(~free), axis=1)
     P = sigma * (S_A @ S_A.T)
-    if n_free <= v.size - n_free:
-        free_ix = np.flatnonzero(free)
-        S_F, Y_F = S.take(free_ix, axis=1), Y.take(free_ix, axis=1)
-        SY_F, YY_F = S_F @ Y_F.T, Y_F @ Y_F.T
-    else:
-        Y_A = Y.take(active, axis=1)
-        SY_F = store._SY[:k, :k] - S_A @ Y_A.T
-        YY_F = store._YY[:k, :k] - Y_A @ Y_A.T
-    Q = store._L - SY_F
-    N = YY_F / sigma
+    free_ix = np.flatnonzero(free)
+    S_F, Y_F = S.take(free_ix, axis=1), Y.take(free_ix, axis=1)
+    Q = store._L - S_F @ Y_F.T
+    N = (Y_F @ Y_F.T) / sigma
     N.flat[::k + 1] += store._d
     v_zeroed = np.where(free, v, 0.0)
     p = sigma * (S @ v_zeroed)

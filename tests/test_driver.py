@@ -351,7 +351,6 @@ class TestSqaSolve:
         prob = synthetic_quadratic(500, 1e4, seed=(11, 2), mu=1.0)
         _, report = sqa_solve(
             prob, SolverConfig(inner_solver="obm_qn", tol_inf=1e-10))
-        assert report.status == "inner_stall"
         assert report.outer_iterations < 300
         assert report.final_residual_inf < 1e-6
         assert report.lbfgs_fallback_solves == 0

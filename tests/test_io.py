@@ -366,6 +366,16 @@ class TestReports:
         assert back.lbfgs_skipped_updates == back.lbfgs_fallback_solves == 0
         assert back.outer_iterations == report.outer_iterations
 
+    def test_json_without_a_required_field_fails(self, tmp_path):
+        _, report = self._run()
+        path = tmp_path / "r.json"
+        write_report(report, path, "json", CONTEXT)
+        payload = json.loads(path.read_text())
+        del payload["trace"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(KeyError, match="trace"):
+            read_report(path)
+
     def test_csv_layout(self, tmp_path):
         _, report = self._run()
         path = tmp_path / "r.csv"

@@ -101,8 +101,21 @@ class TestRingBuffer:
         H = materialize_operator(lambda v: lbfgs_inverse_vec(store, v), self.n)
         np.testing.assert_allclose(B, np.linalg.inv(H), rtol=1e-9, atol=1e-9)
 
+    def test_failed_factor_leaves_the_store_unchanged(self, monkeypatch):
+        store, _, rng = self._wrapped_store()
+        before = _snapshot(store)
+        monkeypatch.setattr(sqamin.lbfgs, "dpotrf", lambda a, **kwargs: (a, 1))
+        s = rng.normal(size=self.n)
+        with pytest.raises(np.linalg.LinAlgError):
+            store.update(s, 2.0 * s)
+        after = _snapshot(store)
+        assert before.keys() == after.keys()
+        for name in before:
+            np.testing.assert_array_equal(after[name], before[name],
+                                          err_msg=name)
+
     @pytest.mark.parametrize("n_free", [3, 6])  # both sides of n/2
-    def test_reduced_solve_matches_dense_on_either_gram_branch(self, n_free):
+    def test_reduced_solve_matches_dense_on_small_and_large_faces(self, n_free):
         store, _, rng = self._wrapped_store()
         omega = np.zeros(self.n, dtype=np.int8)
         picked = rng.choice(self.n, size=n_free, replace=False)
