@@ -12,7 +12,6 @@ import numpy as np
 from sqamin import (
     QuadraticModel,
     inexactness_check,
-    ista_point,
     residual,
     soft_threshold,
 )
@@ -30,7 +29,8 @@ def main():
     x = rng.normal(size=5)
     g = rng.normal(size=5)
     F = residual(x, g, tau, mu)
-    step = ista_point(x, g, tau, mu) - x
+    x_prox = soft_threshold(x - tau * g, tau * mu)
+    step = x_prox - x
     print("the proximal displacement measures optimality:")
     print(f"  tau * ||F(x)||          = {tau * np.linalg.norm(F):.12f}")
     print(f"  ||prox_step(x) - x||    = {np.linalg.norm(step):.12f}")
@@ -42,7 +42,7 @@ def main():
     model = QuadraticModel(x, g, 1.0, lambda z: H @ z, mu)
     for label, candidate in (
         ("the reference point itself", x),
-        ("one proximal step", ista_point(x, g, tau, mu)),
+        ("one proximal step", x_prox),
         ("fifty proximal steps", _prox_iterate(model, x, 50)),
     ):
         rep = inexactness_check(model, candidate, eta=0.1, tau=tau,

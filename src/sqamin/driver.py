@@ -11,14 +11,14 @@ objective serves as the baseline.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .fista import fista_composite
-from .lbfgs import LbfgsStore, lbfgs_update
+from .lbfgs import LbfgsStore
 from .model import ConvergenceReport, QuadraticModel, Telemetry, TraceRow
 from .obm import obm_solve
 from .prox import residual, soft_threshold
@@ -216,14 +216,10 @@ def _report(solver, status, trace, tally, t0, tol_inf):
         solver=solver,
         status=status,
         outer_iterations=len(trace) - 1,
-        inner_iterations=tally.inner_iterations,
-        fg_evaluations=tally.fg_evaluations,
-        hess_vec_products=tally.hess_vec_products,
         wall_time_seconds=time.perf_counter() - t0,
         final_residual_inf=res_inf,
         trace=trace,
-        lbfgs_skipped_updates=tally.lbfgs_skipped_updates,
-        lbfgs_fallback_solves=tally.lbfgs_fallback_solves,
+        **asdict(tally),
     )
 
 
@@ -305,8 +301,8 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
             status = "nonfinite_oracle"
             break
         k += 1
-        if store is not None:
-            lbfgs_update(store, ls.x_next - x, g_next - gx, tally)
+        if store is not None and not store.update(ls.x_next - x, g_next - gx):
+            tally.lbfgs_skipped_updates += 1
         if observer is not None:
             observer(
                 OuterIterationRecord(

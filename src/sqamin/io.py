@@ -9,7 +9,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 import scipy.sparse
@@ -31,13 +31,13 @@ __all__ = [
 SOLVERS = ("fista",) + tuple(f"sqa_{name}" for name in INNER_SOLVERS)
 PROBLEM_KINDS = ("logistic", "covariance", "synthetic")
 
-_REPORT_FIELDS = tuple(f.name for f in fields(ConvergenceReport))
-# counters added after the first JSON reports; they are JSON-only, so the
-# CSV summary keeps its six columns, and older JSON reports load them as 0
-_LBFGS_COUNTERS = ("lbfgs_skipped_updates", "lbfgs_fallback_solves")
-_SUMMARY_FIELDS = tuple(name for name in _REPORT_FIELDS
-                        if name not in ("solver", "status", "trace")
-                        + _LBFGS_COUNTERS)
+# report fields with a plain default are JSON-only, so the CSV summary keeps
+# its six columns, and an older JSON report loads a missing one as its default
+_REPORT_DEFAULTS = {f.name: f.default for f in fields(ConvergenceReport)
+                    if f.default is not MISSING}
+_SUMMARY_FIELDS = tuple(f.name for f in fields(ConvergenceReport)
+                        if f.name not in ("solver", "status", "trace")
+                        and f.name not in _REPORT_DEFAULTS)
 _TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 
 
@@ -177,9 +177,13 @@ def write_svmlight(data, path):
 
 
 def load_dense_matrix(path):
-    """Whitespace-delimited rows of reals as a 2-D float array."""
-    matrix = np.loadtxt(path, dtype=float)
-    return np.atleast_2d(matrix)
+    """Whitespace-delimited rows of reals as a 2-D float array, one per line."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        matrix = np.loadtxt(path, dtype=float, ndmin=2)
+    if matrix.size == 0:
+        raise ValueError(f"{path}: file holds no data")
+    return matrix
 
 
 def sample_covariance(samples):
@@ -224,13 +228,14 @@ def write_report(report, path, report_format="json", context=None):
 def read_report(path):
     """Load a JSON report back into a :class:`ConvergenceReport`.
 
-    A report written before the L-BFGS counters existed loads with them 0.
+    A field with a plain default that the report lacks (one written before
+    the field existed) loads as that default; any other missing field
+    raises KeyError.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    report = ConvergenceReport(**{
-        name: payload.get(name, 0) if name in _LBFGS_COUNTERS else payload[name]
-        for name in _REPORT_FIELDS})
+        payload = {**_REPORT_DEFAULTS, **json.load(handle)}
+    report = ConvergenceReport(**{f.name: payload[f.name]
+                                  for f in fields(ConvergenceReport)})
     report.trace = [TraceRow(**{name: row[name] for name in _TRACE_FIELDS})
                     for row in report.trace]
     return report

@@ -37,7 +37,7 @@ it names, so none needs cancellation.
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-__all__ = ["LbfgsStore", "lbfgs_update", "lbfgs_reduced_inverse_solve"]
+__all__ = ["LbfgsStore", "lbfgs_reduced_inverse_solve"]
 
 CURVATURE_GUARD = 1e-10
 
@@ -147,14 +147,6 @@ class LbfgsStore:
         x = _cho_solve(self._C_chol, sigma * (S @ v) + L @ (q / d))
         y = (L.T @ x - q) / d
         return sigma * v - S.T @ (sigma * x) - Y.T @ y
-
-
-def lbfgs_update(store, s, y, tally=None):
-    """Curvature-guarded store update; skips are flagged in the telemetry."""
-    accepted = store.update(s, y)
-    if not accepted and tally is not None:
-        tally.lbfgs_skipped_updates += 1
-    return store
 
 
 def lbfgs_reduced_inverse_solve(store, face, v, tally=None):

@@ -183,8 +183,8 @@ class SolverConfig:
             raise ValueError(f"zeta must lie in [theta, 1/2), got {self.zeta}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if not self.tol_inf > 0:
-            raise ValueError("tol_inf must be positive")
+        if not 0.0 < self.tol_inf < np.inf:
+            raise ValueError(f"tol_inf must be finite and positive, got {self.tol_inf}")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration limits must be positive")
         if self.inner_solver not in INNER_SOLVERS:
@@ -213,9 +213,9 @@ class TraceRow:
 
 @dataclass
 class ConvergenceReport:
-    """Per-run counters and the accepted-iterate trace.
-
-    The L-BFGS counters stay 0 on the paths without a store.
+    """Per-run counters, one field per :class:`Telemetry` field, and the
+    accepted-iterate trace.  A field with a plain default is JSON-only (see
+    :func:`~sqamin.io.read_report`); the L-BFGS ones stay 0 without a store.
     """
 
     solver: str

@@ -1,8 +1,9 @@
 """Concrete smooth oracles: logistic regression, log-det covariance, quadratics.
 
-Each family exposes pure value/gradient/Hessian-vector functions plus a
-constructor returning a :class:`~sqamin.model.CompositeProblem` with the l1
-weight attached.  The logistic oracles multiply by one of three layouts of
+Each family has a constructor returning a
+:class:`~sqamin.model.CompositeProblem` with the l1 weight attached; the
+log-det family also exposes its pure value/gradient/Hessian-vector
+functions.  The logistic oracles multiply by one of three layouts of
 the design matrix: a dense copy when that takes no more bytes than its CSR
 arrays, so BLAS runs the products; a CSC copy when the design is tall with
 short rows, so both products loop over the few columns; else the CSR matrix
@@ -27,9 +28,6 @@ from .model import CompositeProblem
 
 __all__ = [
     "LogisticDataset",
-    "logistic_value",
-    "logistic_gradient",
-    "logistic_hess_vec",
     "logistic_problem",
     "synthetic_logistic_dataset",
     "CovarianceProblem",
@@ -129,13 +127,6 @@ def _product(A, v):
         return A @ v
 
 
-def _margins(data, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (data.n_features,):
-        raise ValueError(f"expected dimension {data.n_features}, got {x.shape}")
-    return data.labels * _product(data.operand, x)
-
-
 class _LogisticLinearization:
     """Margins ``y * (Z@x)`` at the last point asked for, shared by value,
     gradient and Hessian products there; the point is matched by its shape
@@ -153,7 +144,11 @@ class _LogisticLinearization:
         x = np.asarray(x, dtype=float)
         key = x.shape, x.tobytes()
         if key != self._key:
-            m = _margins(self.data, x)
+            data = self.data
+            if x.shape != (data.n_features,):
+                raise ValueError(f"expected dimension {data.n_features}, "
+                                 f"got {x.shape}")
+            m = data.labels * _product(data.operand, x)
             self._key, self._m, self._w = key, m, None
         return self._m
 
@@ -162,15 +157,18 @@ class _LogisticLinearization:
         return self.data.operand.T
 
     def value(self, x):
+        """Mean loss ``log(1 + e^t)``, ``t = -y_i x@z_i``, overflow-safe."""
         t = -self._margins_at(x)
         return float(np.mean(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))))
 
     def gradient(self, x):
+        """``-(1/N) Z.T (y * sigmoid(-y * Zx))``."""
         s = expit(-self._margins_at(x))
         r = self.data.labels * s
         return -np.asarray(_product(self._zt, r)) / self.data.n_samples
 
     def hess_vec(self, x, v):
+        """``(1/N) Z.T (w * (Z v))`` with ``w = s(1-s)``."""
         data = self.data
         v = np.asarray(v, dtype=float)
         if v.shape != (data.n_features,):
@@ -181,25 +179,6 @@ class _LogisticLinearization:
             self._w = s * (1.0 - s)
         zv = _product(data.operand, v)
         return np.asarray(_product(self._zt, self._w * zv)) / data.n_samples
-
-
-def logistic_value(data, x):
-    """Mean logistic loss ``(1/N) sum log(1 + exp(-y_i x@z_i))``.
-
-    Uses the overflow-safe form ``max(t, 0) + log1p(exp(-|t|))`` of
-    ``log(1 + exp(t))`` so large margins neither overflow nor lose accuracy.
-    """
-    return _LogisticLinearization(data).value(x)
-
-
-def logistic_gradient(data, x):
-    """Gradient ``-(1/N) Z.T (y * sigmoid(-y * Zx))``."""
-    return _LogisticLinearization(data).gradient(x)
-
-
-def logistic_hess_vec(data, x, v):
-    """Hessian-vector product ``(1/N) Z.T (w * (Z v))`` with ``w = s(1-s)``."""
-    return _LogisticLinearization(data).hess_vec(x, v)
 
 
 def logistic_problem(data, mu):

@@ -47,10 +47,6 @@ class OrthantFace:
             raise ValueError("face signs must be -1, 0 or +1")
 
     @property
-    def active_mask(self):
-        return self.omega == 0
-
-    @property
     def free_mask(self):
         return self.omega != 0
 

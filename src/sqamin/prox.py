@@ -1,16 +1,16 @@
-"""Soft-thresholding, the proximal-gradient step, and semi-smooth optimality residuals.
+"""Soft-thresholding and semi-smooth optimality residuals.
 
 The residual map F measures how far a point is from satisfying the first-order
 optimality conditions of ``min f(x) + mu*||x||_1``: it vanishes exactly at
-minimizers, and the proximal-gradient (ISTA) displacement obeys
-``||ista_point(x, g, tau, mu) - x|| = tau * ||residual(x, g, tau, mu)||``.
+minimizers, and the proximal-gradient (ISTA) point
+``z = soft_threshold(x - tau*g, tau*mu)`` obeys
+``||z - x|| = tau * ||residual(x, g, tau, mu)||``.
 """
 
 import numpy as np
 
 __all__ = [
     "soft_threshold",
-    "ista_point",
     "residual",
 ]
 
@@ -25,21 +25,6 @@ def soft_threshold(v, t):
         raise ValueError(f"shrinkage amount must be nonnegative, got {t}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def ista_point(x, g, tau, mu):
-    """Exact minimizer of the first-order prox model around ``x``.
-
-    Returns ``argmin_z g @ (z - x) + ||z - x||**2 / (2*tau) + mu*||z||_1``,
-    which is ``soft_threshold(x - tau*g, tau*mu)``.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if x.shape != g.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
-    return soft_threshold(x - tau * g, tau * mu)
 
 
 def residual(x, g, tau, mu):

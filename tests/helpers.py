@@ -43,7 +43,7 @@ def face_conforms(face, z):
     """True iff ``z`` lies in the face: sign-consistent, zero on actives."""
     z = np.asarray(z)
     return bool(np.all(z * face.omega >= 0)
-                and np.all(z[face.active_mask] == 0))
+                and np.all(z[~face.free_mask] == 0))
 
 
 def objective_values(report):

@@ -1,6 +1,7 @@
 """Outer loop: forcing schedule, inexactness gate, line search, full solves."""
 
 import dataclasses
+import json
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.sparse
 
 from sqamin import (
     CompositeProblem,
+    ConvergenceReport,
     CovarianceProblem,
     LbfgsStore,
     LogisticDataset,
@@ -18,16 +20,15 @@ from sqamin import (
     eta_schedule,
     fista_baseline_solve,
     inexactness_check,
-    logistic_gradient,
-    logistic_hess_vec,
     logistic_problem,
-    logistic_value,
     outer_line_search,
+    read_report,
     residual,
     sqa_solve,
     synthetic_logistic_dataset,
     synthetic_quadratic,
     synthetic_quadratic_matrices,
+    write_report,
 )
 from sqamin.io import SOLVERS
 
@@ -317,17 +318,8 @@ class TestSqaSolve:
             assert getattr(rep_default, name) == getattr(rep_lbfgs, name)
 
     def test_report_carries_the_lbfgs_skip_count(self, monkeypatch):
-        # a Huber loss is linear far from its centre, so the first steps
-        # from zero see no curvature (y = 0) and the guard skips them
-        c = np.array([5.0, -4.0, 3.0])
-
-        def value(x):
-            r = np.abs(x - c)
-            return float(np.where(r <= 1.0, 0.5 * r**2, r - 0.5).sum())
-
-        prob = CompositeProblem(
-            value, lambda x: np.clip(x - c, -1.0, 1.0),
-            lambda x, v: np.where(np.abs(x - c) <= 1.0, v, 0.0), 3, 0.1)
+        c = _HUBER_CENTRE
+        prob = _huber_problem()
         accepted = []
         update = LbfgsStore.update
 
@@ -344,6 +336,36 @@ class TestSqaSolve:
         assert report.lbfgs_skipped_updates == skipped
         assert report.lbfgs_fallback_solves == 0
 
+    def test_skip_flagged_in_telemetry(self, tmp_path):
+        # every Telemetry counter of a run that skips a pair reaches the
+        # report field of the same name, and survives a JSON round trip
+        records = []
+        _, report = sqa_solve(_huber_problem(),
+                              SolverConfig(inner_solver="obm_qn"),
+                              observer=records.append)
+        tally = records[-1].model.tally
+        assert all(record.model.tally is tally for record in records)
+        assert tally.lbfgs_skipped_updates >= 1
+        counters = dataclasses.asdict(tally)
+        assert {name: getattr(report, name) for name in counters} == counters
+        path = tmp_path / "r.json"
+        write_report(report, path)
+        back = read_report(path)
+        assert {name: getattr(back, name) for name in counters} == counters
+        # a report written before the defaulted fields existed loads each
+        # one as its default
+        defaults = {f.name: f.default
+                    for f in dataclasses.fields(ConvergenceReport)
+                    if f.default is not dataclasses.MISSING}
+        assert set(defaults) <= set(counters)
+        payload = json.loads(path.read_text())
+        for name in defaults:
+            del payload[name]
+        path.write_text(json.dumps(payload))
+        old = read_report(path)
+        assert {name: getattr(old, name) for name in defaults} == defaults
+        assert old.outer_iterations == report.outer_iterations
+
     def test_qn_below_its_rounding_floor_ends_early_without_warnings(self):
         # tol_inf=1e-10 lies below what this instance's L-BFGS model can
         # resolve; the run must stop on its own long before max_outer, and
@@ -354,6 +376,23 @@ class TestSqaSolve:
         assert report.outer_iterations < 300
         assert report.final_residual_inf < 1e-6
         assert report.lbfgs_fallback_solves == 0
+
+
+# a Huber loss is linear far from its centre, so the first L-BFGS steps
+# from zero see no curvature (y = 0) and the guard skips them
+_HUBER_CENTRE = np.array([5.0, -4.0, 3.0])
+
+
+def _huber_problem():
+    c = _HUBER_CENTRE
+
+    def value(x):
+        r = np.abs(x - c)
+        return float(np.where(r <= 1.0, 0.5 * r**2, r - 0.5).sum())
+
+    return CompositeProblem(
+        value, lambda x: np.clip(x - c, -1.0, 1.0),
+        lambda x, v: np.where(np.abs(x - c) <= 1.0, v, 0.0), 3, 0.1)
 
 
 def _counting(calls, name, fn):
@@ -408,16 +447,17 @@ class TestRunCounters:
 
 
 class TestLogisticOracleCache:
-    """The logistic problem's cached oracles take the same steps as the
-    pure module functions."""
+    """The logistic problem's cached oracles take the same steps as pure
+    ones: those of a fresh problem, so a fresh cache, per call."""
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_solve_matches_pure_oracles(self, solver):
         data = synthetic_logistic_dataset(80, 12, seed=4, feature_scale=2.0)
+        fresh = lambda: logistic_problem(data, 0.05)
         pure = CompositeProblem(
-            value=lambda x: logistic_value(data, x),
-            gradient=lambda x: logistic_gradient(data, x),
-            hess_vec=lambda x, v: logistic_hess_vec(data, x, v),
+            value=lambda x: fresh().value(x),
+            gradient=lambda x: fresh().gradient(x),
+            hess_vec=lambda x, v: fresh().hess_vec(x, v),
             dim=data.n_features,
             mu=0.05,
         )

@@ -572,6 +572,34 @@ class TestCli:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_covariance_from_one_column_of_samples(self, capsys, tmp_path):
+        # one value per line is one sample each: a p=1 problem whose
+        # objective at P = 1 is the sample variance
+        path = tmp_path / "col.txt"
+        path.write_text("1\n2\n4\n7\n")
+        args = _build_parser().parse_args(
+            ["--problem", "covariance", "--samples", str(path)])
+        prob = _load_problem(args, 0.5)
+        assert prob.dim == 1
+        assert prob.value(np.ones(1)) == pytest.approx(5.25, rel=1e-15)
+        assert main(["--problem", "covariance", "--samples", str(path)]) == 0
+
+    @pytest.mark.parametrize("flag", ["--samples", "--data"])
+    def test_covariance_from_empty_file(self, capsys, tmp_path, flag):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        assert main(["--problem", "covariance", flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"{path}: file holds no data" in captured.err
+        assert captured.out == ""
+
+    def test_infinite_tolerance_rejected(self, capsys):
+        code = main(["--problem", "synthetic", "--n", "5", "--tol", "inf"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "tol_inf must be finite and positive" in captured.err
+        assert captured.out == ""
+
     def test_nonfinite_start_gradient_exit_code(self, capsys, tmp_path):
         # four equal rows of 1e308 overflow the gradient sum at x = 0
         path = tmp_path / "huge.svm"
@@ -601,3 +629,21 @@ class TestLoadDenseMatrix:
         path.write_text("1.0 2.0 3.0\n")
         M = load_dense_matrix(path)
         assert M.shape == (1, 3)
+
+    def test_one_value_per_line_is_a_column(self, tmp_path):
+        path = tmp_path / "col.txt"
+        path.write_text("1\n2\n4\n7\n")
+        M = load_dense_matrix(path)
+        assert M.shape == (4, 1)
+        np.testing.assert_array_equal(M[:, 0], [1.0, 2.0, 4.0, 7.0])
+
+    @pytest.mark.parametrize("text", ["", "\n \n", "# no rows\n"],
+                             ids=["empty", "blank", "comment"])
+    def test_no_data_raises_naming_the_path(self, tmp_path, text):
+        # tier-1 turns numpy's "input contained no data" warning into an
+        # error, so this also checks that none is emitted
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="holds no data") as info:
+            load_dense_matrix(path)
+        assert str(path) in str(info.value)

@@ -9,7 +9,6 @@ from sqamin import (
     OrthantFace,
     Telemetry,
     lbfgs_reduced_inverse_solve,
-    lbfgs_update,
 )
 
 from helpers import lbfgs_inverse_vec, materialize_operator
@@ -32,15 +31,6 @@ class TestUpdatePolicy:
         y = np.array([-1.0, 0.0])
         assert not store.update(s, y)
         assert len(store) == 0
-
-    def test_skip_flagged_in_telemetry(self):
-        store = LbfgsStore(memory=5)
-        tally = Telemetry()
-        lbfgs_update(store, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), tally)
-        assert tally.lbfgs_skipped_updates == 1
-        lbfgs_update(store, np.array([1.0, 0.0]), np.array([2.0, 0.0]), tally)
-        assert tally.lbfgs_skipped_updates == 1
-        assert len(store) == 1
 
     def test_memory_one_keeps_most_recent(self):
         store = LbfgsStore(memory=1)

@@ -282,6 +282,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    def test_rejects_infinite_tolerance(self):
+        # an infinite tolerance would report any start point as converged
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(tol_inf=float("inf"))
+
     def test_zeta_may_equal_theta(self):
         # the classical experimental setting; accepted even though the
         # unit-step theory wants zeta strictly above theta

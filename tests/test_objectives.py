@@ -14,10 +14,7 @@ from sqamin import (
     logdet_gradient,
     logdet_hess_vec,
     logdet_value,
-    logistic_gradient,
-    logistic_hess_vec,
     logistic_problem,
-    logistic_value,
     synthetic_logistic_dataset,
     synthetic_quadratic,
     synthetic_quadratic_matrices,
@@ -28,6 +25,11 @@ from helpers import (
     directional_second_difference,
     long_run_ista,
 )
+
+
+def _fresh(data):
+    """A new problem, so a new cache: the uncached reference oracles."""
+    return logistic_problem(data, 0.0)
 
 
 def _small_dataset(rng, n_samples=12, n_features=6):
@@ -195,7 +197,7 @@ class TestLogisticLayout:
         Z = scipy.sparse.csr_matrix(np.array([[1, 2], [3, 4]], dtype=np.int64))
         data = LogisticDataset(Z, np.array([1.0, -1.0]))
         assert data.operand.dtype == np.float64
-        assert logistic_value(data, np.array([0.5, -0.25])) == pytest.approx(
+        assert _fresh(data).value(np.array([0.5, -0.25])) == pytest.approx(
             0.5 * (np.log1p(np.exp(0.0)) + np.log1p(np.exp(0.5))), rel=1e-12)
 
     def test_both_layouts_agree(self):
@@ -223,11 +225,11 @@ class TestLogisticLayout:
 
         a, b, c = (logistic_problem(d, 0.1) for d in (sparse, dense, csr))
         for x, v in rng.normal(size=(5, 2, n_features)):
-            assert close(logistic_value(dense, x), logistic_value(sparse, x))
-            assert close(logistic_gradient(dense, x),
-                         logistic_gradient(sparse, x))
-            assert close(logistic_hess_vec(dense, x, v),
-                         logistic_hess_vec(sparse, x, v))
+            assert close(_fresh(dense).value(x), _fresh(sparse).value(x))
+            assert close(_fresh(dense).gradient(x),
+                         _fresh(sparse).gradient(x))
+            assert close(_fresh(dense).hess_vec(x, v),
+                         _fresh(sparse).hess_vec(x, v))
             assert close(b.value(x), a.value(x))
             assert close(b.gradient(x), a.gradient(x))
             assert close(b.hess_vec(x, v), a.hess_vec(x, v))
@@ -242,17 +244,17 @@ class TestLogisticLayout:
         assert isinstance(data.operand, np.ndarray)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert logistic_value(data, np.array([1e308])) == 0.0
-            assert logistic_gradient(data, np.zeros(1)) == -np.inf
-            assert logistic_hess_vec(data, np.zeros(1),
-                                     np.array([1e308])) == np.inf
+            assert _fresh(data).value(np.array([1e308])) == 0.0
+            assert _fresh(data).gradient(np.zeros(1)) == -np.inf
+            assert _fresh(data).hess_vec(np.zeros(1),
+                                         np.array([1e308])) == np.inf
 
 
 class TestLogisticValue:
     def test_zero_point_gives_log_two(self):
         rng = np.random.default_rng(0)
         data = _small_dataset(rng)
-        assert logistic_value(data, np.zeros(6)) == pytest.approx(np.log(2.0))
+        assert _fresh(data).value(np.zeros(6)) == pytest.approx(np.log(2.0))
 
     def test_single_sample_closed_form(self):
         data = LogisticDataset(
@@ -260,7 +262,7 @@ class TestLogisticValue:
         )
         for t in (0.0, 1.0, -2.0, 40.0, -40.0):
             expected = np.log1p(np.exp(-t)) if t > -30 else -t
-            assert logistic_value(data, np.array([t])) == pytest.approx(
+            assert _fresh(data).value(np.array([t])) == pytest.approx(
                 expected, rel=1e-12
             )
 
@@ -275,7 +277,7 @@ class TestLogisticValue:
             for j in range(data.n_features):
                 margin += x[j] * Z[i, j]
             total += np.log(1.0 + np.exp(-data.labels[i] * margin))
-        assert logistic_value(data, x) == pytest.approx(
+        assert _fresh(data).value(x) == pytest.approx(
             total / data.n_samples, rel=1e-12
         )
 
@@ -283,9 +285,9 @@ class TestLogisticValue:
         data = LogisticDataset(
             scipy.sparse.csr_matrix(np.array([[1.0]])), np.array([1.0])
         )
-        val = logistic_value(data, np.array([-1000.0]))
+        val = _fresh(data).value(np.array([-1000.0]))
         assert val == pytest.approx(1000.0)
-        assert np.isfinite(logistic_value(data, np.array([1000.0])))
+        assert np.isfinite(_fresh(data).value(np.array([1000.0])))
 
 
 class TestLogisticGradient:
@@ -294,14 +296,14 @@ class TestLogisticGradient:
             scipy.sparse.csr_matrix(np.array([[1.0]])), np.array([1.0])
         )
         np.testing.assert_allclose(
-            logistic_gradient(data, np.zeros(1)), [-0.5]
+            _fresh(data).gradient(np.zeros(1)), [-0.5]
         )
 
     def test_cancelling_labels_give_zero_gradient(self):
         Z = scipy.sparse.csr_matrix(np.ones((2, 3)))
         data = LogisticDataset(Z, np.array([1.0, -1.0]))
         np.testing.assert_allclose(
-            logistic_gradient(data, np.zeros(3)), np.zeros(3), atol=1e-15
+            _fresh(data).gradient(np.zeros(3)), np.zeros(3), atol=1e-15
         )
 
     def test_matches_finite_differences(self):
@@ -309,8 +311,8 @@ class TestLogisticGradient:
         data = _small_dataset(rng)
         for _ in range(20):
             x = rng.normal(size=6)
-            fd = central_difference_gradient(lambda z: logistic_value(data, z), x)
-            got = logistic_gradient(data, x)
+            fd = central_difference_gradient(_fresh(data).value, x)
+            got = _fresh(data).gradient(x)
             np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-10)
 
 
@@ -319,7 +321,7 @@ class TestLogisticHessVec:
         rng = np.random.default_rng(3)
         data = _small_dataset(rng)
         np.testing.assert_array_equal(
-            logistic_hess_vec(data, np.ones(6), np.zeros(6)), np.zeros(6)
+            _fresh(data).hess_vec(np.ones(6), np.zeros(6)), np.zeros(6)
         )
 
     def test_matches_gradient_finite_differences(self):
@@ -329,9 +331,9 @@ class TestLogisticHessVec:
         for _ in range(10):
             v = rng.normal(size=6)
             fd = directional_second_difference(
-                lambda z: logistic_gradient(data, z), x, v
+                _fresh(data).gradient, x, v
             )
-            got = logistic_hess_vec(data, x, v)
+            got = _fresh(data).hess_vec(x, v)
             np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-9)
 
     def test_single_sample_scalar_reduction(self):
@@ -343,7 +345,7 @@ class TestLogisticHessVec:
         s = 1.0 / (1.0 + np.exp(m))  # sigmoid(-y m) with y=-1
         w = s * (1 - s)
         expected = w * float(z1[0] @ v) * z1[0]
-        np.testing.assert_allclose(logistic_hess_vec(data, x, v), expected,
+        np.testing.assert_allclose(_fresh(data).hess_vec(x, v), expected,
                                    rtol=1e-12)
 
     def test_positive_semidefinite(self):
@@ -352,7 +354,7 @@ class TestLogisticHessVec:
         x = rng.normal(size=6)
         for _ in range(100):
             v = rng.normal(size=6)
-            assert v @ logistic_hess_vec(data, x, v) >= -1e-14
+            assert v @ _fresh(data).hess_vec(x, v) >= -1e-14
 
 
 def _bitwise(a, b):
@@ -362,26 +364,36 @@ def _bitwise(a, b):
 
 class TestLogisticProblemCache:
     """The problem's oracles share margins between calls at one point, and
-    agree bitwise with the pure functions at every point."""
+    agree bitwise with a fresh problem's at every point."""
 
     @staticmethod
     def _count_margins(monkeypatch):
+        """Count the margin computations: the calls of ``_margins_at`` that
+        miss the cache, whether they then store new margins or raise."""
         calls = []
-        original = objectives._margins
+        cls = objectives._LogisticLinearization
+        original = cls._margins_at
 
-        def counted(data, x):
-            calls.append(1)
-            return original(data, x)
+        def counted(self, x):
+            key = self._key
+            try:
+                return original(self, x)
+            except ValueError:
+                calls.append(1)
+                raise
+            finally:
+                if self._key is not key:
+                    calls.append(1)
 
-        monkeypatch.setattr(objectives, "_margins", counted)
+        monkeypatch.setattr(cls, "_margins_at", counted)
         return calls
 
     def _check_all(self, prob, data, x, v):
-        assert _bitwise(prob.value(x), logistic_value(data, x))
-        assert _bitwise(prob.hess_vec(x, v), logistic_hess_vec(data, x, v))
-        assert _bitwise(prob.gradient(x), logistic_gradient(data, x))
+        assert _bitwise(prob.value(x), _fresh(data).value(x))
+        assert _bitwise(prob.hess_vec(x, v), _fresh(data).hess_vec(x, v))
+        assert _bitwise(prob.gradient(x), _fresh(data).gradient(x))
         assert _bitwise(prob.hess_vec(x, 2.0 * v),
-                        logistic_hess_vec(data, x, 2.0 * v))
+                        _fresh(data).hess_vec(x, 2.0 * v))
 
     def test_interleaved_points_match_pure_functions(self):
         rng = np.random.default_rng(6)
@@ -399,9 +411,9 @@ class TestLogisticProblemCache:
         mutated[:] = x1
         self._check_all(prob, data, mutated, v)
         # a Hessian product, then a value elsewhere, then back again
-        assert _bitwise(prob.hess_vec(x0, v), logistic_hess_vec(data, x0, v))
-        assert _bitwise(prob.value(x1), logistic_value(data, x1))
-        assert _bitwise(prob.hess_vec(x0, v), logistic_hess_vec(data, x0, v))
+        assert _bitwise(prob.hess_vec(x0, v), _fresh(data).hess_vec(x0, v))
+        assert _bitwise(prob.value(x1), _fresh(data).value(x1))
+        assert _bitwise(prob.hess_vec(x0, v), _fresh(data).hess_vec(x0, v))
         assert np.isnan(prob.value(nan_point))
 
     def test_wrong_shape_raises_and_cache_stays_usable(self, monkeypatch):
@@ -409,7 +421,7 @@ class TestLogisticProblemCache:
         data = _small_dataset(rng)
         prob = logistic_problem(data, 0.1)
         x, v = rng.normal(size=(2, 6))
-        expected = prob.gradient(x), logistic_value(data, x)
+        expected = prob.gradient(x), _fresh(data).value(x)
         calls = self._count_margins(monkeypatch)
         for oracle in (prob.value, prob.gradient,
                        lambda z: prob.hess_vec(z, v)):
@@ -421,7 +433,7 @@ class TestLogisticProblemCache:
         assert _bitwise(prob.value(x), expected[1])
         assert len(calls) == 3  # only the three failed attempts
         y = x + 1.0
-        assert _bitwise(prob.hess_vec(y, v), logistic_hess_vec(data, y, v))
+        assert _bitwise(prob.hess_vec(y, v), _fresh(data).hess_vec(y, v))
 
     def test_same_bytes_in_another_shape_raise(self, monkeypatch):
         rng = np.random.default_rng(10)

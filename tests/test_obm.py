@@ -92,7 +92,7 @@ class TestOrthantFace:
     def test_all_zero_inputs(self):
         face = orthant_face(np.zeros(4), np.zeros(4))
         np.testing.assert_array_equal(face.omega, np.zeros(4))
-        assert np.all(face.active_mask)
+        assert not np.any(face.free_mask)
 
     def test_active_set_is_zero_set_of_min_norm_subgradient(self):
         # v_i = 0 at a zero component exactly when the subgradient interval
@@ -107,7 +107,7 @@ class TestOrthantFace:
         for i in range(3):
             inside = abs(u[i]) <= model.mu
             assert (v[i] == 0.0) == inside
-            assert bool(face.active_mask[i]) == inside
+            assert (not face.free_mask[i]) == inside
 
     def test_iterate_conforms_to_own_face(self):
         rng = np.random.default_rng(3)

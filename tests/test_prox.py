@@ -5,7 +5,6 @@ import pytest
 
 from sqamin import (
     QuadraticModel,
-    ista_point,
     residual,
     soft_threshold,
 )
@@ -46,28 +45,26 @@ class TestSoftThreshold:
 
 
 class TestIstaPoint:
+    """The proximal-gradient point ``soft_threshold(x - tau*g, tau*mu)``."""
+
     def test_fixed_point_when_stationary(self):
         # interior optimality: x > 0 with g = -mu
         x = np.array([2.0, -1.5, 0.0])
         mu = 1.0
         g = np.array([-mu, mu, 0.3])
-        out = ista_point(x, g, 0.5, mu)
+        out = soft_threshold(x - 0.5 * g, 0.5 * mu)
         np.testing.assert_allclose(out, x, atol=1e-14)
 
     def test_zero_gradient_zero_mu(self):
         x = np.array([0.4, -0.2])
-        np.testing.assert_allclose(ista_point(x, np.zeros(2), 0.7, 0.0), x)
-
-    def test_nonpositive_tau_rejected(self):
-        with pytest.raises(ValueError):
-            ista_point(np.zeros(2), np.zeros(2), 0.0, 1.0)
+        np.testing.assert_allclose(soft_threshold(x - 0.7 * np.zeros(2), 0.0), x)
 
     def test_matches_per_coordinate_grid(self):
         rng = np.random.default_rng(9)
         tau, mu = 0.4, 0.8
         x = rng.normal(size=5)
         g = rng.normal(size=5)
-        out = ista_point(x, g, tau, mu)
+        out = soft_threshold(x - tau * g, tau * mu)
         for i in range(5):
             grid = np.arange(-4.0, 4.0, 1e-4)
             vals = g[i] * grid + grid**2 / (2 * tau) + mu * np.abs(x[i] + grid)
@@ -86,11 +83,16 @@ class TestResidual:
         out = residual(np.array([2.0]), np.array([-1.0]), 0.5, 1.0)
         np.testing.assert_allclose(out, [0.0], atol=1e-15)
 
+    def test_nonpositive_tau_rejected(self):
+        for tau in (0.0, -0.5):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                residual(np.zeros(2), np.zeros(2), tau, 1.0)
+
     def test_cross_check_with_ista_displacement(self):
         x, g, tau, mu = np.array([0.0]), np.array([2.0]), 0.5, 1.0
         F = residual(x, g, tau, mu)
         np.testing.assert_allclose(F, [1.0])
-        step = np.linalg.norm(ista_point(x, g, tau, mu) - x)
+        step = np.linalg.norm(soft_threshold(x - tau * g, tau * mu) - x)
         assert abs(tau * np.linalg.norm(F) - step) <= 1e-15
         assert abs(step - 0.5) <= 1e-15
 
@@ -102,7 +104,7 @@ class TestResidual:
                     x = rng.normal(size=6)
                     g = rng.normal(size=6)
                     F = residual(x, g, tau, mu)
-                    step = np.linalg.norm(ista_point(x, g, tau, mu) - x)
+                    step = np.linalg.norm(soft_threshold(x - tau * g, tau * mu) - x)
                     assert abs(tau * np.linalg.norm(F) - step) <= 1e-10
 
     def test_zero_iff_kkt_conditions(self):
