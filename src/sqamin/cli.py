@@ -19,7 +19,7 @@ from .io import (
     sample_covariance,
     write_report,
 )
-from .model import INEXACTNESS_MODES, SolverConfig
+from .model import ETA_RULES, INEXACTNESS_MODES, SolverConfig
 from .objectives import (
     CovarianceProblem,
     covariance_problem,
@@ -68,9 +68,10 @@ def _build_parser():
     # to 0.25, strictly between theta and 1/2 as the unit-step theory wants.
     parser.add_argument("--zeta", type=float, default=0.1)
     parser.add_argument("--eta-rule", default="paper",
-                        choices=["paper", "residual"],
-                        help="forcing sequence: max(1/k, 0.1) or the current "
-                             "residual norm")
+                        choices=("paper",) + ETA_RULES,
+                        help="forcing sequence: max(1/k, 0.1) (paper, alias "
+                             "inverse_k), the current residual norm, or a "
+                             "constant 0.5")
     parser.add_argument("--inexactness", default=SolverConfig.inexactness_mode,
                         choices=INEXACTNESS_MODES)
     parser.add_argument("--memory", type=int, default=SolverConfig.lbfgs_memory)
@@ -146,7 +147,7 @@ def main(argv=None):
             inner_solver=args.solver.removeprefix("sqa_"),
             inexactness_mode=args.inexactness,
             lbfgs_memory=args.memory,
-            eta_rule="inverse_k" if args.eta_rule == "paper" else "residual",
+            eta_rule={"paper": "inverse_k"}.get(args.eta_rule, args.eta_rule),
         )
         solve = fista_baseline_solve if args.solver == "fista" else sqa_solve
         _, report = solve(_load_problem(args, mu), config)

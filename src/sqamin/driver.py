@@ -79,16 +79,21 @@ def _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode, zeta,
                            ref_residual_norm):
     """Evaluate the inexactness conditions from a precomputed smooth eval."""
     x_hat = np.asarray(x_hat, dtype=float)
-    rnorm = float(np.linalg.norm(residual(x_hat, sgrad, tau, model.mu)))
+    F = residual(x_hat, sgrad, tau, model.mu)
+    rnorm = math.sqrt(F @ F)  # np.linalg.norm of a 1-D array
     bound = eta * ref_residual_norm
-    q_hat = sval + model.mu * float(np.abs(x_hat).sum())
+    penalty = model.mu * float(np.abs(x_hat).sum())
+    q_hat = sval + penalty
     q_ref = model.reference_objective()
     lhs = q_hat - q_ref
     if mode == "simple":
         rhs = 0.0
         decrease_ok = lhs < 0.0
     else:
-        rhs = zeta * (model.linear_value(x_hat) - q_ref)
+        # model.linear_value(x_hat), sharing the penalty with q_hat
+        ell = (model.f_ref + float(model.g_ref @ (x_hat - model.x_ref))
+               + penalty)
+        rhs = zeta * (ell - q_ref)
         decrease_ok = lhs <= rhs
     return InexactnessReport(
         ok=(rnorm <= bound) and decrease_ok,

@@ -87,11 +87,6 @@ class LbfgsStore:
         """Base scale of the direct Hessian approximation."""
         return 1.0 / self.gamma_scale
 
-    def pairs(self):
-        """The stored ``(s, y)`` rows, oldest first, as views of the buffers."""
-        order = np.argsort(self._age[:len(self)])
-        return [(self._S[i], self._Y[i]) for i in order]
-
     def update(self, s, y):
         """Append a pair unless it fails the curvature guard.
 

@@ -104,6 +104,7 @@ class QuadraticModel:
             raise ValueError(f"mu must be finite and nonnegative, got {mu}")
         self.mu = float(mu)
         self.tally = Telemetry() if tally is None else tally
+        self._q_ref = self.f_ref + self.mu * float(np.abs(self.x_ref).sum())
         # products an inner solver may reuse; at the reference point H 0 = 0
         self.last_eval = (self.x_ref.copy(), np.zeros_like(self.x_ref))
         self.step_product = None
@@ -151,8 +152,8 @@ class QuadraticModel:
         )
 
     def reference_objective(self):
-        """Model value at the reference point (no Hessian product needed)."""
-        return self.f_ref + self.mu * float(np.abs(self.x_ref).sum())
+        """Model value at the reference point, computed once."""
+        return self._q_ref
 
 
 @dataclass

@@ -177,8 +177,9 @@ class _LogisticLinearization:
         if self._w is None:
             s = expit(-m)
             self._w = s * (1.0 - s)
-        zv = _product(data.operand, v)
-        return np.asarray(_product(self._zt, self._w * zv)) / data.n_samples
+        with np.errstate(all="ignore"):  # as _product does, once for both
+            hv = self._zt @ (self._w * (data.operand @ v))
+        return np.asarray(hv) / data.n_samples
 
 
 def logistic_problem(data, mu):

@@ -43,7 +43,7 @@ class OrthantFace:
 
     def __post_init__(self):
         omega = np.asarray(self.omega)
-        if not np.all((omega == 0) | (np.abs(omega) == 1)):
+        if not ((omega == 0) | (np.abs(omega) == 1)).all():
             raise ValueError("face signs must be -1, 0 or +1")
 
     @property
@@ -58,18 +58,14 @@ def orthant_face(z, v):
     v = np.asarray(v, dtype=float)
     if z.shape != v.shape:
         raise ValueError(f"shape mismatch: z {z.shape} vs v {v.shape}")
-    omega = np.where(z != 0, np.sign(z), np.sign(-v))
-    return OrthantFace(omega.astype(np.int8))
+    return OrthantFace(np.sign(np.where(z != 0, z, -v)).astype(np.int8))
 
 
 def orthant_project(w, face):
-    """Euclidean projection onto the face (componentwise clipping)."""
+    """Euclidean projection onto the face (componentwise clipping); a NaN
+    component projects to 0."""
     w = np.asarray(w, dtype=float)
-    return np.where(
-        face.omega > 0,
-        np.maximum(w, 0.0),
-        np.where(face.omega < 0, np.minimum(w, 0.0), 0.0),
-    )
+    return np.where(face.omega * w > 0, w, 0.0)
 
 
 def min_norm_subgradient_from_gradient(u, z, mu):
@@ -78,19 +74,13 @@ def min_norm_subgradient_from_gradient(u, z, mu):
 
     On nonzero components the l1 term contributes ``mu * sign(z_i)``; on zero
     components the contribution is the choice in ``[-mu, mu]`` that brings
-    ``u_i`` closest to zero.
+    ``u_i`` closest to zero, ``-clip(u_i, -mu, mu)``.  A NaN in ``u`` stays
+    NaN on every component.
     """
-    plus = u + mu
-    minus = u - mu
-    return np.where(
-        z > 0,
-        plus,
-        np.where(
-            z < 0,
-            minus,
-            np.where(plus < 0, plus, np.where(minus > 0, minus, 0.0)),
-        ),
-    )
+    # minimum and maximum return their second operand on ties, so this
+    # keeps np.clip's signed zeros; copysign(mu, -z) is -mu * sign(z)
+    clipped = np.minimum(mu, np.maximum(-mu, u))
+    return u - np.where(z == 0, clipped, np.copysign(mu, -z))
 
 
 def cg_budget(outer_k):
@@ -101,47 +91,49 @@ def cg_budget(outer_k):
 def subspace_cg_solve(model, face, v, cg_cap):
     """Truncated CG on the face-reduced Newton system ``H_FF d_F = -v_F``.
 
-    Starts from zero, applies the Hessian to zero-padded directions (one
-    product per CG iteration), and returns early on nonpositive or NaN
-    curvature: the current iterate if any progress was made, otherwise the
-    steepest descent direction ``-v_F``.  The full-space product ``H d``,
-    summed from those of the CG directions, is left on the model as a copy
-    ``model.step_product = (d, H d)`` for the projected search.
+    Starts from zero, applies the Hessian to each direction zero-padded in
+    one reused buffer (one product per CG iteration), and returns early on
+    nonpositive or NaN curvature: the current iterate if any progress was
+    made, otherwise the steepest descent direction ``-v_F``.  The full-space product ``H d``,
+    summed from those of the CG directions, is left on the model as
+    ``model.step_product = (copy of d, H d)`` for the projected search.
     """
     if cg_cap < 1:
         raise ValueError(f"cg_cap must be >= 1, got {cg_cap}")
     v = np.asarray(v, dtype=float)
-    free = face.free_mask
-    d = np.zeros_like(v)
-    r = -v[free]
+    free = face.omega.nonzero()[0]
+    d = np.zeros(v.shape)
+    r = -v.take(free)
     rs = float(r @ r)
     if rs == 0.0 or r.size == 0:
         return d
     tol2 = max(rs * 1e-28, 1e-300)
-    df = np.zeros_like(r)
-    hd = np.zeros_like(v)
+    df = np.zeros(r.shape)
+    hd = np.zeros(v.shape)
+    padded = np.zeros(v.shape)  # zero off the face for every direction
     p = r.copy()
     for i in range(cg_cap):
-        padded = np.zeros_like(v)
-        padded[free] = p
+        padded.put(free, p)
         hp = model.apply_hessian(padded)
-        w = hp[free]
+        w = hp.take(free)
         curvature = float(p @ w)
         if not curvature > 0.0:
-            if i == 0:
-                df, hd = r.copy(), hp  # the first direction is r itself
+            if i == 0:  # the first direction is r itself
+                df, hd = r, hp.copy()
             break
         step = rs / curvature
         df += step * p
         hd += step * hp
+        if i + 1 == cg_cap:  # the residual would go unused
+            break
         r -= step * w
         rs_new = float(r @ r)
         if rs_new <= tol2:
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    d[free] = df
-    model.step_product = (d.copy(), hd.copy())
+    d.put(free, df)
+    model.step_product = (d.copy(), hd)
     return d
 
 
@@ -188,7 +180,7 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     """
     z = np.asarray(z, dtype=float)
     d = np.asarray(d, dtype=float)
-    if not np.any(d):
+    if not d.any():
         return ProjectedSearchResult(z, 0.0, 0, math.nan, None, q_ref, False)
     known = _known_products(model, z, d)
     alpha = 1.0
@@ -197,7 +189,7 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
         ray = z + alpha * d
         cand = orthant_project(ray, face)
         hdx = None
-        if known is not None and np.array_equal(cand, ray):
+        if known is not None and (cand == ray).all():
             hdx = known[0] + alpha * known[1]
         sval, sgrad = model.smooth_eval(cand, hdx)
         q_cand = sval + model.mu * float(np.abs(cand).sum())
@@ -252,6 +244,10 @@ def obm_solve(model, stop, outer_k, store=None, max_iter=200):
     each CG iteration one, and each projected-search trial one unless it is
     an unclipped point along a CG direction, whose product the CG already
     applied.  Quasi-Newton directions and safeguard steps pay one per trial.
+    An iteration with one CG step and one trial also makes about 70 O(n)
+    numpy passes (subgradient 7, face 10, CG 18 plus 12 per further step,
+    search 25, stop test 10), at n in the hundreds mostly call overhead.  The
+    model gradient must be finite, as the driver's oracle checks make it.
     """
     z, sval, sgrad = model.x_ref.copy(), model.f_ref, model.g_ref
     q_z = q_start = model.reference_objective()
@@ -265,12 +261,12 @@ def obm_solve(model, stop, outer_k, store=None, max_iter=200):
             d = subspace_cg_solve(model, face, v, cg_budget(outer_k))
         else:
             d = lbfgs_reduced_inverse_solve(store, face, v, model.tally)
-        if np.any(d):
+        if d.any():
             outcome = obm_projected_line_search(model, z, face, d, v, q_ref=q_z)
         else:
             outcome = ProjectedSearchResult(z, 0.0, 0, sval, sgrad, q_z, True)
         # a zero v marks an exact model minimizer: no step decreases the model
-        if outcome.stalled and not math.isnan(outcome.q_value) and np.any(v):
+        if outcome.stalled and not math.isnan(outcome.q_value) and v.any():
             outcome = _ista_safeguard(model, z, sgrad, q_z)
         if outcome is None or outcome.stalled:
             status = "stalled"

@@ -39,5 +39,6 @@ def residual(x, g, tau, mu):
     g = np.asarray(g, dtype=float)
     if x.shape != g.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs g {g.shape}")
-    return g - np.clip(g - x / tau, -mu, mu)
+    # minimum/maximum keep their second operand on ties, as np.clip does x
+    return g - np.minimum(mu, np.maximum(-mu, g - x / tau))
 

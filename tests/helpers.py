@@ -195,13 +195,20 @@ class AnalysisConstants:
         )
 
 
+def lbfgs_pairs(store):
+    """An L-BFGS store's ``(s, y)`` rows, oldest first, as views of its
+    ring buffers."""
+    order = np.argsort(store._age[:len(store)])
+    return [(store._S[i], store._Y[i]) for i in order]
+
+
 def lbfgs_inverse_vec(store, v):
     """Apply the inverse of an L-BFGS store's Hessian approximation to ``v``.
 
     The standard two-loop recursion with base ``gamma_scale * I``, an
     independent route to the matrix the store applies in compact form.
     """
-    pairs = store.pairs()
+    pairs = lbfgs_pairs(store)
     q = np.array(v, dtype=float)
     alphas = []
     rhos = []
@@ -216,3 +223,52 @@ def lbfgs_inverse_vec(store, v):
         b = rho * float(y @ r)
         r += (a - b) * s
     return r
+
+
+# The nested-``where`` forms of the orthant and residual kernels, kept as
+# references: the library's single-pass forms must match them byte for byte
+# on finite input.
+
+
+def nested_min_norm_subgradient(u, z, mu):
+    plus = u + mu
+    minus = u - mu
+    return np.where(
+        z > 0,
+        plus,
+        np.where(
+            z < 0,
+            minus,
+            np.where(plus < 0, plus, np.where(minus > 0, minus, 0.0)),
+        ),
+    )
+
+
+def nested_orthant_face_signs(z, v):
+    return np.where(z != 0, np.sign(z), np.sign(-v)).astype(np.int8)
+
+
+def nested_orthant_project(w, omega):
+    return np.where(
+        omega > 0,
+        np.maximum(w, 0.0),
+        np.where(omega < 0, np.minimum(w, 0.0), 0.0),
+    )
+
+
+def clip_residual(x, g, tau, mu):
+    return g - np.clip(g - x / tau, -mu, mu)
+
+
+def edge_case_vector(rng, n, mu):
+    """Seeded normal draws over three scales, about half of them replaced
+    by edge values: both zeros, exactly +-mu and its neighbours, subnormals,
+    +-1."""
+    pool = np.array([0.0, -0.0, mu, -mu, np.nextafter(mu, 0.0),
+                     np.nextafter(-mu, 0.0), np.nextafter(mu, np.inf),
+                     np.nextafter(-mu, -np.inf), 5e-324, -5e-324, -1e-310,
+                     2.2e-308, 1.0, -1.0])
+    x = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3], size=n)
+    pick = rng.uniform(size=n) < 0.5
+    x[pick] = rng.choice(pool, size=int(pick.sum()))
+    return x

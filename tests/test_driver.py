@@ -113,6 +113,29 @@ class TestInexactnessCheck:
         inexactness_check(model, rng.normal(size=3), eta=0.5, tau=0.5)
         assert model.tally.hess_vec_products == 1
 
+    @pytest.mark.parametrize("mode", ["simple", "strengthened"])
+    def test_report_sides_bit_for_bit(self, mode):
+        # the report takes the model's cached reference value and shares the
+        # l1 term between q_hat and the linear model; each side must still
+        # be the bits of the model's own methods
+        rng = np.random.default_rng(5)
+        model = _random_model(rng, n=40)
+        xhat = rng.normal(size=40)
+        xhat[::3] = 0.0
+        rep = inexactness_check(model, xhat, eta=0.5, tau=0.5, mode=mode,
+                                zeta=0.25)
+        sval, sgrad = model.smooth_eval(xhat)
+        q_ref = model.reference_objective()
+        expected_rhs = (0.0 if mode == "simple"
+                        else 0.25 * (model.linear_value(xhat) - q_ref))
+        assert rep.q_reference.hex() == q_ref.hex()
+        assert rep.decrease_rhs.hex() == expected_rhs.hex()
+        q_hat = sval + model.mu * float(np.abs(xhat).sum())
+        assert rep.q_candidate.hex() == q_hat.hex()
+        assert rep.decrease_lhs.hex() == (q_hat - q_ref).hex()
+        F = residual(xhat, sgrad, 0.5, model.mu)
+        assert rep.residual_norm.hex() == float(np.linalg.norm(F)).hex()
+
 
 class TestOuterLineSearch:
     def test_unit_step_for_exact_quadratic_model(self):

@@ -24,6 +24,7 @@ from sqamin import (
 import sqamin.io as sqio
 from sqamin.cli import _build_parser, _load_problem, main
 from sqamin.io import SOLVERS
+from sqamin.model import ETA_RULES
 
 
 class TestParseSvmlight:
@@ -442,6 +443,25 @@ class TestCli:
         (action,) = [a for a in _build_parser()._actions if a.dest == "solver"]
         assert tuple(action.choices) == SOLVERS
         assert SOLVERS == ("fista", "sqa_fista", "sqa_obm_cg", "sqa_obm_qn")
+
+    def test_eta_rule_choices_single_sourced(self):
+        (action,) = [a for a in _build_parser()._actions
+                     if a.dest == "eta_rule"]
+        assert tuple(action.choices) == ("paper",) + ETA_RULES
+
+    @pytest.mark.parametrize("flag, etas", [
+        ("paper", [0.9, 0.5]), ("inverse_k", [0.9, 0.5]),
+        ("constant", [0.5, 0.5])])
+    def test_eta_rule_reaches_the_trace(self, capsys, tmp_path, flag, etas):
+        # paper is an alias of inverse_k, max(1/k, 0.1) capped at 0.9;
+        # constant takes SolverConfig.eta_constant
+        report_path = tmp_path / "run.json"
+        code = main(["--problem", "synthetic", "--solver", "sqa_fista",
+                     "--n", "20", "--eta-rule", flag,
+                     "--report", str(report_path)])
+        assert code == 0
+        trace = json.loads(report_path.read_text())["trace"]
+        assert [row["eta"] for row in trace[1:3]] == etas
 
     def test_synthetic_end_to_end(self, capsys):
         code = main(["--problem", "synthetic", "--solver", "sqa_obm_cg",

@@ -11,7 +11,7 @@ from sqamin import (
     lbfgs_reduced_inverse_solve,
 )
 
-from helpers import lbfgs_inverse_vec, materialize_operator
+from helpers import lbfgs_inverse_vec, lbfgs_pairs, materialize_operator
 
 
 def _filled_store(rng, n, n_pairs, memory=50):
@@ -81,7 +81,7 @@ class TestRingBuffer:
     def test_pairs_are_the_newest_oldest_first(self):
         store, newest, _ = self._wrapped_store()
         assert len(store) == 3
-        for (s, y), (s_ref, y_ref) in zip(store.pairs(), newest, strict=True):
+        for (s, y), (s_ref, y_ref) in zip(lbfgs_pairs(store), newest, strict=True):
             np.testing.assert_array_equal(s, s_ref)
             np.testing.assert_array_equal(y, y_ref)
 

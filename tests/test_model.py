@@ -115,6 +115,24 @@ class TestSmoothEvalFromKnownProduct:
         assert model.tally.hess_vec_products == 0
 
 
+class TestReferenceObjective:
+    def test_cached_value_is_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        for n in (1, 5, 200):
+            x_ref = rng.normal(size=n) * 1e3
+            x_ref[::2] = 0.0
+            model = QuadraticModel(x_ref, rng.normal(size=n), -3.7,
+                                   lambda v: v, 0.3)
+            expected = model.f_ref + model.mu * float(np.abs(x_ref).sum())
+            assert model.reference_objective().hex() == expected.hex()
+            assert model.linear_value(x_ref).hex() == expected.hex()
+
+    def test_costs_no_hessian_product(self):
+        model = _random_model(np.random.default_rng(17))
+        model.reference_objective()
+        assert model.tally.hess_vec_products == 0
+
+
 class TestLinearModelValue:
     def test_value_at_reference(self):
         rng = np.random.default_rng(4)

@@ -18,11 +18,15 @@ from sqamin import obm
 from sqamin.obm import OrthantFace
 
 from helpers import (
+    edge_case_vector,
     face_active_set,
     face_conforms,
     materialize_operator,
     model_exact_minimizer,
     model_value,
+    nested_min_norm_subgradient,
+    nested_orthant_face_signs,
+    nested_orthant_project,
 )
 
 
@@ -80,6 +84,43 @@ class TestMinNormSubgradient:
             xi = np.where(z > 0, 1.0, np.where(z < 0, -1.0,
                                                rng.uniform(-1, 1, size=6)))
             assert vnorm <= np.linalg.norm(u + model.mu * xi) + 1e-12
+
+    def test_nan_gradient_stays_nan_on_every_component(self):
+        # the nested-where form turned a NaN at a zero component into 0, as
+        # if that component were optimal
+        u = np.array([np.nan, np.nan, np.nan, 1.0])
+        z = np.array([0.0, 2.0, -2.0, 0.0])
+        v = min_norm_subgradient_from_gradient(u, z, 0.5)
+        assert np.isnan(v[:3]).all()
+        assert v[3] == 0.5
+
+
+class TestKernelsMatchTheNestedWhereForms:
+    """The single-pass kernels give the bytes of the nested-where forms."""
+
+    @pytest.mark.parametrize("mu", [0.0, 5e-324, 0.7, 1.0])
+    def test_byte_for_byte_on_edge_values(self, mu):
+        rng = np.random.default_rng(16)
+        for n in (1, 2, 7, 33, 64, 500):
+            for _ in range(5):
+                u, z, w = (edge_case_vector(rng, n, mu) for _ in range(3))
+                v = min_norm_subgradient_from_gradient(u, z, mu)
+                assert v.tobytes() == nested_min_norm_subgradient(
+                    u, z, mu).tobytes()
+                omega = orthant_face(z, v).omega
+                assert omega.tobytes() == nested_orthant_face_signs(
+                    z, v).tobytes()
+                assert orthant_project(w, OrthantFace(omega)).tobytes() == \
+                    nested_orthant_project(w, omega).tobytes()
+
+    def test_edge_values_cover_both_zeros_mu_subnormals_and_signs(self):
+        rng = np.random.default_rng(16)
+        x = edge_case_vector(rng, 500, 0.7)
+        for value in (0.7, -0.7, 5e-324, -5e-324):
+            assert (x == value).any()
+        assert (np.signbit(x) & (x == 0)).any()
+        assert (~np.signbit(x) & (x == 0)).any()
+        assert (x > 0).any() and (x < 0).any()
 
 
 class TestOrthantFace:
@@ -152,6 +193,12 @@ class TestOrthantProject:
                 feas = np.where(omega > 0, np.abs(feas),
                                 np.where(omega < 0, -np.abs(feas), 0.0))
                 assert dist <= np.linalg.norm(feas - w) + 1e-12
+
+    def test_nan_projects_to_zero(self):
+        # the nested-where form kept a NaN on a free component
+        face = OrthantFace(np.array([1, -1, 0], dtype=np.int8))
+        proj = orthant_project(np.full(3, np.nan), face)
+        assert proj.tobytes() == np.zeros(3).tobytes()
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)

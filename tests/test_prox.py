@@ -9,7 +9,12 @@ from sqamin import (
     soft_threshold,
 )
 
-from helpers import model_exact_minimizer, scalar_prox_grid
+from helpers import (
+    clip_residual,
+    edge_case_vector,
+    model_exact_minimizer,
+    scalar_prox_grid,
+)
 
 
 class TestSoftThreshold:
@@ -73,6 +78,16 @@ class TestIstaPoint:
 
 
 class TestResidual:
+    @pytest.mark.parametrize("mu", [0.0, 5e-324, 0.7, 1.0])
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 3.0])
+    def test_matches_the_clip_form_byte_for_byte(self, mu, tau):
+        rng = np.random.default_rng(16)
+        for n in (1, 2, 7, 33, 64, 500):
+            for _ in range(5):
+                x, g = (edge_case_vector(rng, n, mu) for _ in range(2))
+                assert residual(x, g, tau, mu).tobytes() == \
+                    clip_residual(x, g, tau, mu).tobytes()
+
     def test_zero_when_projection_absorbs_gradient(self):
         g = np.array([0.4, -0.9, 0.0])
         out = residual(np.zeros(3), g, 0.5, 1.0)
