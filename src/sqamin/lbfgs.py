@@ -31,8 +31,14 @@ whose middle matrix ``W - U_F.T@U_F/sigma`` has the blocks
 Eliminating on the SPD ``N`` leaves the Schur complement ``P + Q N^{-1} Q.T``,
 SPD whenever ``B_FF`` is, so a solve takes two ``memory``-square Choleskys
 and never forms an n-by-n matrix.  Each block is formed from the columns
-it names, so none needs cancellation.
+it names, so none needs cancellation.  The store counts, per column, the
+stored steps that are nonzero there, and ``P`` is gathered only over the
+active columns where that count is positive: the others add exact zeros.
+Everything else, the right-hand sides and the back-substitution included,
+runs over the columns of ``F`` alone.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -71,6 +77,7 @@ class LbfgsStore:
         self.memory = memory
         self.gamma_scale = 1.0  # inverse-Hessian base scale, s@y / y@y
         self._S = self._Y = None  # memory-by-n ring buffers, allocated lazily
+        self._support = None  # per column, the stored steps nonzero there
         self._SS = np.zeros((memory, memory))
         self._SY = np.zeros((memory, memory))  # _SY[i, j] = s_i @ y_j
         self._age = np.zeros(memory, dtype=np.int64)
@@ -98,12 +105,14 @@ class LbfgsStore:
         y = np.asarray(y, dtype=float)
         if s.shape != y.shape:
             raise ValueError("s and y dimensions differ")
-        sy = float(s @ y)
-        if sy <= CURVATURE_GUARD * float(np.linalg.norm(s) * np.linalg.norm(y)):
+        sy, ss, yy = float(s @ y), float(s @ s), float(y @ y)
+        # the product of np.linalg.norm(s) and np.linalg.norm(y), bit for bit
+        if sy <= CURVATURE_GUARD * (math.sqrt(ss) * math.sqrt(yy)):
             return False
         if self._S is None:
             self._S = np.zeros((self.memory, s.size))
             self._Y = np.zeros((self.memory, s.size))
+            self._support = np.zeros(s.size, dtype=np.int64)
         slot = self._count % self.memory  # the oldest row once full
         k = min(self._count + 1, self.memory)
         # the new Grams, L, D and factor are built on copies and stored only
@@ -114,13 +123,15 @@ class LbfgsStore:
         SS[slot] = SS[:, slot] = S @ s
         SY[:, slot] = S @ y
         SY[slot] = Y @ s
-        SS[slot, slot], SY[slot, slot] = s @ s, sy
+        SS[slot, slot], SY[slot, slot] = ss, sy
         age = self._age[:k].copy()
         age[slot] = self._count
         L = np.where(age[:, None] > age[None, :], SY, 0.0)
         d = SY.diagonal().copy()
-        gamma_scale = sy / float(y @ y)
+        gamma_scale = sy / yy
         C_chol = _cholesky((1.0 / gamma_scale) * SS + (L / d) @ L.T)
+        self._support -= self._S[slot] != 0
+        self._support += s != 0
         self._S[slot] = s
         self._Y[slot] = y
         self._SS[:k, :k], self._SY[:k, :k] = SS, SY
@@ -165,17 +176,17 @@ def lbfgs_reduced_inverse_solve(store, face, v, tally=None):
         return d
     S, Y = store._S[:k], store._Y[:k]
     # taking index arrays gathers columns of the row buffers faster than a
-    # boolean mask does
-    S_A = S.take(np.flatnonzero(~free), axis=1)
+    # boolean mask does; an active column where every stored step is zero
+    # adds only zeros to P
+    S_A = S.take(np.flatnonzero((store._support > 0) & ~free), axis=1)
     P = sigma * (S_A @ S_A.T)
     free_ix = np.flatnonzero(free)
     S_F, Y_F = S.take(free_ix, axis=1), Y.take(free_ix, axis=1)
     Q = store._L - S_F @ Y_F.T
     N = (Y_F @ Y_F.T) / sigma
     N.flat[::k + 1] += store._d
-    v_zeroed = np.where(free, v, 0.0)
-    p = sigma * (S @ v_zeroed)
-    q = Y @ v_zeroed
+    p = sigma * (S_F @ vf)
+    q = Y_F @ vf
     try:
         R_N = _cholesky(N)
         # N^{-1} Q.T = R_N^{-T} G and N^{-1} q = R_N^{-T} h
@@ -188,6 +199,6 @@ def lbfgs_reduced_inverse_solve(store, face, v, tally=None):
             tally.lbfgs_fallback_solves += 1
         d[free] = -vf / sigma
         return d
-    w = S.T @ x + Y.T @ (y / sigma)
-    d[free] = -(vf + w[free]) / sigma
+    w = S_F.T @ x + Y_F.T @ (y / sigma)
+    d[free] = -(vf + w) / sigma
     return d

@@ -107,6 +107,7 @@ class QuadraticModel:
         self._q_ref = self.f_ref + self.mu * float(np.abs(self.x_ref).sum())
         # products an inner solver may reuse; at the reference point H 0 = 0
         self.last_eval = (self.x_ref.copy(), np.zeros_like(self.x_ref))
+        self.last_linear = 0.0  # g_ref @ (last_eval point - x_ref)
         self.step_product = None
 
     @property
@@ -132,14 +133,16 @@ class QuadraticModel:
         already knows ``hdx`` passes it and pays no Hessian-vector product;
         otherwise one product is applied.  Copies of the point and its
         product are kept as ``last_eval``, so a caller moving on from ``x``
-        along a direction of known product can extend them.
+        along a direction of known product can extend them, and
+        ``g_ref @ dx`` is kept as ``last_linear`` for the stop test.
         """
         x = self._check_dim(x)
         dx = x - self.x_ref
         if hdx is None:
             hdx = self.apply_hessian(dx)
         self.last_eval = (x.copy(), hdx.copy())
-        val = self.f_ref + float(self.g_ref @ dx) + 0.5 * float(dx @ hdx)
+        self.last_linear = float(self.g_ref @ dx)
+        val = self.f_ref + self.last_linear + 0.5 * float(dx @ hdx)
         return val, self.g_ref + hdx
 
     def linear_value(self, x):

@@ -30,6 +30,7 @@ from sqamin import (
     synthetic_quadratic_matrices,
     write_report,
 )
+from sqamin.driver import _inexactness_from_eval
 from sqamin.io import SOLVERS
 
 from helpers import (
@@ -135,6 +136,23 @@ class TestInexactnessCheck:
         assert rep.decrease_lhs.hex() == (q_hat - q_ref).hex()
         F = residual(xhat, sgrad, 0.5, model.mu)
         assert rep.residual_norm.hex() == float(np.linalg.norm(F)).hex()
+
+    def test_linear_side_follows_a_point_changed_in_place(self):
+        # the stop test reuses smooth_eval's g_ref @ dx only while the point
+        # is byte for byte the one the model evaluated last
+        rng = np.random.default_rng(6)
+        model = _random_model(rng, n=40)
+        xhat = rng.normal(size=40)
+        sval, sgrad = model.smooth_eval(xhat)
+        for edit in (None, 0.0):
+            if edit is not None:
+                xhat[::3] = edit
+            rep = _inexactness_from_eval(model, xhat, sval, sgrad, eta=0.5,
+                                         tau=0.5, mode="strengthened",
+                                         zeta=0.25, ref_residual_norm=1.0)
+            expected = 0.25 * (model.linear_value(xhat)
+                               - model.reference_objective())
+            assert rep.decrease_rhs.hex() == expected.hex()
 
 
 class TestOuterLineSearch:

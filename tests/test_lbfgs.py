@@ -1,5 +1,7 @@
 """Correction-pair store: compact applies, reduced solves, update policy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,18 +47,44 @@ class TestUpdatePolicy:
         store.update(np.array([1.0, 0.0]), np.array([4.0, 0.0]))
         assert store.gamma_scale == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("n", [1, 7, 100, 3600])
+    def test_curvature_guard_is_the_norm_product_rule(self, n):
+        # the guard takes sqrt(s@s)*sqrt(y@y) from the inner products the
+        # update needs; it must be np.linalg.norm's product bit for bit, so
+        # pairs at the threshold are kept or skipped as by the norms
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            s = rng.normal(size=n) * 10.0 ** rng.uniform(-100, 100)
+            u = rng.normal(size=n) * 10.0 ** rng.uniform(-100, 100)
+            norms = float(np.linalg.norm(s) * np.linalg.norm(u))
+            assert (math.sqrt(s @ s) * math.sqrt(u @ u)).hex() == norms.hex()
+            # y's angle to s puts s@y near the guard's threshold
+            y = u - (s @ u) / (s @ s) * s if n > 1 else u
+            y += (sqamin.lbfgs.CURVATURE_GUARD * rng.uniform(0.5, 1.5)
+                  * np.linalg.norm(y) / np.linalg.norm(s)) * s
+            skipped = float(s @ y) <= sqamin.lbfgs.CURVATURE_GUARD * float(
+                np.linalg.norm(s) * np.linalg.norm(y))
+            assert LbfgsStore(memory=2).update(s, y) is not skipped
+
 
 def _snapshot(store):
     return {name: np.copy(value) for name, value in vars(store).items()}
 
 
+def _support(store):
+    """Per column, how many of the store's steps are nonzero there."""
+    return (np.array([s for s, _ in lbfgs_pairs(store)]) != 0).sum(axis=0)
+
+
 class TestRingBuffer:
     """A memory-3 store offered 8 pairs, the fifth skipped: the 7 kept
-    wrap the ring to a row order (6, 4, 5) unlike the age order."""
+    wrap the ring to a row order (6, 4, 5) unlike the age order.  With
+    ``zero_columns``, every step is zero on the first two columns and on
+    about 40% of the others."""
 
     n = 8
 
-    def _wrapped_store(self):
+    def _wrapped_store(self, zero_columns=False):
         rng = np.random.default_rng(11)
         A = rng.normal(size=(self.n, self.n))
         A = A @ A.T + np.eye(self.n)
@@ -64,6 +92,9 @@ class TestRingBuffer:
         kept = []
         for i in range(8):
             s = rng.normal(size=self.n)
+            if zero_columns:
+                s[rng.uniform(size=self.n) < 0.4] = 0.0
+                s[:2] = 0.0
             y = -s if i == 4 else A @ s
             if i == 4:
                 before = _snapshot(store)
@@ -91,11 +122,22 @@ class TestRingBuffer:
         H = materialize_operator(lambda v: lbfgs_inverse_vec(store, v), self.n)
         np.testing.assert_allclose(B, np.linalg.inv(H), rtol=1e-9, atol=1e-9)
 
+    def test_support_counts_the_nonzero_steps_per_column(self):
+        store, _, _ = self._wrapped_store(zero_columns=True)
+        np.testing.assert_array_equal(store._support, _support(store))
+        # columns no step reaches, and columns only some of the kept steps
+        # reach, after the ring dropped steps that reached them
+        np.testing.assert_array_equal(store._support[:2], 0)
+        assert 0 < store._support[2:].min() < 3
+
     def test_failed_factor_leaves_the_store_unchanged(self, monkeypatch):
         store, _, rng = self._wrapped_store()
         before = _snapshot(store)
+        assert "_support" in before
         monkeypatch.setattr(sqamin.lbfgs, "dpotrf", lambda a, **kwargs: (a, 1))
         s = rng.normal(size=self.n)
+        s[::2] = 0.0  # zeros where the oldest step has none, so a count
+        # updated before the factor would differ
         with pytest.raises(np.linalg.LinAlgError):
             store.update(s, 2.0 * s)
         after = _snapshot(store)
@@ -103,23 +145,31 @@ class TestRingBuffer:
         for name in before:
             np.testing.assert_array_equal(after[name], before[name],
                                           err_msg=name)
+        np.testing.assert_array_equal(store._support, _support(store))
 
     @pytest.mark.parametrize("n_free", [3, 6])  # both sides of n/2
     def test_reduced_solve_matches_dense_on_small_and_large_faces(self, n_free):
-        store, _, rng = self._wrapped_store()
-        omega = np.zeros(self.n, dtype=np.int8)
-        picked = rng.choice(self.n, size=n_free, replace=False)
-        omega[picked] = rng.choice([-1, 1], size=n_free)
-        face = OrthantFace(omega)
-        free = face.free_mask
-        B = materialize_operator(store.hessian_vec, self.n)
-        v = rng.normal(size=self.n)
-        expected = np.zeros(self.n)
-        expected[free] = -np.linalg.solve(B[np.ix_(free, free)], v[free])
-        tally = Telemetry()
-        d = lbfgs_reduced_inverse_solve(store, face, v, tally)
-        np.testing.assert_allclose(d, expected, rtol=1e-9, atol=1e-11)
-        assert tally.lbfgs_fallback_solves == 0
+        # the second store's free columns are the ones most steps reach, so
+        # its active set holds columns that no step reaches (which P skips)
+        # and, on the smaller face, columns that one or two steps reach
+        for zero_columns in (False, True):
+            store, _, rng = self._wrapped_store(zero_columns)
+            omega = np.zeros(self.n, dtype=np.int8)
+            if zero_columns:
+                picked = np.argsort(-store._support, kind="stable")[:n_free]
+            else:
+                picked = rng.choice(self.n, size=n_free, replace=False)
+            omega[picked] = rng.choice([-1, 1], size=n_free)
+            face = OrthantFace(omega)
+            free = face.free_mask
+            B = materialize_operator(store.hessian_vec, self.n)
+            v = rng.normal(size=self.n)
+            expected = np.zeros(self.n)
+            expected[free] = -np.linalg.solve(B[np.ix_(free, free)], v[free])
+            tally = Telemetry()
+            d = lbfgs_reduced_inverse_solve(store, face, v, tally)
+            np.testing.assert_allclose(d, expected, rtol=1e-9, atol=1e-11)
+            assert tally.lbfgs_fallback_solves == 0
 
 
 class TestApplies:

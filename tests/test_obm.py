@@ -162,6 +162,12 @@ class TestOrthantFace:
         with pytest.raises(ValueError, match="face signs"):
             OrthantFace(np.array([1.0, bad, 0.0]))
 
+    @pytest.mark.parametrize("bad", [2, -128])
+    def test_rejects_int8_signs_outside_minus_one_zero_one(self, bad):
+        # faces built by orthant_face skip the check; no others do
+        with pytest.raises(ValueError, match="face signs"):
+            OrthantFace(np.array([1, bad, 0], dtype=np.int8))
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, float])
     def test_accepts_minus_one_zero_one(self, dtype):
         omega = np.array([-1, 0, 1, 0, -1], dtype=dtype)
