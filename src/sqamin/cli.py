@@ -8,6 +8,7 @@ an accepted point: ``nonfinite_oracle``), 1 on any usage or input error.
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .driver import fista_baseline_solve, sqa_solve
 from .io import (
@@ -19,7 +20,8 @@ from .io import (
     sample_covariance,
     write_report,
 )
-from .model import ETA_RULES, INEXACTNESS_MODES, SolverConfig
+from .model import (ETA_RULES, INEXACTNESS_MODES, ConvergenceReport,
+                    SolverConfig)
 from .objectives import (
     CovarianceProblem,
     covariance_problem,
@@ -108,19 +110,10 @@ def _load_problem(args, mu):
 
 
 def _print_summary(report, stream):
-    print(f"solver: {report.solver}", file=stream)
-    print(f"status: {report.status}", file=stream)
-    print(f"outer iterations: {report.outer_iterations}", file=stream)
-    print(f"inner iterations: {report.inner_iterations}", file=stream)
-    print(f"function/gradient evals: {report.fg_evaluations}", file=stream)
-    print(f"Hessian-vector mults: {report.hess_vec_products}", file=stream)
-    print(f"L-BFGS skipped updates: {report.lbfgs_skipped_updates}",
-          file=stream)
-    print(f"L-BFGS fallback solves: {report.lbfgs_fallback_solves}",
-          file=stream)
-    print(f"time (s): {report.wall_time_seconds:.2f}", file=stream)
-    print(f"final residual (inf-norm): {report.final_residual_inf:.3e}",
-          file=stream)
+    """One ``name: value`` line per report field but the trace."""
+    for f in fields(ConvergenceReport):
+        if f.name != "trace":
+            print(f"{f.name}: {getattr(report, f.name)}", file=stream)
 
 
 def main(argv=None):

@@ -90,13 +90,8 @@ def _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode, zeta,
         rhs = 0.0
         decrease_ok = lhs < 0.0
     else:
-        # model.linear_value(x_hat), sharing the penalty with q_hat and, at
-        # the model's last evaluated point, smooth_eval's g_ref @ dx
-        if x_hat.tobytes() == model.last_eval[0].tobytes():
-            linear = model.last_linear
-        else:
-            linear = float(model.g_ref @ (x_hat - model.x_ref))
-        ell = model.f_ref + linear + penalty
+        # model.linear_value(x_hat), sharing the penalty with q_hat
+        ell = model.f_ref + float(model.g_ref @ (x_hat - model.x_ref)) + penalty
         rhs = zeta * (ell - q_ref)
         decrease_ok = lhs <= rhs
     return InexactnessReport(

@@ -91,6 +91,8 @@ class QuadraticModel:
     abstract symmetric positive definite linear map ``v -> H v``; it is never
     materialized here.  ``f_ref`` is cached so the model never re-calls the
     smooth oracle.  Every Hessian product is counted on ``self.tally``.
+    The OBM solver hands ``(z, H(z - x_ref), d, H d)`` to its next projected
+    search along ``d`` in ``search_products``, which that search clears.
     """
 
     def __init__(self, x_ref, g_ref, f_ref, hessian, mu, tally=None):
@@ -105,10 +107,7 @@ class QuadraticModel:
         self.mu = float(mu)
         self.tally = Telemetry() if tally is None else tally
         self._q_ref = self.f_ref + self.mu * float(np.abs(self.x_ref).sum())
-        # products an inner solver may reuse; at the reference point H 0 = 0
-        self.last_eval = (self.x_ref.copy(), np.zeros_like(self.x_ref))
-        self.last_linear = 0.0  # g_ref @ (last_eval point - x_ref)
-        self.step_product = None
+        self.search_products = None
 
     @property
     def dim(self):
@@ -131,18 +130,13 @@ class QuadraticModel:
         Both follow from ``hdx = H dx`` with ``dx = x - x_ref``: the gradient
         is ``g_ref + hdx`` and the value needs ``dx @ hdx``.  A caller that
         already knows ``hdx`` passes it and pays no Hessian-vector product;
-        otherwise one product is applied.  Copies of the point and its
-        product are kept as ``last_eval``, so a caller moving on from ``x``
-        along a direction of known product can extend them, and
-        ``g_ref @ dx`` is kept as ``last_linear`` for the stop test.
+        otherwise one product is applied.  Nothing is kept on the model.
         """
         x = self._check_dim(x)
         dx = x - self.x_ref
         if hdx is None:
             hdx = self.apply_hessian(dx)
-        self.last_eval = (x.copy(), hdx.copy())
-        self.last_linear = float(self.g_ref @ dx)
-        val = self.f_ref + self.last_linear + 0.5 * float(dx @ hdx)
+        val = self.f_ref + float(self.g_ref @ dx) + 0.5 * float(dx @ hdx)
         return val, self.g_ref + hdx
 
     def linear_value(self, x):

@@ -230,6 +230,7 @@ class CovarianceProblem:
             raise ValueError("sample covariance must be finite")
         if not np.array_equal(S, S.T):
             raise ValueError("sample covariance must be exactly symmetric")
+        object.__setattr__(self, "sample_cov", S)  # the float array checked
 
     @property
     def p(self):

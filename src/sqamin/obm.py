@@ -11,7 +11,7 @@ subspace phase a smooth quadratic problem.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -102,22 +102,22 @@ def subspace_cg_solve(model, face, v, cg_cap):
     Starts from zero, applies the Hessian to each direction zero-padded in
     one reused buffer (one product per CG iteration), and returns early on
     nonpositive or NaN curvature: the current iterate if any progress was
-    made, otherwise the steepest descent direction ``-v_F``.  The full-space product ``H d``,
-    summed from those of the CG directions, is left on the model as
-    ``model.step_product = (copy of d, H d)`` for the projected search.
+    made, otherwise the steepest descent direction ``-v_F``.  Returns
+    ``(d, H d)``, the full-space product summed from those of the CG
+    directions, in arrays of its own; the model is left as it was.
     """
     if cg_cap < 1:
         raise ValueError(f"cg_cap must be >= 1, got {cg_cap}")
     v = np.asarray(v, dtype=float)
     free = face.omega.nonzero()[0]
     d = np.zeros(v.shape)
+    hd = np.zeros(v.shape)
     r = -v.take(free)
     rs = float(r @ r)
     if rs == 0.0 or r.size == 0:
-        return d
+        return d, hd
     tol2 = max(rs * 1e-28, 1e-300)
     df = np.zeros(r.shape)
-    hd = np.zeros(v.shape)
     padded = np.zeros(v.shape)  # zero off the face for every direction
     p = r.copy()
     for i in range(cg_cap):
@@ -141,8 +141,7 @@ def subspace_cg_solve(model, face, v, cg_cap):
         p = r + (rs_new / rs) * p
         rs = rs_new
     d.put(free, df)
-    model.step_product = (d.copy(), hd)
-    return d
+    return d, hd
 
 
 class ProjectedSearchResult(NamedTuple):
@@ -153,22 +152,7 @@ class ProjectedSearchResult(NamedTuple):
     smooth_grad: np.ndarray
     q_value: float
     stalled: bool
-
-
-def _known_products(model, z, d):
-    """``(H(z - x_ref), H d)`` when the model already holds both, else None.
-
-    The first is there when ``z`` is the model's last evaluated point, at
-    first its reference point, and the second when ``d`` is the direction
-    ``subspace_cg_solve`` last returned.  Both are matched bit for bit
-    (faster than ``np.array_equal``) against the model's copies, so a point
-    or direction changed in place since pays for its products.
-    """
-    last, step = model.last_eval, model.step_product
-    if (step is None or last[0].tobytes() != z.tobytes()
-            or step[0].tobytes() != d.tobytes()):
-        return None
-    return last[1], step[1]
+    product: Optional[np.ndarray] = None  # H(point - x_ref) when accepted
 
 
 def obm_projected_line_search(model, z, face, d, v, q_ref):
@@ -182,23 +166,28 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     or at once, with a NaN ``q_value``, at a NaN trial.
 
     A trial that the projection leaves unclipped lies on the ray
-    ``z + alpha d``; when the model holds ``H(z - x_ref)`` and ``H d`` (see
-    :func:`_known_products`), such a trial is evaluated from them without a
-    Hessian-vector product.  Every other trial pays one.
+    ``z + alpha d``.  When ``model.search_products`` holds
+    ``(z, H(z - x_ref), d, H d)`` for these very ``z`` and ``d`` objects,
+    such a trial is evaluated from those products without a Hessian-vector
+    product; every other trial pays one.  The slot is cleared on entry,
+    whether it matched or not.  An accepted point carries its product.
     """
+    handed, model.search_products = model.search_products, None
+    known = None
+    if handed is not None and handed[0] is z and handed[2] is d:
+        known = handed[1], handed[3]
     z = np.asarray(z, dtype=float)
     d = np.asarray(d, dtype=float)
     if not d.any():
         return ProjectedSearchResult(z, 0.0, 0, math.nan, None, q_ref, False)
-    known = _known_products(model, z, d)
     alpha = 1.0
     trials = 0
     while alpha >= ALPHA_MIN:
         ray = z + alpha * d
         cand = orthant_project(ray, face)
-        hdx = None
-        if known is not None and (cand == ray).all():
-            hdx = known[0] + alpha * known[1]
+        on_ray = known is not None and (cand == ray).all()
+        hdx = (known[0] + alpha * known[1] if on_ray
+               else model.apply_hessian(cand - model.x_ref))
         sval, sgrad = model.smooth_eval(cand, hdx)
         q_cand = sval + model.mu * float(np.abs(cand).sum())
         trials += 1
@@ -207,8 +196,10 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
                                          math.nan, True)
         linearized = float(v @ (cand - z))
         if q_cand <= q_ref + ARMIJO_CONSTANT * linearized and q_cand <= q_ref:
+            # an oracle's product is copied: it may reuse its output array
             return ProjectedSearchResult(cand, alpha, trials, sval, sgrad,
-                                         q_cand, False)
+                                         q_cand, False,
+                                         hdx if on_ray else hdx.copy())
         alpha *= 0.5
     return ProjectedSearchResult(z, 0.0, trials, math.nan, None, q_ref, True)
 
@@ -223,13 +214,14 @@ def _ista_safeguard(model, z, sgrad, q_ref):
     step = 1.0
     for _ in range(60):
         cand = soft_threshold(z - step * sgrad, step * model.mu)
-        sval, sgrad_c = model.smooth_eval(cand)
+        hdx = model.apply_hessian(cand - model.x_ref)
+        sval, sgrad_c = model.smooth_eval(cand, hdx)
         q_cand = sval + model.mu * float(np.abs(cand).sum())
         if math.isnan(q_cand):
             return None
         if q_cand < q_ref - 1e-15 * max(1.0, abs(q_ref)):
             return ProjectedSearchResult(cand, step, 1, sval, sgrad_c,
-                                         q_cand, False)
+                                         q_cand, False, hdx.copy())
         step *= 0.5
     return None
 
@@ -250,15 +242,16 @@ def obm_solve(model, stop, outer_k, store=None, max_iter=200):
 
     The start, the model's reference point, costs no Hessian-vector product,
     each CG iteration one, and each projected-search trial one unless it is
-    an unclipped point along a CG direction, whose product the CG already
-    applied.  Quasi-Newton directions and safeguard steps pay one per trial.
-    An iteration with one CG step and one trial also makes about 65 O(n)
-    numpy passes (subgradient 7, face 5, CG 18 plus 12 per further step,
-    search 25, stop test 8 and a byte comparison of the point), at n in the
+    unclipped on a CG direction: the solve keeps its iterate's product and
+    hands it to the search with the CG's.  Quasi-Newton directions and
+    safeguard steps pay one per trial.  An iteration with one CG step and
+    one trial also makes about 58 O(n) numpy passes (subgradient 7, face 5,
+    CG 17 plus 12 per further step, search 19, stop test 10), at n in the
     hundreds mostly call overhead.  The model gradient must be finite, as
     the driver's oracle checks make it.
     """
     z, sval, sgrad = model.x_ref.copy(), model.f_ref, model.g_ref
+    hz = np.zeros_like(z)  # H(z - x_ref)
     q_z = q_start = model.reference_objective()
     iterations = 0
     status = "iteration_cap"
@@ -267,12 +260,14 @@ def obm_solve(model, stop, outer_k, store=None, max_iter=200):
         v = min_norm_subgradient_from_gradient(sgrad, z, model.mu)
         face = orthant_face(z, v)
         if store is None:
-            d = subspace_cg_solve(model, face, v, cg_budget(outer_k))
+            d, hd = subspace_cg_solve(model, face, v, cg_budget(outer_k))
+            model.search_products = (z, hz, d, hd)
         else:
             d = lbfgs_reduced_inverse_solve(store, face, v, model.tally)
         if d.any():
             outcome = obm_projected_line_search(model, z, face, d, v, q_ref=q_z)
         else:
+            model.search_products = None
             outcome = ProjectedSearchResult(z, 0.0, 0, sval, sgrad, q_z, True)
         # a zero v marks an exact model minimizer: no step decreases the model
         if outcome.stalled and not math.isnan(outcome.q_value) and v.any():
@@ -280,8 +275,9 @@ def obm_solve(model, stop, outer_k, store=None, max_iter=200):
         if outcome is None or outcome.stalled:
             status = "stalled"
             break
-        z, sval, sgrad, q_z = (outcome.point, outcome.smooth_value,
-                               outcome.smooth_grad, outcome.q_value)
+        z, sval, sgrad, q_z, hz = (outcome.point, outcome.smooth_value,
+                                   outcome.smooth_grad, outcome.q_value,
+                                   outcome.product)
         iterations += 1
         done = stop is not None and stop(z, sval, sgrad)
     if done:

@@ -469,15 +469,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "status: converged" in out
-        assert "Hessian-vector mults:" in out
+        assert "hess_vec_products:" in out
 
     def test_summary_prints_the_lbfgs_counters(self, capsys):
         code = main(["--problem", "synthetic", "--solver", "sqa_obm_qn",
                      "--n", "30", "--seed", "1"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "L-BFGS skipped updates: 0" in out
-        assert "L-BFGS fallback solves: 0" in out
+        assert "lbfgs_skipped_updates: 0" in out
+        assert "lbfgs_fallback_solves: 0" in out
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_summary_prints_every_report_field_but_the_trace_once(
+            self, capsys, tmp_path, solver):
+        report_path = tmp_path / "run.json"
+        code = main(["--problem", "synthetic", "--solver", solver,
+                     "--n", "20", "--seed", "1", "--report", str(report_path)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [f.name for f in dataclasses.fields(ConvergenceReport)
+                 if f.name != "trace"]
+        assert [line.split(": ", 1)[0] for line in lines] == names
+        report = read_report(report_path)
+        for line, name in zip(lines, names):
+            assert line == f"{name}: {getattr(report, name)}"
 
     def test_tolerance_flag_respected(self, capsys, tmp_path):
         report_path = tmp_path / "run.json"

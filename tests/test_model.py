@@ -92,27 +92,23 @@ class TestSmoothEvalFromKnownProduct:
             assert kval == pytest.approx(sval, rel=1e-12)
             np.testing.assert_allclose(kgrad, sgrad, rtol=1e-12, atol=1e-12)
 
-    def test_keeps_the_last_point_and_its_product(self):
+    def test_leaves_every_model_attribute_unchanged(self):
+        # same attributes, same objects, same contents: the model keeps no
+        # record of the points it evaluates, with or without a known product
         rng = np.random.default_rng(5)
         model = _random_model(rng)
-        x = rng.normal(size=5)
-        _, sgrad = model.smooth_eval(x)
-        evaluated = x.copy()
-        x += 1.0  # the model keeps a copy, which this does not reach
-        last_x, last_hdx = model.last_eval
-        np.testing.assert_array_equal(last_x, evaluated)
-        np.testing.assert_array_equal(last_hdx, sgrad - model.g_ref)
-
-    def test_a_fresh_model_holds_its_reference_point_and_zero(self):
-        # H 0 = 0, so the reference point's product is known without one;
-        # the model keeps a copy, which the caller's in-place edit misses
-        x_ref = np.array([1.0, -2.0, 0.5])
-        model = QuadraticModel(x_ref, np.ones(3), 0.0, lambda v: 2.0 * v, 0.1)
-        x_ref += 1.0
-        last_x, last_hdx = model.last_eval
-        np.testing.assert_array_equal(last_x, [1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(last_hdx, np.zeros(3))
-        assert model.tally.hess_vec_products == 0
+        attributes = dict(vars(model))
+        contents = {k: np.copy(v) for k, v in attributes.items()
+                    if isinstance(v, np.ndarray)}
+        for _ in range(3):
+            x = rng.normal(size=5)
+            model.smooth_eval(x)
+            model.smooth_eval(x, model.hessian(x - model.x_ref))
+        assert vars(model).keys() == attributes.keys()
+        assert all(vars(model)[k] is v for k, v in attributes.items())
+        for k, v in contents.items():
+            np.testing.assert_array_equal(getattr(model, k), v)
+        assert model.search_products is None
 
 
 class TestReferenceObjective:

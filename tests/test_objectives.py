@@ -11,10 +11,13 @@ from sqamin import (
     CovarianceProblem,
     LogisticDataset,
     NotPositiveDefiniteError,
+    SolverConfig,
+    covariance_problem,
     logdet_gradient,
     logdet_hess_vec,
     logdet_value,
     logistic_problem,
+    sqa_solve,
     synthetic_logistic_dataset,
     synthetic_quadratic,
     synthetic_quadratic_matrices,
@@ -533,6 +536,18 @@ class TestLogDet:
         with pytest.raises(ValueError,
                            match=f"sample covariance must be .*{message}"):
             CovarianceProblem(np.array(S))
+
+    @pytest.mark.parametrize("S", [
+        [[2.0, 0.5], [0.5, 1.0]], np.array([[2, 1], [1, 1]], dtype=np.int64),
+    ], ids=["nested_list", "int64"])
+    def test_keeps_the_checked_float_array(self, S):
+        prob = CovarianceProblem(S)
+        assert prob.p == 2
+        assert prob.sample_cov.dtype == np.float64
+        np.testing.assert_array_equal(prob.sample_cov, np.asarray(S, float))
+        problem = covariance_problem(prob, 0.1)
+        x, report = sqa_solve(problem, SolverConfig(inner_solver="obm_cg"))
+        assert report.status == "converged"
 
     def test_infinite_off_the_cone(self):
         prob = CovarianceProblem(np.eye(2))

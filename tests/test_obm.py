@@ -234,7 +234,7 @@ class TestSubspaceCgSolve:
         omega = np.array([1, 1, -1, 0, 1], dtype=np.int8)
         face = OrthantFace(omega)
         v = np.array([0.2, -0.4, 0.6, 5.0, 0.0])
-        d = subspace_cg_solve(model, face, v, cg_cap=1)
+        d, _ = subspace_cg_solve(model, face, v, cg_cap=1)
         expected = np.where(omega != 0, -v, 0.0)
         np.testing.assert_allclose(d, expected, atol=1e-14)
 
@@ -242,7 +242,7 @@ class TestSubspaceCgSolve:
         rng = np.random.default_rng(6)
         model = _random_model(rng)
         omega = np.array([1, -1, 0, 0, 1, -1], dtype=np.int8)
-        d = subspace_cg_solve(model, OrthantFace(omega), np.zeros(6), cg_cap=3)
+        d, _ = subspace_cg_solve(model, OrthantFace(omega), np.zeros(6), cg_cap=3)
         np.testing.assert_array_equal(d, np.zeros(6))
 
     def test_large_budget_matches_dense_solve(self):
@@ -254,7 +254,7 @@ class TestSubspaceCgSolve:
         free = face.free_mask
         v = rng.normal(size=6)
         v[~free] = 0.0
-        d = subspace_cg_solve(model, face, v, cg_cap=50)
+        d, _ = subspace_cg_solve(model, face, v, cg_cap=50)
         expected = np.zeros(6)
         expected[free] = -np.linalg.solve(H[np.ix_(free, free)], v[free])
         np.testing.assert_allclose(d, expected, rtol=1e-8, atol=1e-10)
@@ -281,7 +281,7 @@ class TestSubspaceCgSolve:
             if not np.any(v[face.free_mask]):
                 continue
             for cap in (1, 2, 3):
-                d = subspace_cg_solve(model, face, v, cg_cap=cap)
+                d, _ = subspace_cg_solve(model, face, v, cg_cap=cap)
                 assert v @ d < 0
 
     def test_nonpositive_curvature_falls_back_to_steepest_descent(self):
@@ -291,8 +291,42 @@ class TestSubspaceCgSolve:
         v = np.array([1.0, -2.0, 0.5])
         for hessian in (lambda w: -w, lambda w: np.full(n, np.nan)):
             model = QuadraticModel(np.zeros(n), np.zeros(n), 0.0, hessian, 0.0)
-            d = subspace_cg_solve(model, face, v, cg_cap=3)
+            d, _ = subspace_cg_solve(model, face, v, cg_cap=3)
             np.testing.assert_allclose(d, -v)
+
+    @staticmethod
+    def _check_product(model, face, v, cap, H):
+        attributes = dict(vars(model))
+        d, hd = subspace_cg_solve(model, face, v, cg_cap=cap)
+        np.testing.assert_allclose(hd, H @ d, rtol=1e-12,
+                                   atol=1e-12 * max(1.0, np.abs(H @ d).max()))
+        # the model is left as it was: same attributes, same objects
+        assert vars(model).keys() == attributes.keys()
+        assert all(vars(model)[k] is val for k, val in attributes.items())
+        return d
+
+    def test_returned_product_is_the_dense_product(self):
+        rng = np.random.default_rng(33)
+        for _ in range(10):
+            model = _random_model(rng)
+            H = materialize_operator(model.hessian, 6)
+            omega = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=6)
+            for cap in (1, 2, 3):
+                self._check_product(model, OrthantFace(omega),
+                                    rng.normal(size=6), cap, H)
+
+    def test_returned_product_on_the_curvature_exit(self):
+        # the first direction (1, 1, 0) has curvature 3 - 1 > 0 and the
+        # second, (2, 6, 0), 12 - 36 < 0, so CG stops at its first iterate;
+        # a concave model stops at once with the steepest descent direction
+        face = OrthantFace(np.ones(3, dtype=np.int8))
+        v = np.array([-1.0, -1.0, 0.0])
+        for H in (np.diag([3.0, -1.0, 1.0]), -np.eye(3)):
+            model = QuadraticModel(np.zeros(3), np.zeros(3), 0.0,
+                                   lambda w, H=H: H @ w, 0.0)
+            d = self._check_product(model, face, v, 3, H)
+            assert model.tally.hess_vec_products == (2 if H[0, 0] > 0 else 1)
+            assert v @ d < 0
 
 
 class TestProjectedLineSearch:
@@ -347,7 +381,7 @@ class TestProjectedLineSearch:
             u = model.smooth_eval(z)[1]
             v = min_norm_subgradient_from_gradient(u, z, model.mu)
             face = orthant_face(z, v)
-            d = subspace_cg_solve(model, face, v, cg_cap=2)
+            d, _ = subspace_cg_solve(model, face, v, cg_cap=2)
             if not np.any(d):
                 continue
             outcome = obm_projected_line_search(model, z, face, d, v,
@@ -362,7 +396,7 @@ class TestProjectedLineSearch:
             u = model.smooth_eval(z)[1]
             v = min_norm_subgradient_from_gradient(u, z, model.mu)
             face = orthant_face(z, v)
-            d = subspace_cg_solve(model, face, v, cg_cap=1)
+            d, _ = subspace_cg_solve(model, face, v, cg_cap=1)
             if not np.any(d):
                 continue
             q_z = model_value(model, z)
@@ -371,23 +405,34 @@ class TestProjectedLineSearch:
 
 
 class TestSearchReusesCgProducts:
-    """A trial on the ray ``z + alpha d`` of a CG direction is evaluated
-    from products the model already holds; any other trial pays one."""
+    """A trial on the ray ``z + alpha d`` is evaluated from the products
+    handed over with these very ``z`` and ``d``; any other trial pays one."""
 
     @staticmethod
-    def _search(model, z, cg_cap=3):
-        u = model.smooth_eval(z)[1]  # the model now holds H(z - x_ref)
+    def _setup(model, z, cg_cap=3):
+        u = model.smooth_eval(z)[1]
         v = min_norm_subgradient_from_gradient(u, z, model.mu)
         face = orthant_face(z, v)
-        d = subspace_cg_solve(model, face, v, cg_cap=cg_cap)
+        d, hd = subspace_cg_solve(model, face, v, cg_cap=cg_cap)
         q_z = model.smooth_eval(z)[0] + model.mu * np.abs(z).sum()
+        return v, face, d, hd, q_z
+
+    @staticmethod
+    def _paid_search(model, z, face, d, v, q_ref):
         before = model.tally.hess_vec_products
-        outcome = obm_projected_line_search(model, z, face, d, v, q_z)
+        outcome = obm_projected_line_search(model, z, face, d, v, q_ref)
+        return outcome, model.tally.hess_vec_products - before
+
+    @classmethod
+    def _search(cls, model, z, cg_cap=3):
+        v, face, d, hd, q_z = cls._setup(model, z, cg_cap)
+        model.search_products = (z, model.hessian(z - model.x_ref), d, hd)
+        outcome, products = cls._paid_search(model, z, face, d, v, q_z)
         clipped = [not np.array_equal(
                        orthant_project(z + 0.5 ** i * d, face),
                        z + 0.5 ** i * d)
                    for i in range(outcome.trials)]
-        return outcome, model.tally.hess_vec_products - before, clipped
+        return outcome, products, clipped
 
     @staticmethod
     def _check_against_direct_eval(model, outcome):
@@ -395,16 +440,23 @@ class TestSearchReusesCgProducts:
         assert outcome.smooth_value == pytest.approx(sval, rel=1e-10)
         np.testing.assert_allclose(outcome.smooth_grad, sgrad, rtol=1e-10,
                                    atol=1e-10 * np.abs(sgrad).max())
+        np.testing.assert_allclose(outcome.product, sgrad - model.g_ref,
+                                   rtol=1e-10,
+                                   atol=1e-10 * np.abs(sgrad).max())
 
-    def test_unclipped_trial_pays_no_product(self):
-        rng = np.random.default_rng(30)
+    @staticmethod
+    def _interior_model(seed=30):
+        rng = np.random.default_rng(seed)
         A = rng.normal(size=(6, 6))
         H = A @ A.T + np.eye(6)
         # the model minimizer and z lie far inside the all-positive orthant
         # (H >= I keeps the Newton step short), so no trial clips
         model = QuadraticModel(np.abs(rng.normal(size=6)) + 100.0,
                                rng.normal(size=6), 0.9, lambda v: H @ v, 0.5)
-        z = model.x_ref + rng.normal(size=6)
+        return model, model.x_ref + rng.normal(size=6)
+
+    def test_unclipped_trial_pays_no_product(self):
+        model, z = self._interior_model()
         outcome, products, clipped = self._search(model, z)
         assert outcome.trials >= 1 and not any(clipped)
         assert products == 0
@@ -428,45 +480,40 @@ class TestSearchReusesCgProducts:
         assert seen_clipped and seen_unclipped
 
     def test_direction_from_elsewhere_pays_per_trial(self):
+        # nothing was handed over with this direction
         rng = np.random.default_rng(32)
         model = _random_model(rng)
         z = rng.normal(size=6)
-        u = model.smooth_eval(z)[1]
-        v = min_norm_subgradient_from_gradient(u, z, model.mu)
-        face = orthant_face(z, v)
-        d = subspace_cg_solve(model, face, v, cg_cap=3)
-        q_z = model.smooth_eval(z)[0] + model.mu * np.abs(z).sum()
-        before = model.tally.hess_vec_products
-        # products are matched bit for bit, and this direction differs from
-        # the CG's own
-        outcome = obm_projected_line_search(model, z, face, 0.9 * d, v, q_z)
+        v, face, d, _, q_z = self._setup(model, z)
+        outcome, products = self._paid_search(model, z, face, d, v, q_z)
         assert outcome.trials >= 1
-        assert model.tally.hess_vec_products - before == outcome.trials
+        assert products == outcome.trials
 
-    @pytest.mark.parametrize("changed", ["z", "d"])
-    def test_point_or_direction_changed_in_place_pays(self, changed):
-        # the model holds copies of z and d, so after either is changed in
-        # place the unclipped first trial pays a product and is exact
-        rng = np.random.default_rng(30)
-        A = rng.normal(size=(6, 6))
-        H = A @ A.T + np.eye(6)
-        model = QuadraticModel(np.abs(rng.normal(size=6)) + 100.0,
-                               rng.normal(size=6), 0.9, lambda v: H @ v, 0.5)
-        z = model.x_ref + rng.normal(size=6)
-        u = model.smooth_eval(z)[1]
-        v = min_norm_subgradient_from_gradient(u, z, model.mu)
-        face = orthant_face(z, v)
-        d = subspace_cg_solve(model, face, v, cg_cap=3)
-        if changed == "z":
-            z += 1.0
-        else:
-            d *= 0.5
-        before = model.tally.hess_vec_products
+    @pytest.mark.parametrize("copied", ["z", "d"])
+    def test_a_hand_off_for_copies_is_ignored(self, copied):
+        # the hand-off names the arrays by identity: equal copies do not
+        # match, so the unclipped trials pay and stay exact
+        model, z = self._interior_model()
+        v, face, d, hd, _ = self._setup(model, z)
+        hz = model.hessian(z - model.x_ref)
+        handed_z = z.copy() if copied == "z" else z
+        handed_d = d.copy() if copied == "d" else d
+        model.search_products = (handed_z, hz, handed_d, hd)
         # an infinite reference value accepts the first trial
-        outcome = obm_projected_line_search(model, z, face, d, v, np.inf)
-        assert outcome.trials == 1
-        assert model.tally.hess_vec_products - before == 1
+        outcome, products = self._paid_search(model, z, face, d, v, np.inf)
+        assert outcome.trials == 1 and products == 1
+        assert model.search_products is None
         self._check_against_direct_eval(model, outcome)
+
+    def test_the_slot_is_empty_after_a_search_so_the_next_pays(self):
+        model, z = self._interior_model()
+        v, face, d, hd, q_z = self._setup(model, z)
+        model.search_products = (z, model.hessian(z - model.x_ref), d, hd)
+        first, free = self._paid_search(model, z, face, d, v, q_z)
+        assert model.search_products is None
+        second, paid = self._paid_search(model, z, face, d, v, q_z)
+        assert free == 0 and paid == second.trials == first.trials
+        np.testing.assert_array_equal(second.point, first.point)
 
 
 class TestObmSolve:
@@ -525,6 +572,37 @@ class TestObmSolve:
         assert res.status == "converged"
         np.testing.assert_allclose(res.solution, ybar, atol=1e-6)
 
+    @pytest.mark.parametrize("direction", ["cg", "ascent"])
+    def test_an_oracle_reusing_its_output_array_changes_nothing(
+            self, monkeypatch, direction):
+        # every product the solver keeps is its own array, so an oracle
+        # that writes each product into one buffer gives the same iterates;
+        # an ascent direction stalls every search, so the safeguard steps
+        rng = np.random.default_rng(34)
+        n = 8
+        for outer_k in (1, 11, 25):
+            A = rng.normal(size=(n, n))
+            H = A @ A.T + 0.1 * np.eye(n)
+            if direction == "ascent":
+                monkeypatch.setattr(obm, "subspace_cg_solve",
+                                    lambda model, face, v, cg_cap, H=H:
+                                    (v.copy(), H @ v))
+            x_ref, g_ref = rng.normal(size=n), 3.0 * rng.normal(size=n)
+            buffer = np.empty(n)
+
+            def into_buffer(v):
+                buffer[...] = H @ v
+                return buffer
+
+            runs = []
+            for hessian in (lambda v: H @ v, into_buffer):
+                model = QuadraticModel(x_ref, g_ref, 0.0, hessian, 0.5)
+                res = obm_solve(model, None, outer_k, max_iter=40)
+                runs.append((res.solution.tobytes(), res.inner_iterations,
+                             res.status, model.tally.hess_vec_products))
+            assert runs[0] == runs[1]
+            assert runs[0][1] > 5
+
     def test_model_values_nonincreasing(self):
         rng = np.random.default_rng(17)
         model = _random_model(rng)
@@ -577,8 +655,10 @@ class TestObmStallRecovery:
         # proximal-gradient safeguard must still decrease the model
         rng = np.random.default_rng(17)
         model = _random_model(rng)
+        # the product handed on with the direction is exact and uncounted
         monkeypatch.setattr(obm, "subspace_cg_solve",
-                            lambda model, face, v, cg_cap: v.copy())
+                            lambda model, face, v, cg_cap:
+                            (v.copy(), model.hessian(v)))
         safeguard = obm._ista_safeguard
         outcomes = []
 
@@ -599,14 +679,17 @@ class TestObmStallRecovery:
         def counted_search(model, z, face, d, v, q_ref):
             before = model.tally.hess_vec_products
             outcome = search(model, z, face, d, v, q_ref)
-            searches.append((outcome.trials,
-                             model.tally.hess_vec_products - before))
+            clipped = sum(not np.array_equal(
+                              orthant_project(z + 0.5 ** i * d, face),
+                              z + 0.5 ** i * d)
+                          for i in range(outcome.trials))
+            searches.append((clipped, model.tally.hess_vec_products - before))
             return outcome
 
         monkeypatch.setattr(obm, "obm_projected_line_search", counted_search)
         res = obm_solve(model, stop, outer_k=1, max_iter=60)
-        # the direction did not come from the CG, so every trial pays
-        assert searches and all(t == p for t, p in searches)
+        # the direction comes with its product: only clipped trials pay
+        assert searches and all(c == p for c, p in searches)
         assert outcomes and all(o is not None for o in outcomes)
         assert np.all(np.diff(values) <= 0.0)
         assert values[-1] < values[0]
