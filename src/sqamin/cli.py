@@ -72,8 +72,11 @@ def _build_parser():
     parser.add_argument("--eta-rule", default="paper",
                         choices=("paper",) + ETA_RULES,
                         help="forcing sequence: max(1/k, 0.1) (paper, alias "
-                             "inverse_k), the current residual norm, or a "
-                             "constant 0.5")
+                             "inverse_k), the current residual norm, or the "
+                             "constant --eta-constant")
+    parser.add_argument("--eta-constant", type=float,
+                        default=SolverConfig.eta_constant,
+                        help="forcing factor of --eta-rule constant, in (0, 1)")
     parser.add_argument("--inexactness", default=SolverConfig.inexactness_mode,
                         choices=INEXACTNESS_MODES)
     parser.add_argument("--memory", type=int, default=SolverConfig.lbfgs_memory)
@@ -141,6 +144,7 @@ def main(argv=None):
             inexactness_mode=args.inexactness,
             lbfgs_memory=args.memory,
             eta_rule={"paper": "inverse_k"}.get(args.eta_rule, args.eta_rule),
+            eta_constant=args.eta_constant,
         )
         solve = fista_baseline_solve if args.solver == "fista" else sqa_solve
         _, report = solve(_load_problem(args, mu), config)

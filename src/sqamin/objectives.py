@@ -9,11 +9,14 @@ arrays, so BLAS runs the products; a CSC copy when the design is tall with
 short rows, so both products loop over the few columns; else the CSR matrix
 itself.  Either copy costs at most the CSR's size once more per dataset,
 and the transposed product runs on a view of the same layout.  The logistic
-problem's oracles keep a one-point cache of the margins and Hessian
-weights, reused while the solver stays at one iterate, so such a problem
-should not be shared between threads.  The log-det objective treats
-non-positive-definite points as ``+inf`` so that line searches reject them
-and every accepted iterate stays inside the cone.
+problem's oracles keep a one-point cache of the margins and of the
+Hessian at that point, reused while the solver stays at one iterate, so
+such a problem should not be shared between threads.  On a dense operand
+with no more features than samples the Hessian is kept as its Gram matrix,
+so each product is one BLAS matvec; on the other layouts it is kept as the
+per-sample weights, and each product is two matvecs.  The log-det objective
+treats non-positive-definite points as ``+inf`` so that line searches
+reject them and every accepted iterate stays inside the cone.
 """
 
 from dataclasses import dataclass
@@ -109,7 +112,12 @@ class LogisticDataset:
           the many short rows, and add the same terms in the same order;
         - else ``features`` itself.
 
-        Its transpose is a view, so either copy is the only one made."""
+        Its transpose is a view, so either copy is the only one made.  A
+        dense operand with ``n_features <= n_samples`` also gets its
+        logistic Hessian built as one ``n_features``-square Gram matrix per
+        point, no larger than the operand, so that each Hessian product is
+        one matvec; the sparse layouts and a wide dense operand keep the
+        two products, since the Gram of a sparse design is mostly dense."""
         Z = self.features
         csr_bytes = Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes
         if Z.shape[0] * Z.shape[1] * np.dtype(float).itemsize <= csr_bytes:
@@ -131,14 +139,20 @@ class _LogisticLinearization:
     """Margins ``y * (Z@x)`` at the last point asked for, shared by value,
     gradient and Hessian products there; the point is matched by its shape
     and a stored copy of its bytes, so mutating ``x`` in place never gives
-    stale results.  The weights ``w = s(1-s)`` are kept from the first
-    Hessian product at a point and the transposed operand from its first
-    use: a view of the operand in every layout (dense, CSC or CSR), so no
-    copy is made for it.  Not safe to share between threads."""
+    stale results.  The Hessian at that point is kept from its first
+    product there, in the same one-point slot: on a dense operand with
+    ``n_features <= n_samples`` as the Gram matrix
+    ``G = (Zs.T @ Zs) / N``, ``Zs = sqrt(w) * Z`` with ``w = s(1-s)``
+    (numpy runs ``Zs.T @ Zs`` as a syrk, so ``G`` is exactly symmetric),
+    and each product is ``G @ v``; on every other layout as the weights
+    ``w``, and each product is ``Z.T (w * (Z v)) / N``.  The transposed
+    operand is kept from its first use: a view of the operand in every
+    layout (dense, CSC or CSR), so no copy is made for it.  Not safe to
+    share between threads."""
 
     def __init__(self, data):
         self.data = data
-        self._key = self._m = self._w = None
+        self._key = self._m = self._hess = None
 
     def _margins_at(self, x):
         x = np.asarray(x, dtype=float)
@@ -149,12 +163,19 @@ class _LogisticLinearization:
                 raise ValueError(f"expected dimension {data.n_features}, "
                                  f"got {x.shape}")
             m = data.labels * _product(data.operand, x)
-            self._key, self._m, self._w = key, m, None
+            self._key, self._m, self._hess = key, m, None
         return self._m
 
     @cached_property
     def _zt(self):
         return self.data.operand.T
+
+    @cached_property
+    def _keeps_gram(self):
+        """Whether the Hessian is kept as its Gram matrix (see the class)."""
+        data = self.data
+        return (isinstance(data.operand, np.ndarray)
+                and data.n_features <= data.n_samples)
 
     def value(self, x):
         """Mean loss ``log(1 + e^t)``, ``t = -y_i x@z_i``, overflow-safe."""
@@ -174,11 +195,17 @@ class _LogisticLinearization:
         if v.shape != (data.n_features,):
             raise ValueError(f"expected dimension {data.n_features}, got {v.shape}")
         m = self._margins_at(x)
-        if self._w is None:
-            s = expit(-m)
-            self._w = s * (1.0 - s)
-        with np.errstate(all="ignore"):  # as _product does, once for both
-            hv = self._zt @ (self._w * (data.operand @ v))
+        with np.errstate(all="ignore"):  # as _product does
+            if self._hess is None:
+                s = expit(-m)
+                w = s * (1.0 - s)
+                if self._keeps_gram:
+                    zs = data.operand * np.sqrt(w)[:, None]
+                    w = (zs.T @ zs) / data.n_samples
+                self._hess = w
+            if self._keeps_gram:
+                return self._hess @ v
+            hv = self._zt @ (self._hess * (data.operand @ v))
         return np.asarray(hv) / data.n_samples
 
 

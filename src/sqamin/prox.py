@@ -21,7 +21,7 @@ def soft_threshold(v, t):
     Solves ``argmin_x 0.5*(x - v_i)**2 + t*|x|`` in closed form for each
     component.
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise ValueError(f"shrinkage amount must be nonnegative, got {t}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
@@ -33,7 +33,7 @@ def residual(x, g, tau, mu):
     Zero exactly at points satisfying the subdifferential optimality
     conditions of the l1-regularized problem with smooth gradient ``g``.
     """
-    if tau <= 0:
+    if not tau > 0:  # NaN fails too
         raise ValueError(f"tau must be positive, got {tau}")
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)

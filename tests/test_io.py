@@ -463,6 +463,24 @@ class TestCli:
         trace = json.loads(report_path.read_text())["trace"]
         assert [row["eta"] for row in trace[1:3]] == etas
 
+    def test_eta_constant_reaches_the_trace(self, capsys, tmp_path):
+        report_path = tmp_path / "run.json"
+        code = main(["--problem", "synthetic", "--solver", "sqa_fista",
+                     "--n", "20", "--eta-rule", "constant",
+                     "--eta-constant", "0.25", "--report", str(report_path)])
+        assert code == 0
+        trace = json.loads(report_path.read_text())["trace"]
+        assert [row["eta"] for row in trace[1:3]] == [0.25, 0.25]
+
+    @pytest.mark.parametrize("value", ["0", "1", "-0.5", "nan"])
+    def test_eta_constant_out_of_range_is_input_error(self, capsys, value):
+        code = main(["--problem", "synthetic", "--n", "5",
+                     "--eta-rule", "constant", "--eta-constant", value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "eta_constant must lie in (0, 1)" in captured.err
+        assert captured.out == ""
+
     def test_synthetic_end_to_end(self, capsys):
         code = main(["--problem", "synthetic", "--solver", "sqa_obm_cg",
                          "--n", "30", "--seed", "1"])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.special import expit
 
 from sqamin import objectives
 from sqamin import (
@@ -508,6 +509,129 @@ class TestLogisticProblemCache:
             assert len(csc) == (layout == "csc")
             assert len(calls) == 1 + n
             monkeypatch.undo()
+
+
+class TestLogisticGram:
+    """On a dense operand with no more features than samples, the Hessian
+    at a point is built once as its Gram matrix and each product is one
+    matvec; every other layout keeps the two products."""
+
+    @staticmethod
+    def _count_grams(monkeypatch):
+        """Count the Gram builds: the calls of ``hess_vec`` that leave a
+        new matrix in the one-point Hessian slot, whether they then return
+        or raise.  Patch before building the problem, whose oracles are
+        bound methods."""
+        calls = []
+        cls = objectives._LogisticLinearization
+        original = cls.hess_vec
+
+        def counted(self, x, v):
+            before = self._hess
+            try:
+                return original(self, x, v)
+            finally:
+                after = self._hess
+                if after is not before and np.ndim(after) == 2:
+                    calls.append(1)
+
+        monkeypatch.setattr(cls, "hess_vec", counted)
+        return calls
+
+    @staticmethod
+    def _two_products(data, x, v):
+        """``Z.T @ (w * (Z @ v)) / N`` from the features, uncached."""
+        Z = data.features.toarray()
+        s = expit(-data.labels * (Z @ x))
+        w = s * (1.0 - s)
+        return Z.T @ (w * (Z @ v)) / data.n_samples, w
+
+    @staticmethod
+    def _close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_built_once_per_point(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        data = _small_dataset(rng)
+        calls = self._count_grams(monkeypatch)
+        margins = TestLogisticProblemCache._count_margins(monkeypatch)
+        prob = logistic_problem(data, 0.1)
+        assert calls == [] and margins == []  # nothing at construction
+        x0, x1 = rng.normal(size=(2, 6))
+        prob.value(x0)
+        prob.gradient(x0)
+        assert calls == []  # value and gradient need no Hessian
+        for v in rng.normal(size=(5, 6)):
+            prob.hess_vec(x0, v)
+        assert len(calls) == 1 and len(margins) == 1
+        hess = prob.hess_vec.__self__._hess
+        assert hess.shape == (6, 6)
+        np.testing.assert_array_equal(hess, hess.T)
+        prob.hess_vec(x0.copy(), x1)  # an equal point in a new array
+        assert len(calls) == 1
+        prob.hess_vec(x1, x0)
+        prob.value(x0)
+        prob.hess_vec(x0, x1)  # a new point again: a new Gram
+        assert len(calls) == 3 and len(margins) == 3
+        with pytest.raises(ValueError, match="expected dimension 6"):
+            prob.hess_vec(x0, np.zeros(5))
+        assert len(calls) == 3
+
+    def test_other_layouts_never_build_it(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        wide = _small_dataset(rng, n_samples=6, n_features=12)
+        assert isinstance(wide.operand, np.ndarray)
+        for data, layout in ((_one_per_row_dataset(rng), "csc"),
+                             (_one_per_row_dataset(rng, 6, 12), "csr"),
+                             (wide, "dense")):
+            calls = self._count_grams(monkeypatch)
+            prob = logistic_problem(data, 0.1)
+            assert layout == "dense" or data.operand.format == layout
+            n = data.n_features
+            for x, v in rng.normal(size=(3, 2, n)):
+                expected, _ = self._two_products(data, x, v)
+                assert self._close(prob.hess_vec(x, v), expected)
+                assert np.ndim(prob.hess_vec.__self__._hess) == 1
+            assert calls == []
+            monkeypatch.undo()
+
+    def test_agrees_with_the_two_products(self):
+        rng = np.random.default_rng(32)
+        data = _small_dataset(rng, n_samples=40, n_features=10)
+        prob = logistic_problem(data, 0.1)
+        for x, v in rng.normal(size=(10, 2, 10)):
+            expected, _ = self._two_products(data, x, v)
+            assert self._close(prob.hess_vec(x, v), expected)
+
+    def test_agrees_where_the_weights_underflow(self):
+        # a tenth of the rows scaled by 1e4: their margins pass 745, so
+        # s(1 - s) is exactly 0 there and the Gram takes no term from them
+        rng = np.random.default_rng(33)
+        Z = rng.normal(size=(40, 10))
+        Z[::10] *= 1e4
+        y = np.where(rng.uniform(size=40) > 0.5, 1.0, -1.0)
+        data = LogisticDataset(scipy.sparse.csr_matrix(Z), y)
+        prob = logistic_problem(data, 0.1)
+        for x, v in rng.normal(size=(5, 2, 10)):
+            expected, w = self._two_products(data, x, v)
+            assert np.any(w == 0.0) and np.any(w > 0.0)
+            assert self._close(prob.hess_vec(x, v), expected)
+        # every weight 0: the product is exactly 0
+        x = 1e6 * rng.normal(size=10)
+        expected, w = self._two_products(data, x, v)
+        assert not np.any(w)
+        np.testing.assert_array_equal(prob.hess_vec(x, v), np.zeros(10))
+
+    def test_nan_point_gives_a_silent_nan_product(self):
+        rng = np.random.default_rng(34)
+        data = _small_dataset(rng)
+        prob = logistic_problem(data, 0.1)
+        x, v = rng.normal(size=(2, 6))
+        x[1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isnan(prob.hess_vec(x, v)))
+            assert np.all(np.isnan(prob.hess_vec(x, 2.0 * v)))
 
 
 class TestLogDet:

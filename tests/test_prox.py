@@ -30,6 +30,11 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(np.array([1.0]), -0.1)
 
+    def test_nan_threshold_rejected(self):
+        # t < 0 is false for NaN, which would shrink every entry to NaN
+        with pytest.raises(ValueError, match="must be nonnegative, got nan"):
+            soft_threshold(np.array([1.0, -2.0]), np.nan)
+
     def test_matches_grid_search(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -99,7 +104,8 @@ class TestResidual:
         np.testing.assert_allclose(out, [0.0], atol=1e-15)
 
     def test_nonpositive_tau_rejected(self):
-        for tau in (0.0, -0.5):
+        # tau <= 0 is false for NaN, which would give an all-NaN residual
+        for tau in (0.0, -0.5, np.nan):
             with pytest.raises(ValueError, match="tau must be positive"):
                 residual(np.zeros(2), np.zeros(2), tau, 1.0)
 
