@@ -12,11 +12,12 @@ and the transposed product runs on a view of the same layout.  The logistic
 problem's oracles keep a one-point cache of the margins and of the
 Hessian at that point, reused while the solver stays at one iterate, so
 such a problem should not be shared between threads.  On a dense operand
-with no more features than samples the Hessian is kept as its Gram matrix,
-so each product is one BLAS matvec; on the other layouts it is kept as the
-per-sample weights, and each product is two matvecs.  The log-det objective
-treats non-positive-definite points as ``+inf`` so that line searches
-reject them and every accepted iterate stays inside the cone.
+with no more features than samples and at most 1000 of them, the Hessian
+is kept as its Gram matrix, so each product is one BLAS matvec; otherwise
+it is kept as the per-sample weights, and each product is two matvecs.
+The log-det objective treats non-positive-definite points as ``+inf`` so
+that line searches reject them and every accepted iterate stays inside the
+cone.
 """
 
 from dataclasses import dataclass
@@ -113,11 +114,18 @@ class LogisticDataset:
         - else ``features`` itself.
 
         Its transpose is a view, so either copy is the only one made.  A
-        dense operand with ``n_features <= n_samples`` also gets its
-        logistic Hessian built as one ``n_features``-square Gram matrix per
-        point, no larger than the operand, so that each Hessian product is
-        one matvec; the sparse layouts and a wide dense operand keep the
-        two products, since the Gram of a sparse design is mostly dense."""
+        dense operand with ``n_features <= min(n_samples, 1000)`` also gets
+        its logistic Hessian built as one ``n_features``-square Gram matrix
+        per point, no larger than the operand, so that each Hessian product
+        is one matvec; other operands keep the two products.  A build costs
+        as much as 15 two-product HVPs at N x p = 600x100, 57 at 600x600,
+        101 at 1000x1000 and 133 at 2400x2400, and the sqa paths made 59 to
+        532 products per point on dense AR(1) logistic designs with N from
+        200 to 2400 and p from N/6 to 1.5 N (one BLAS thread; ``sweep`` in
+        ``BENCH_19.json``).  Inside the rule the Gram sped up both paths
+        at every measured shape, by 4% to 74%; outside it ``sqa_fista``
+        ran 9% slower at 600x900 and 33% slower at 2400x2400.  The Gram of a sparse design is mostly dense, so a dense
+        matvec by it is no cheaper than the two sparse products."""
         Z = self.features
         csr_bytes = Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes
         if Z.shape[0] * Z.shape[1] * np.dtype(float).itemsize <= csr_bytes:
@@ -135,17 +143,24 @@ def _product(A, v):
         return A @ v
 
 
+_GRAM_BLOCK = 1 << 18  # entries of one scaled row block (2 MiB)
+_GRAM_MAX_FEATURES = 1000  # the widest Gram (see LogisticDataset.operand)
+
+
 class _LogisticLinearization:
     """Margins ``y * (Z@x)`` at the last point asked for, shared by value,
     gradient and Hessian products there; the point is matched by its shape
     and a stored copy of its bytes, so mutating ``x`` in place never gives
     stale results.  The Hessian at that point is kept from its first
     product there, in the same one-point slot: on a dense operand with
-    ``n_features <= n_samples`` as the Gram matrix
-    ``G = (Zs.T @ Zs) / N``, ``Zs = sqrt(w) * Z`` with ``w = s(1-s)``
-    (numpy runs ``Zs.T @ Zs`` as a syrk, so ``G`` is exactly symmetric),
-    and each product is ``G @ v``; on every other layout as the weights
-    ``w``, and each product is ``Z.T (w * (Z v)) / N``.  The transposed
+    ``n_features <= min(n_samples, 1000)`` as the Gram matrix
+    ``G = (Zs.T @ Zs) / N``, ``Zs = sqrt(w) * Z`` with ``w = s(1-s)``,
+    summed over row blocks (see :meth:`_gram`), and each product is
+    ``G @ v``; on every other layout as the weights ``w``, and each
+    product is ``Z.T (w * (Z v)) / N``.  On a design whose Gram overflows,
+    ``G @ v`` gives NaN where an ``inf`` entry of ``G`` meets a zero of
+    ``v``, where the two products might give a finite value or ``inf``;
+    the solvers stop on either.  The transposed
     operand is kept from its first use: a view of the operand in every
     layout (dense, CSC or CSR), so no copy is made for it.  Not safe to
     share between threads."""
@@ -175,7 +190,23 @@ class _LogisticLinearization:
         """Whether the Hessian is kept as its Gram matrix (see the class)."""
         data = self.data
         return (isinstance(data.operand, np.ndarray)
-                and data.n_features <= data.n_samples)
+                and data.n_features <= min(data.n_samples, _GRAM_MAX_FEATURES))
+
+    def _gram(self, sw):
+        """``(Zs.T @ Zs) / N`` with ``Zs = sw * Z`` row-wise, summed over
+        blocks of ``_GRAM_BLOCK // p`` rows, so that a build holds one
+        2 MiB block and one block product beside ``G`` instead of a scaled
+        copy of the design; each block's product is a syrk, so the sum
+        stays exactly symmetric."""
+        Z = self.data.operand
+        n, p = Z.shape
+        rows = max(1, _GRAM_BLOCK // max(p, 1))
+        G = np.zeros((p, p))
+        for i in range(0, n, rows):
+            zb = Z[i:i + rows] * sw[i:i + rows, None]
+            G += zb.T @ zb
+        G /= n
+        return G
 
     def value(self, x):
         """Mean loss ``log(1 + e^t)``, ``t = -y_i x@z_i``, overflow-safe."""
@@ -200,8 +231,7 @@ class _LogisticLinearization:
                 s = expit(-m)
                 w = s * (1.0 - s)
                 if self._keeps_gram:
-                    zs = data.operand * np.sqrt(w)[:, None]
-                    w = (zs.T @ zs) / data.n_samples
+                    w = self._gram(np.sqrt(w))
                 self._hess = w
             if self._keeps_gram:
                 return self._hess @ v

@@ -512,9 +512,10 @@ class TestLogisticProblemCache:
 
 
 class TestLogisticGram:
-    """On a dense operand with no more features than samples, the Hessian
-    at a point is built once as its Gram matrix and each product is one
-    matvec; every other layout keeps the two products."""
+    """On a dense operand with no more features than samples and at most
+    ``_GRAM_MAX_FEATURES`` of them, the Hessian at a point is built once as
+    its Gram matrix and each product is one matvec; every other operand
+    keeps the two products."""
 
     @staticmethod
     def _count_grams(monkeypatch):
@@ -595,6 +596,18 @@ class TestLogisticGram:
             assert calls == []
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("cap, builds", [(5, 0), (6, 1)])
+    def test_no_build_above_the_feature_cap(self, monkeypatch, cap, builds):
+        rng = np.random.default_rng(36)
+        data = _small_dataset(rng)  # 12 x 6, dense
+        monkeypatch.setattr(objectives, "_GRAM_MAX_FEATURES", cap)
+        calls = self._count_grams(monkeypatch)
+        prob = logistic_problem(data, 0.1)
+        x, v = rng.normal(size=(2, 6))
+        expected, _ = self._two_products(data, x, v)
+        assert self._close(prob.hess_vec(x, v), expected)
+        assert len(calls) == builds
+
     def test_agrees_with_the_two_products(self):
         rng = np.random.default_rng(32)
         data = _small_dataset(rng, n_samples=40, n_features=10)
@@ -621,6 +634,33 @@ class TestLogisticGram:
         expected, w = self._two_products(data, x, v)
         assert not np.any(w)
         np.testing.assert_array_equal(prob.hess_vec(x, v), np.zeros(10))
+
+    def test_row_blocks_sum_to_the_gram(self, monkeypatch):
+        # 40 rows in blocks of 8 // p = 2 rows: twenty syrk terms
+        rng = np.random.default_rng(35)
+        data = _small_dataset(rng, n_samples=40, n_features=4)
+        x, v = rng.normal(size=(2, 4))
+        expected, _ = self._two_products(data, x, v)
+        whole = logistic_problem(data, 0.1)
+        whole.hess_vec(x, v)
+        G = whole.hess_vec.__self__._hess
+        monkeypatch.setattr(objectives, "_GRAM_BLOCK", 8)
+        blocked = logistic_problem(data, 0.1)
+        assert self._close(blocked.hess_vec(x, v), expected)
+        Gb = blocked.hess_vec.__self__._hess
+        np.testing.assert_array_equal(Gb, Gb.T)
+        assert np.linalg.norm(Gb - G) <= 1e-12 * np.linalg.norm(G)
+
+    def test_overflowing_gram_gives_nan_on_zero_directions(self):
+        # G[0, 0] overflows to inf, and inf * 0 is NaN where the two
+        # products skip the zero entry of v; the solvers catch either
+        Z = np.column_stack([np.full(4, 1e308), [0.5, -0.25, 0.75, 1.0]])
+        data = LogisticDataset(scipy.sparse.csr_matrix(Z), np.ones(4))
+        assert isinstance(data.operand, np.ndarray)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hv = _fresh(data).hess_vec(np.zeros(2), np.array([0.0, 1.0]))
+        assert np.isnan(hv[0]) and np.isfinite(hv[1])
 
     def test_nan_point_gives_a_silent_nan_product(self):
         rng = np.random.default_rng(34)
