@@ -1,31 +1,30 @@
 """Concrete smooth oracles: logistic regression, log-det covariance, quadratics.
 
 Each family has a constructor returning a
-:class:`~sqamin.model.CompositeProblem` with the l1 weight attached; the
-log-det family also exposes its pure value/gradient/Hessian-vector
-functions.  The logistic oracles multiply by one of three layouts of
-the design matrix: a dense copy when that takes no more bytes than its CSR
-arrays, so BLAS runs the products; a CSC copy when the design is tall with
-short rows, so both products loop over the few columns; else the CSR matrix
-itself.  Either copy costs at most the CSR's size once more per dataset,
-and the transposed product runs on a view of the same layout.  The logistic
-problem's oracles keep a one-point cache of the margins and of the
-Hessian at that point, reused while the solver stays at one iterate, so
-such a problem should not be shared between threads.  On a dense operand
-with no more features than samples and at most 1000 of them, the Hessian
-is kept as its Gram matrix, so each product is one BLAS matvec; otherwise
-it is kept as the per-sample weights, and each product is two matvecs.
-The log-det objective treats non-positive-definite points as ``+inf`` so
-that line searches reject them and every accepted iterate stays inside the
-cone.
+:class:`~sqamin.model.CompositeProblem` with the l1 weight attached.  The
+logistic oracles multiply by one of three layouts of the design matrix: a
+dense copy when that takes no more bytes than its CSR arrays, so BLAS runs
+the products; a CSC copy when the design is tall with short rows, so both
+products loop over the few columns; else the CSR matrix itself.  Either
+copy costs at most the CSR's size once more per dataset, and the
+transposed product runs on a view of the same layout.  The logistic and
+log-det oracles of one problem share a one-point cache, reused while the
+solver stays at one iterate, so such a problem should not be shared
+between threads: the margins and the Hessian at that point, or the
+Cholesky factor and the inverse.  On a dense operand with no more
+features than samples and at most 1000 of them, the logistic Hessian is
+kept as its Gram matrix, so each product is one BLAS matvec; otherwise it
+is kept as the per-sample weights, and each product is two matvecs.  The
+log-det objective treats non-positive-definite points as ``+inf`` so that
+line searches reject them and every accepted iterate stays inside the cone.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
 from .model import CompositeProblem
@@ -36,9 +35,6 @@ __all__ = [
     "synthetic_logistic_dataset",
     "CovarianceProblem",
     "NotPositiveDefiniteError",
-    "logdet_value",
-    "logdet_gradient",
-    "logdet_hess_vec",
     "covariance_problem",
     "synthetic_quadratic",
     "synthetic_quadratic_matrices",
@@ -303,61 +299,75 @@ def _read_symmetric(prob, vec, what):
     return 0.5 * (M + M.T)
 
 
-def logdet_value(prob, Pvec):
-    """``tr(S P) - log det P`` for positive definite P, else ``+inf``.
+class _LogdetLinearization:
+    """The symmetrized point ``P``, its lower Cholesky factor and
+    ``W = P^{-1}`` at the last point asked for, shared by value, gradient
+    and Hessian products there; the point is matched by its shape and a
+    stored copy of its bytes, as in :class:`_LogisticLinearization`.  The
+    factor is taken at the first call at a point and ``W`` at the first
+    gradient or product, so a solver iterate costs one factorization.
+    Positive definiteness is decided by whether the factorization
+    succeeds.  A point with a non-finite entry gives a NaN value, gradient
+    and products.  Not safe to share between threads."""
 
-    Positive definiteness is decided by whether a Cholesky factorization
-    succeeds; no eigenvalue threshold is involved.
-    """
-    P = _read_symmetric(prob, Pvec, "Pvec")
-    try:
-        L = np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        return np.inf
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return float(np.sum(prob.sample_cov * P)) - logdet
+    def __init__(self, prob):
+        self.prob = prob
+        self._key = self._P = self._L = self._W = None
 
+    def _factor_at(self, x):
+        """``(P, L)`` at ``x``; ``L`` is None off the cone."""
+        x = np.asarray(x, dtype=float)
+        key = x.shape, x.tobytes()
+        if key != self._key:
+            with np.errstate(all="ignore"):
+                P = _read_symmetric(self.prob, x, "Pvec")
+            if not np.isfinite(P).all():
+                P = np.full_like(P, np.nan)  # factors into NaN, no exception
+            L, info = dpotrf(P, lower=1, clean=1)
+            self._key, self._P, self._W = key, P, None
+            self._L = L if info == 0 else None
+        return self._P, self._L
 
-def logdet_gradient(prob, Pvec):
-    """Flattened ``S - P^{-1}``; raises off the positive definite cone."""
-    P = _read_symmetric(prob, Pvec, "Pvec")
-    try:
-        c = scipy.linalg.cho_factor(P, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("gradient requested at a non-PD point") from exc
-    Pinv = scipy.linalg.cho_solve(c, np.eye(prob.p))
-    Pinv = 0.5 * (Pinv + Pinv.T)
-    return (prob.sample_cov - Pinv).ravel()
+    def _inverse_at(self, x, what):
+        L = self._factor_at(x)[1]
+        if L is None:
+            raise NotPositiveDefiniteError(f"{what} requested at a non-PD point")
+        if self._W is None:
+            W = dpotrs(L, np.eye(self.prob.p), lower=1)[0]
+            self._W = 0.5 * (W + W.T)
+        return self._W
 
+    def value(self, x):
+        """``tr(S P) - log det P`` for positive definite P, else ``+inf``."""
+        P, L = self._factor_at(x)
+        if L is None:
+            return np.inf
+        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+        return float(np.sum(self.prob.sample_cov * P)) - logdet
 
-def logdet_hess_vec(prob, Pvec, Vvec):
-    """Flattened ``P^{-1} V P^{-1}`` with V symmetrized on read."""
-    P = _read_symmetric(prob, Pvec, "Pvec")
-    V = _read_symmetric(prob, Vvec, "Vvec")
-    try:
-        c = scipy.linalg.cho_factor(P, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("Hessian requested at a non-PD point") from exc
-    A = scipy.linalg.cho_solve(c, V)
-    B = scipy.linalg.cho_solve(c, A.T).T
-    return (0.5 * (B + B.T)).ravel()
+    def gradient(self, x):
+        """Flattened ``S - P^{-1}``; raises off the positive definite cone."""
+        return (self.prob.sample_cov - self._inverse_at(x, "gradient")).ravel()
+
+    def hess_vec(self, x, v):
+        """Flattened ``0.5 (B + B.T)``, ``B = P^{-1} V P^{-1}`` with V
+        symmetrized on read, so every product is exactly symmetric."""
+        W = self._inverse_at(x, "Hessian")
+        B = W @ _read_symmetric(self.prob, v, "Vvec") @ W
+        return (0.5 * (B + B.T)).ravel()
 
 
 def covariance_problem(prob, mu):
     """Composite problem over flattened matrices, started at the identity.
 
     Zero is infeasible for the log-det term, so the conventional feasible
-    identity matrix replaces the all-zeros default start.
+    identity matrix replaces the all-zeros default start.  Its oracles
+    share a one-point cache, so do not share it between threads.
     """
-    p = prob.p
-    return CompositeProblem(
-        value=lambda x: logdet_value(prob, x),
-        gradient=lambda x: logdet_gradient(prob, x),
-        hess_vec=lambda x, v: logdet_hess_vec(prob, x, v),
-        dim=p * p,
-        mu=mu,
-        x0=np.eye(p).ravel(),
-    )
+    lin = _LogdetLinearization(prob)
+    return CompositeProblem(value=lin.value, gradient=lin.gradient,
+                            hess_vec=lin.hess_vec, dim=prob.p * prob.p,
+                            mu=mu, x0=np.eye(prob.p).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,6 @@ from sqamin import (
     cg_budget,
     fista_baseline_solve,
     lbfgs_reduced_inverse_solve,
-    logdet_gradient,
-    logdet_hess_vec,
-    logdet_value,
     logistic_problem,
     residual,
     sample_covariance,
@@ -161,17 +158,17 @@ class TestCriterion03OracleChecks:
         p = 5
         cov = sample_covariance(rng.normal(size=(30, p)))
         Pvec = (np.eye(p) + 0.1 * np.ones((p, p))).ravel()
-        fd = central_difference_gradient(lambda z: logdet_value(cov, z), Pvec,
-                                         h=1e-5)
-        got = logdet_gradient(cov, Pvec)
+        fd = central_difference_gradient(covariance_problem(cov, 0.0).value,
+                                         Pvec, h=1e-5)
+        got = covariance_problem(cov, 0.0).gradient(Pvec)
         rel = np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-30)
         checks.append(("log-det gradient", rel <= 1e-5, rel))
 
         V = rng.normal(size=(p, p))
         V = 0.5 * (V + V.T)
         fd_h = directional_second_difference(
-            lambda z: logdet_gradient(cov, z), Pvec, V.ravel(), h=1e-6)
-        got_h = logdet_hess_vec(cov, Pvec, V.ravel())
+            covariance_problem(cov, 0.0).gradient, Pvec, V.ravel(), h=1e-6)
+        got_h = covariance_problem(cov, 0.0).hess_vec(Pvec, V.ravel())
         rel = np.linalg.norm(got_h - fd_h) / max(np.linalg.norm(fd_h), 1e-30)
         checks.append(("log-det hessian-vector", rel <= 1e-4, rel))
 
@@ -184,7 +181,8 @@ class TestCriterion03OracleChecks:
         V3 = rng.normal(size=(p3, p3))
         V3 = 0.5 * (V3 + V3.T)
         kron_err = np.max(np.abs(
-            logdet_hess_vec(cov3, P3.ravel(), V3.ravel()) - K @ V3.ravel()))
+            covariance_problem(cov3, 0.0).hess_vec(P3.ravel(), V3.ravel())
+            - K @ V3.ravel()))
         checks.append(("log-det Kronecker action", kron_err <= 1e-10, kron_err))
 
         # the desk instance's oracles get the same treatment

@@ -617,6 +617,22 @@ class TestNonfiniteObjective:
         assert report.trace[0].objective == np.inf
         np.testing.assert_array_equal(x, prob.start_point())
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_nan_start_on_the_log_det_is_caught_where_it_enters(self, solver):
+        # a NaN entry gives a NaN value, not +inf, so the start gradient is
+        # taken: it is NaN too, not an exception
+        x0 = np.eye(3)
+        x0[0, 1] = np.nan
+        prob = dataclasses.replace(
+            covariance_problem(CovarianceProblem(np.eye(3)), 0.1),
+            x0=x0.ravel())
+        x, report = _run(prob, solver)
+        assert report.status == "nonfinite_oracle"
+        assert (report.outer_iterations, report.fg_evaluations,
+                report.hess_vec_products) == (0, 1, 0)
+        assert len(report.trace) == 1
+        np.testing.assert_array_equal(x, prob.start_point())
+
     @pytest.mark.parametrize("solver", ["sqa_fista", "sqa_obm_cg"])
     def test_nan_hessian_product_stalls_the_inner_solve(self, solver):
         # the model value is NaN from the first product on, so no inner

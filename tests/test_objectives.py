@@ -1,5 +1,6 @@
 """Oracle consistency of the logistic, log-det, and quadratic objectives."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,10 +15,9 @@ from sqamin import (
     NotPositiveDefiniteError,
     SolverConfig,
     covariance_problem,
-    logdet_gradient,
-    logdet_hess_vec,
-    logdet_value,
+    fista_baseline_solve,
     logistic_problem,
+    sample_covariance,
     sqa_solve,
     synthetic_logistic_dataset,
     synthetic_quadratic,
@@ -34,6 +34,11 @@ from helpers import (
 def _fresh(data):
     """A new problem, so a new cache: the uncached reference oracles."""
     return logistic_problem(data, 0.0)
+
+
+def _fresh_cov(prob):
+    """A new covariance problem: the uncached reference log-det oracles."""
+    return covariance_problem(prob, 0.0)
 
 
 def _small_dataset(rng, n_samples=12, n_features=6):
@@ -674,21 +679,23 @@ class TestLogisticGram:
             assert np.all(np.isnan(prob.hess_vec(x, 2.0 * v)))
 
 
+def _cov_problem(rng, p=4):
+    M = rng.normal(size=(p, p))
+    S = M @ M.T / p
+    return CovarianceProblem(0.5 * (S + S.T))
+
+
+def _random_spd_vec(rng, p=4):
+    M = rng.normal(size=(p, p))
+    P = M @ M.T + p * np.eye(p)
+    return P.ravel()
+
+
 class TestLogDet:
-    def _problem(self, rng, p=4):
-        M = rng.normal(size=(p, p))
-        S = M @ M.T / p
-        return CovarianceProblem(0.5 * (S + S.T))
-
-    def _random_spd_vec(self, rng, p):
-        M = rng.normal(size=(p, p))
-        P = M @ M.T + p * np.eye(p)
-        return P.ravel()
-
     def test_identity_pair(self):
         p = 4
         prob = CovarianceProblem(np.eye(p))
-        assert logdet_value(prob, np.eye(p).ravel()) == pytest.approx(float(p))
+        assert _fresh_cov(prob).value(np.eye(p).ravel()) == pytest.approx(float(p))
 
     @pytest.mark.parametrize("S, message", [
         (np.ones((2, 3)), "square"),
@@ -716,86 +723,221 @@ class TestLogDet:
     def test_infinite_off_the_cone(self):
         prob = CovarianceProblem(np.eye(2))
         P = np.diag([1.0, -0.5])
-        assert logdet_value(prob, P.ravel()) == np.inf
+        assert _fresh_cov(prob).value(P.ravel()) == np.inf
 
     def test_matches_eigendecomposition(self):
         rng = np.random.default_rng(6)
         p = 5
-        prob = self._problem(rng, p)
-        Pvec = self._random_spd_vec(rng, p)
+        prob = _cov_problem(rng, p)
+        Pvec = _random_spd_vec(rng, p)
         P = Pvec.reshape(p, p)
         lam = np.linalg.eigvalsh(0.5 * (P + P.T))
         expected = float(np.sum(prob.sample_cov * P)) - float(np.sum(np.log(lam)))
-        assert logdet_value(prob, Pvec) == pytest.approx(expected, abs=1e-10)
+        assert _fresh_cov(prob).value(Pvec) == pytest.approx(expected, abs=1e-10)
 
     def test_gradient_zero_at_inverse(self):
         rng = np.random.default_rng(7)
-        prob = self._problem(rng, 4)
+        prob = _cov_problem(rng, 4)
         S = prob.sample_cov + 0.5 * np.eye(4)  # ensure PD
         prob = CovarianceProblem(0.5 * (S + S.T))
         Pstar = np.linalg.inv(prob.sample_cov)
-        g = logdet_gradient(prob, (0.5 * (Pstar + Pstar.T)).ravel())
+        g = _fresh_cov(prob).gradient((0.5 * (Pstar + Pstar.T)).ravel())
         np.testing.assert_allclose(g, np.zeros(16), atol=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         p = 5
-        prob = self._problem(rng, p)
-        Pvec = self._random_spd_vec(rng, p)
-        fd = central_difference_gradient(lambda v: logdet_value(prob, v),
+        prob = _cov_problem(rng, p)
+        Pvec = _random_spd_vec(rng, p)
+        fd = central_difference_gradient(_fresh_cov(prob).value,
                                          Pvec, h=1e-5)
-        got = logdet_gradient(prob, Pvec)
+        got = _fresh_cov(prob).gradient(Pvec)
         np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-7)
 
     def test_gradient_raises_off_cone(self):
         prob = CovarianceProblem(np.eye(2))
         with pytest.raises(NotPositiveDefiniteError):
-            logdet_gradient(prob, np.diag([1.0, -1.0]).ravel())
+            _fresh_cov(prob).gradient(np.diag([1.0, -1.0]).ravel())
 
     def test_hess_vec_identity_action(self):
         prob = CovarianceProblem(np.eye(3))
         rng = np.random.default_rng(9)
         V = rng.normal(size=(3, 3))
         V = 0.5 * (V + V.T)
-        out = logdet_hess_vec(prob, np.eye(3).ravel(), V.ravel())
+        out = _fresh_cov(prob).hess_vec(np.eye(3).ravel(), V.ravel())
         np.testing.assert_allclose(out, V.ravel(), atol=1e-14)
 
     def test_hess_vec_matches_gradient_differences(self):
         rng = np.random.default_rng(10)
         p = 5
-        prob = self._problem(rng, p)
-        Pvec = self._random_spd_vec(rng, p)
+        prob = _cov_problem(rng, p)
+        Pvec = _random_spd_vec(rng, p)
         V = rng.normal(size=(p, p))
         V = 0.5 * (V + V.T)
         fd = directional_second_difference(
-            lambda v: logdet_gradient(prob, v), Pvec, V.ravel(), h=1e-6
+            _fresh_cov(prob).gradient, Pvec, V.ravel(), h=1e-6
         )
-        got = logdet_hess_vec(prob, Pvec, V.ravel())
+        got = _fresh_cov(prob).hess_vec(Pvec, V.ravel())
         np.testing.assert_allclose(got, fd, rtol=1e-4, atol=1e-7)
 
     def test_hess_vec_matches_kronecker(self):
         rng = np.random.default_rng(11)
         p = 3
-        prob = self._problem(rng, p)
-        Pvec = self._random_spd_vec(rng, p)
+        prob = _cov_problem(rng, p)
+        Pvec = _random_spd_vec(rng, p)
         P = Pvec.reshape(p, p)
         Pinv = np.linalg.inv(P)
         K = np.kron(Pinv, Pinv)
         V = rng.normal(size=(p, p))
         V = 0.5 * (V + V.T)
         np.testing.assert_allclose(
-            logdet_hess_vec(prob, Pvec, V.ravel()), K @ V.ravel(), atol=1e-10
+            _fresh_cov(prob).hess_vec(Pvec, V.ravel()), K @ V.ravel(), atol=1e-10
         )
 
     def test_outputs_symmetric(self):
         rng = np.random.default_rng(12)
         p = 4
-        prob = self._problem(rng, p)
-        Pvec = self._random_spd_vec(rng, p)
-        g = logdet_gradient(prob, Pvec).reshape(p, p)
+        prob = _cov_problem(rng, p)
+        Pvec = _random_spd_vec(rng, p)
+        g = _fresh_cov(prob).gradient(Pvec).reshape(p, p)
         np.testing.assert_allclose(g, g.T, atol=1e-12)
-        Hv = logdet_hess_vec(prob, Pvec, rng.normal(size=p * p)).reshape(p, p)
+        Hv = _fresh_cov(prob).hess_vec(Pvec, rng.normal(size=p * p)).reshape(p, p)
         np.testing.assert_allclose(Hv, Hv.T, atol=1e-12)
+
+
+def _outcome(oracle, *args):
+    """The oracle's result, or the type of the error it raised off the cone."""
+    try:
+        return oracle(*args)
+    except NotPositiveDefiniteError as exc:
+        return type(exc)
+
+
+class TestCovarianceProblemCache:
+    """The problem's log-det oracles share one Cholesky factor and inverse
+    between calls at one point, and agree bitwise with a fresh problem's at
+    every point."""
+
+    @staticmethod
+    def _count_factors(monkeypatch):
+        calls = []
+        original = objectives.dpotrf
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(objectives, "dpotrf", counted)
+        return calls
+
+    def _check_all(self, prob, cov, x, v):
+        for oracle, args in ((prob.value, (x,)), (prob.hess_vec, (x, v)),
+                             (prob.gradient, (x,)),
+                             (prob.hess_vec, (x, 2.0 * v))):
+            got = _outcome(oracle, *args)
+            fresh = getattr(_fresh_cov(cov), oracle.__name__)
+            expected = _outcome(fresh, *args)
+            if isinstance(expected, type):
+                assert got is expected
+            else:
+                assert _bitwise(got, expected)
+
+    def test_interleaved_points_match_a_fresh_problem(self):
+        rng = np.random.default_rng(13)
+        cov = _cov_problem(rng)
+        prob = covariance_problem(cov, 0.1)
+        x0, x1 = _random_spd_vec(rng), _random_spd_vec(rng)
+        v = rng.normal(size=16)
+        off_cone = np.diag([1.0, -1.0, 2.0, 1.0]).ravel()
+        nan_point, inf_point = x1.copy(), x1.copy()
+        nan_point[6] = np.nan
+        inf_point[0] = np.inf
+        mutated = x0.copy()
+        for x in (x0, x1, x0, off_cone, mutated, nan_point, x1, off_cone,
+                  inf_point, nan_point):
+            self._check_all(prob, cov, x, v)
+        # the same array, changed in place after the cache saw it
+        mutated[1] += 0.5
+        self._check_all(prob, cov, mutated, v)
+        mutated[:] = off_cone
+        self._check_all(prob, cov, mutated, v)
+        mutated[:] = x1
+        self._check_all(prob, cov, mutated, v)
+        assert prob.value(off_cone) == np.inf
+        with pytest.raises(NotPositiveDefiniteError, match="gradient"):
+            prob.gradient(off_cone)
+        with pytest.raises(NotPositiveDefiniteError, match="Hessian"):
+            prob.hess_vec(off_cone, v)
+        for bad in (nan_point, inf_point):
+            assert np.isnan(prob.value(bad))
+            assert np.all(np.isnan(prob.gradient(bad)))
+            assert np.all(np.isnan(prob.hess_vec(bad, v)))
+
+    def test_wrong_shape_raises_and_cache_stays_usable(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        cov = _cov_problem(rng)
+        prob = covariance_problem(cov, 0.1)
+        x, v = _random_spd_vec(rng), rng.normal(size=16)
+        expected = prob.gradient(x), _fresh_cov(cov).value(x)
+        calls = self._count_factors(monkeypatch)
+        for oracle in (prob.value, prob.gradient,
+                       lambda z: prob.hess_vec(z, v)):
+            with pytest.raises(ValueError, match="Pvec must have length 16"):
+                oracle(np.zeros(15))
+            # the same bytes in another shape
+            with pytest.raises(ValueError, match="Pvec must have length 16"):
+                oracle(x.reshape(4, 4).copy())
+        with pytest.raises(ValueError, match="Vvec must have length 16"):
+            prob.hess_vec(x, np.zeros(9))
+        assert _bitwise(prob.gradient(x), expected[0])
+        assert _bitwise(prob.value(x), expected[1])
+        assert calls == []  # no failed call factored, and x's factor is kept
+        y = x + np.eye(4).ravel()
+        assert _bitwise(prob.hess_vec(y, v), _fresh_cov(cov).hess_vec(y, v))
+
+    def test_products_are_exactly_symmetric(self):
+        rng = np.random.default_rng(15)
+        p = 7
+        prob = covariance_problem(_cov_problem(rng, p), 0.1)
+        x = _random_spd_vec(rng, p)
+        g = prob.gradient(x).reshape(p, p)
+        assert np.array_equal(g, g.T)
+        for v in rng.normal(size=(5, p * p)):
+            H = prob.hess_vec(x, v).reshape(p, p)
+            assert np.array_equal(H, H.T)
+
+    @pytest.mark.parametrize("solver", ["fista", "sqa_obm_cg"])
+    def test_one_factorization_per_point_of_a_solve(self, solver, monkeypatch):
+        rng = np.random.default_rng(16)
+        cov = sample_covariance(rng.normal(size=(40, 6)))
+        prob = covariance_problem(cov, 0.05)
+        points = []  # each point the oracles were asked at, once per visit
+
+        def visits(oracle):
+            def wrapped(x, *rest):
+                key = np.asarray(x).tobytes()
+                if not points or points[-1] != key:
+                    points.append(key)
+                return oracle(x, *rest)
+            return wrapped
+
+        traced = dataclasses.replace(
+            prob, value=visits(prob.value), gradient=visits(prob.gradient),
+            hess_vec=visits(prob.hess_vec))
+        calls = self._count_factors(monkeypatch)
+        if solver == "fista":
+            _, report = fista_baseline_solve(traced, SolverConfig())
+        else:
+            _, report = sqa_solve(traced, SolverConfig(inner_solver="obm_cg"))
+        assert report.status == "converged"
+        assert len(calls) == len(points)
+        if solver == "fista":
+            # a momentum point equal to the last candidate (a restart's
+            # zero momentum) is an evaluation that reuses the factor
+            assert len(calls) < report.fg_evaluations
+        else:
+            assert report.hess_vec_products > 0
+            assert len(calls) == report.fg_evaluations
 
 
 class TestSyntheticQuadratic:
