@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the run converged, 2 when it stopped for any other
 reason (the iteration cap, an inner-solver stall, a failed line search, a
-non-finite value or gradient at the start point or a non-finite gradient at
-an accepted point: ``nonfinite_oracle``), 1 on any usage or input error.
+non-finite value or gradient at the start point or at any point a driver
+keeps: ``nonfinite_oracle``), 1 on any usage or input error.
 """
 
 import argparse
@@ -61,7 +61,9 @@ def _build_parser():
                         help=f"l1 weight; defaults: {defaults}, required for "
                              "logistic")
     parser.add_argument("--solver", default="sqa_obm_cg", choices=SOLVERS)
-    parser.add_argument("--tol", type=float, default=SolverConfig.tol_inf)
+    # every SolverConfig field is a dest; metavars keep the flags' names
+    parser.add_argument("--tol", dest="tol_inf", metavar="TOL", type=float,
+                        default=SolverConfig.tol_inf)
     parser.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
     parser.add_argument("--max-inner", type=int, default=SolverConfig.max_inner)
     parser.add_argument("--tau", type=float, default=SolverConfig.tau)
@@ -71,15 +73,18 @@ def _build_parser():
     parser.add_argument("--zeta", type=float, default=0.1)
     parser.add_argument("--eta-rule", default="paper",
                         choices=("paper",) + ETA_RULES,
+                        type=lambda r: "inverse_k" if r == "paper" else r,
                         help="forcing sequence: max(1/k, 0.1) (paper, alias "
                              "inverse_k), the current residual norm, or the "
                              "constant --eta-constant")
     parser.add_argument("--eta-constant", type=float,
                         default=SolverConfig.eta_constant,
                         help="forcing factor of --eta-rule constant, in (0, 1)")
-    parser.add_argument("--inexactness", default=SolverConfig.inexactness_mode,
+    parser.add_argument("--inexactness", dest="inexactness_mode",
+                        default=SolverConfig.inexactness_mode,
                         choices=INEXACTNESS_MODES)
-    parser.add_argument("--memory", type=int, default=SolverConfig.lbfgs_memory)
+    parser.add_argument("--memory", dest="lbfgs_memory", metavar="MEMORY",
+                        type=int, default=SolverConfig.lbfgs_memory)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n", type=int, default=50,
                         help="dimension of the synthetic problem")
@@ -134,18 +139,9 @@ def main(argv=None):
                 raise ValueError("logistic problems require an explicit --mu")
             mu = _DEFAULT_MU[args.problem]
         config = SolverConfig(
-            theta=args.theta,
-            zeta=args.zeta,
-            tau=args.tau,
-            tol_inf=args.tol,
-            max_outer=args.max_outer,
-            max_inner=args.max_inner,
             inner_solver=args.solver.removeprefix("sqa_"),
-            inexactness_mode=args.inexactness,
-            lbfgs_memory=args.memory,
-            eta_rule={"paper": "inverse_k"}.get(args.eta_rule, args.eta_rule),
-            eta_constant=args.eta_constant,
-        )
+            **{f.name: getattr(args, f.name) for f in fields(SolverConfig)
+               if f.name != "inner_solver"})
         solve = fista_baseline_solve if args.solver == "fista" else sqa_solve
         _, report = solve(_load_problem(args, mu), config)
     except (ValueError, OSError, SvmlightParseError) as exc:

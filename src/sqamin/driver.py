@@ -188,25 +188,32 @@ class OuterIterationRecord:
     model: QuadraticModel
 
 
+def _keep(problem, tau, k, x, fx, gx, alpha=0.0, inner=0, eta=0.0):
+    """The one non-finite gate of a point a driver would keep.
+
+    Returns ``(residual, trace row, status)``: without a gradient the
+    residual is None and the row's max-norm NaN; the status is
+    ``"nonfinite_oracle"`` unless value plus max-norm is finite, else None.
+    """
+    F = None if gx is None else residual(x, gx, tau, problem.mu)
+    res_inf = math.nan if F is None else float(np.max(np.abs(F)))
+    row = TraceRow(k, fx + problem.mu * float(np.abs(x).sum()), res_inf,
+                   alpha, inner, eta)
+    return F, row, None if math.isfinite(fx + res_inf) else "nonfinite_oracle"
+
+
 def _start(problem, tau, tally):
     """Evaluate a run's start point once and gate it, for both drivers.
 
-    The gradient is not taken at a ``+inf`` value (outside the smooth
-    domain, where it may not exist); it and the residual are then None.
-    Returns ``(x, value, gradient, residual, trace, status)``: the trace
-    holds row 0, with the residual even at a NaN value, and the status is
-    ``"nonfinite_oracle"`` when the value or the residual is not finite,
-    else None.
+    No gradient is taken at a ``+inf`` value (outside the smooth domain).
+    Returns ``(x, value, gradient, residual, trace, status)``, the trace
+    holding row 0 and the residual and status being those of :func:`_keep`.
     """
     x = problem.start_point()
     fx = problem.value(x)
     tally.fg_evaluations += 1
     gx = None if fx == np.inf else problem.gradient(x)
-    F = None if gx is None else residual(x, gx, tau, problem.mu)
-    res_inf = math.nan if F is None else float(np.max(np.abs(F)))
-    row = TraceRow(0, fx + problem.mu * float(np.abs(x).sum()), res_inf,
-                   0.0, 0, 0.0)
-    status = None if math.isfinite(fx + res_inf) else "nonfinite_oracle"
+    F, row, status = _keep(problem, tau, 0, x, fx, gx)
     return x, fx, gx, F, [row], status
 
 
@@ -244,11 +251,11 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     by model decrease); otherwise the run aborts with status
     ``"inner_stall"`` (as when a NaN Hessian product leaves the model value
     undefined); a line search that finds no acceptable step ends it with
-    status ``"line_search_failed"``, keeping the last accepted iterate; a
-    non-finite start value or gradient ends it before any Hessian product
-    with status ``"nonfinite_oracle"``, and so does a non-finite gradient at
-    the point the line search accepts, which is then not taken: the run
-    returns the last iterate with a finite gradient.
+    status ``"line_search_failed"``, keeping the last accepted iterate.
+    One non-finite rule holds at the start and at each point the line search
+    accepts: a non-finite value or gradient there ends the run with status
+    ``"nonfinite_oracle"``, returning the start point or the last iterate
+    whose value and gradient were finite.
     """
     store = (LbfgsStore(config.lbfgs_memory)
              if config.inner_solver == "obm_qn" else None)
@@ -262,13 +269,12 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     t0 = time.perf_counter()
     mu, tau = problem.mu, config.tau
     x, fx, gx, F, trace, status = _start(problem, tau, tally)
-    res_inf = trace[0].residual_inf
     penalty = lambda z: mu * float(np.abs(z).sum())
     prox = lambda v, t: soft_threshold(v, t * mu)
     k = 0
     warm_lipschitz = 1.0
     # a NaN residual is not optimal
-    while (status is None and not res_inf <= config.tol_inf
+    while (status is None and not trace[-1].residual_inf <= config.tol_inf
            and k < config.max_outer):
         res_norm2 = float(np.linalg.norm(F))
         if store is not None:
@@ -301,8 +307,10 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
             break
         g_next = problem.gradient(ls.x_next)  # same point as the accepted
         # trial, so it does not open a new evaluation point
-        if not np.all(np.isfinite(g_next)):
-            status = "nonfinite_oracle"
+        F_next, row, status = _keep(problem, tau, k + 1, ls.x_next,
+                                    ls.f_next, g_next, ls.alpha,
+                                    inner.inner_iterations, eta)
+        if status is not None:
             break
         k += 1
         if store is not None and not store.update(ls.x_next - x, g_next - gx):
@@ -317,7 +325,7 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
                     eta=eta,
                     alpha=ls.alpha,
                     residual_norm2=res_norm2,
-                    residual_inf=res_inf,
+                    residual_inf=trace[-1].residual_inf,
                     ell_candidate=model.linear_value(inner.solution),
                     q_reference=model.reference_objective(),
                     q_candidate=model.reference_objective() - inner.model_decrease,
@@ -325,11 +333,8 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
                     model=model,
                 )
             )
-        x, fx, gx = ls.x_next, ls.f_next, g_next
-        F = residual(x, gx, tau, mu)
-        res_inf = float(np.max(np.abs(F)))
-        trace.append(TraceRow(k, ls.phi_next, res_inf, ls.alpha,
-                              inner.inner_iterations, eta))
+        x, fx, gx, F = ls.x_next, ls.f_next, g_next, F_next
+        trace.append(row)
     return x, _report("sqa_" + config.inner_solver, status, trace, tally, t0,
                       config.tol_inf)
 
@@ -338,13 +343,12 @@ def fista_baseline_solve(problem, config):
     """Accelerated proximal gradient applied directly to the objective.
 
     No quadratic models and no Hessian-vector products; one evaluation point
-    per smooth call, two per iteration plus backtracking.  Terminates on the
-    max-norm of the optimality residual.  A non-finite value or gradient at
-    the start point ends the run there with status ``"nonfinite_oracle"``,
-    and so does a non-finite gradient at an accepted iterate, whose step is
-    then not taken: the run returns the last iterate with a finite gradient.
-    A non-finite gradient at a momentum point leaves a non-finite candidate,
-    which ends the curvature search with status ``"line_search_failed"``.
+    per smooth call, two per iteration plus backtracking (one after a step
+    with zero momentum).  Terminates on the max-norm of the optimality
+    residual.  The non-finite rule of :func:`sqa_solve` holds at the start
+    and at each iterate the inner loop accepts.  A non-finite gradient at a
+    momentum point leaves a non-finite candidate, which ends the curvature
+    search with status ``"line_search_failed"``.
     """
     tally = Telemetry()
     t0 = time.perf_counter()
@@ -358,16 +362,12 @@ def fista_baseline_solve(problem, config):
 
     def stop(z, fz, gz):
         nonlocal x, status
-        # only a non-finite value comes without gradient
-        r_inf = (np.nan if gz is None
-                 else float(np.max(np.abs(residual(z, gz, tau, mu)))))
-        if not math.isfinite(fz + r_inf):
-            status = "nonfinite_oracle"
+        _, row, status = _keep(problem, tau, len(trace), z, fz, gz, 1.0)
+        if status is not None:
             return True
         x = z
-        trace.append(TraceRow(len(trace), fz + mu * float(np.abs(z).sum()),
-                              r_inf, 1.0, 0, 0.0))
-        return r_inf <= config.tol_inf
+        trace.append(row)
+        return row.residual_inf <= config.tol_inf
 
     if status is None and not trace[0].residual_inf <= config.tol_inf:
         penalty = lambda z: mu * float(np.abs(z).sum())

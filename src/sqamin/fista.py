@@ -110,8 +110,10 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
     Each regular iteration evaluates ``smooth`` twice, once at the momentum
     point and once at the candidate, or only at the candidate when
     ``quadratic`` is set: on the model that is one Hessian-vector product
-    per iteration.  Curvature backtracking and the monotone fallback add
-    evaluations only when they trigger.
+    per iteration.  After a step with zero momentum (``t = 1``: the first
+    and each restart) the momentum point is the candidate, and costs none.
+    Curvature backtracking and the monotone fallback add evaluations only
+    when they trigger.
     """
     x, fx, gx = start
     qx = fx + penalty(x)
@@ -139,6 +141,7 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
             y_next = cand + beta * (cand - x)
+            momentum = (fc, gc) if beta == 0.0 else None  # y_next == cand
             if quadratic:
                 momentum = _quadratic_on_line(x, fx, gx, cand, fc, gc,
                                               1.0 + beta)
@@ -149,7 +152,7 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
                 break
             t = t_next
             y = y_next
-            fy, gy = momentum if quadratic else smooth(y)
+            fy, gy = smooth(y) if momentum is None else momentum
     except _CurvatureDiverged:
         status = "line_search_failed"
     return InnerResult(x, iterations, q_start - qx, status, L, fallbacks)

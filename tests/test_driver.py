@@ -653,8 +653,9 @@ class TestNonfiniteObjective:
         # that would be the third accepted iterate: that step is not taken.
         # The sqa_* paths take one gradient per accepted iterate; the
         # baseline also takes them at its backtracking trials and momentum
-        # points, 11 before its third iterate here.
-        good = 11 if solver == "fista" else 3
+        # points, 10 before its third iterate here (none at the first
+        # step's momentum point, which is its candidate).
+        good = 10 if solver == "fista" else 3
         prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
         calls = Counter()
 
@@ -672,6 +673,20 @@ class TestNonfiniteObjective:
         assert report.final_residual_inf == report.trace[-1].residual_inf
         x_clean, _ = _run(prob, solver, max_outer=report.outer_iterations)
         np.testing.assert_array_equal(x, x_clean)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_minus_inf_value_off_the_start_is_never_kept(self, solver):
+        # -inf passes every decrease test, so only the gate that checks the
+        # start point can stop it, and it checks every point a driver keeps
+        prob = synthetic_quadratic(20, 10.0, seed=3, mu=0.1)
+        bad = dataclasses.replace(
+            prob, value=lambda x: -np.inf if np.max(np.abs(x)) > 0
+            else prob.value(x))
+        x, report = _run(bad, solver)
+        assert report.status == "nonfinite_oracle"
+        assert report.outer_iterations == 0
+        assert all(np.isfinite(row.objective) for row in report.trace)
+        np.testing.assert_array_equal(x, prob.start_point())
 
 
 class TestFistaBaseline:

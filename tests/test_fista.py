@@ -77,9 +77,10 @@ class TestFistaComposite:
         assert res.inner_iterations == 3
 
     def test_two_hessian_products_per_iteration(self):
-        # one product at the momentum point, one at the candidate; the
-        # monotone fallback adds its own and is reported, and the start
-        # costs none
+        # one product per distinct point: at the momentum point and at the
+        # candidate; the monotone fallback adds its own and is reported, a
+        # step with t = 1 (the first and each fallback's) puts the next
+        # momentum point on its candidate, and the start costs none
         rng = np.random.default_rng(2)
         A = rng.normal(size=(8, 8))
         H = A @ A.T + np.eye(8)
@@ -93,7 +94,8 @@ class TestFistaComposite:
             before = model.tally.hess_vec_products
             res = fista_composite(smooth, penalty, prox, start,
                                   max_iter=K, lipschitz0=1.01 * L_true)
-            expected = 2 * K + res.monotone_fallbacks
+            zero_momentum_steps = 1 + res.monotone_fallbacks
+            expected = 2 * K + res.monotone_fallbacks - zero_momentum_steps
             assert model.tally.hess_vec_products - before == expected
 
     def test_one_hessian_product_per_iteration_on_a_quadratic(self):

@@ -444,6 +444,14 @@ class TestCli:
         assert tuple(action.choices) == SOLVERS
         assert SOLVERS == ("fista", "sqa_fista", "sqa_obm_cg", "sqa_obm_qn")
 
+    def test_each_config_field_is_one_flag(self):
+        # main builds the SolverConfig from the parsed dests; the solver
+        # flag names the inner solver and the baseline, so it is mapped
+        dests = [a.dest for a in _build_parser()._actions]
+        for f in dataclasses.fields(SolverConfig):
+            if f.name != "inner_solver":
+                assert dests.count(f.name) == 1, f.name
+
     def test_eta_rule_choices_single_sourced(self):
         (action,) = [a for a in _build_parser()._actions
                      if a.dest == "eta_rule"]
