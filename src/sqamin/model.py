@@ -5,10 +5,10 @@ weight.  Each outer iteration of the solver freezes a :class:`QuadraticModel`
 snapshot (reference point, gradient, Hessian operator) whose inexact
 minimization produces the step.  All evaluation counters live in one
 :class:`Telemetry` record per run, which each :class:`QuadraticModel` of the
-run carries; the oracles count nothing, but the logistic and covariance
-problems' oracles share a one-point cache (see :mod:`sqamin.objectives`), so
-a problem should not be shared between threads.  The paper's fixed forcing
-and backtracking constants are in :mod:`sqamin.driver`, not in the config.
+run carries; the oracles count nothing, but those of every problem in
+:mod:`sqamin.objectives` share a one-point cache, so a problem should not
+be shared between threads.  The paper's fixed forcing and backtracking
+constants are in :mod:`sqamin.driver`, not in the config.
 """
 
 from dataclasses import dataclass, field

@@ -2,21 +2,15 @@
 
 Each family has a constructor returning a
 :class:`~sqamin.model.CompositeProblem` with the l1 weight attached.  The
-logistic oracles multiply by one of three layouts of the design matrix: a
-dense copy when that takes no more bytes than its CSR arrays, so BLAS runs
-the products; a CSC copy when the design is tall with short rows, so both
-products loop over the few columns; else the CSR matrix itself.  Either
-copy costs at most the CSR's size once more per dataset, and the
-transposed product runs on a view of the same layout.  The logistic and
-log-det oracles of one problem share a one-point cache, reused while the
-solver stays at one iterate, so such a problem should not be shared
-between threads: the margins and the Hessian at that point, or the
-Cholesky factor and the inverse.  On a dense operand with no more
-features than samples and at most 1000 of them, the logistic Hessian is
-kept as its Gram matrix, so each product is one BLAS matvec; otherwise it
-is kept as the per-sample weights, and each product is two matvecs.  The
-log-det objective treats non-positive-definite points as ``+inf`` so that
-line searches reject them and every accepted iterate stays inside the cone.
+oracles of every problem share a one-point cache, reused while the solver
+stays at one iterate, so no problem should be shared between threads: the
+logistic margins and Hessian, the log-det Cholesky factor and inverse, or
+the quadratic's ``A @ x``.  The logistic oracles multiply by a dense, CSC
+or CSR layout of the design (see :attr:`LogisticDataset.operand`), and on
+a small dense one keep the Hessian as its Gram matrix, so that each
+product is one BLAS matvec.  The log-det objective treats
+non-positive-definite points as ``+inf`` so that line searches reject them
+and every accepted iterate stays inside the cone.
 """
 
 from dataclasses import dataclass
@@ -55,10 +49,8 @@ class NotPositiveDefiniteError(ValueError):
 class LogisticDataset:
     """Binary classification data: sparse row-major features, +/-1 labels.
 
-    The oracles multiply by :attr:`operand`, built on first use and kept: a
-    dense ``float64`` copy of the features, a CSC copy, or the CSR matrix
-    itself (see :attr:`operand` for the rule).  A dataset thus holds at most
-    one more copy of the CSR's size.
+    The oracles multiply by :attr:`operand`, built on first use and kept,
+    so a dataset holds at most one more copy of the CSR's size.
     """
 
     features: scipy.sparse.csr_matrix
@@ -109,19 +101,19 @@ class LogisticDataset:
           the many short rows, and add the same terms in the same order;
         - else ``features`` itself.
 
-        Its transpose is a view, so either copy is the only one made.  A
-        dense operand with ``n_features <= min(n_samples, 1000)`` also gets
-        its logistic Hessian built as one ``n_features``-square Gram matrix
-        per point, no larger than the operand, so that each Hessian product
-        is one matvec; other operands keep the two products.  A build costs
-        as much as 15 two-product HVPs at N x p = 600x100, 57 at 600x600,
-        101 at 1000x1000 and 133 at 2400x2400, and the sqa paths made 59 to
-        532 products per point on dense AR(1) logistic designs with N from
-        200 to 2400 and p from N/6 to 1.5 N (one BLAS thread; ``sweep`` in
-        ``BENCH_19.json``).  Inside the rule the Gram sped up both paths
-        at every measured shape, by 4% to 74%; outside it ``sqa_fista``
-        ran 9% slower at 600x900 and 33% slower at 2400x2400.  The Gram of a sparse design is mostly dense, so a dense
-        matvec by it is no cheaper than the two sparse products."""
+        Its transpose is a view, so either copy is the only one made.  A dense
+        operand with ``n_features <= min(n_samples, 1000)`` also gets its
+        logistic Hessian built as one ``n_features``-square Gram matrix per
+        point, no larger than the operand, so that each Hessian product is one
+        matvec; other operands keep the two products.  A build costs as much as
+        15 two-product HVPs at N x p = 600x100, 57 at 600x600, 101 at 1000x1000
+        and 133 at 2400x2400, and the sqa paths made 59 to 532 products per
+        point on dense AR(1) logistic designs with N from 200 to 2400 and p
+        from N/6 to 1.5 N (one BLAS thread; ``sweep`` in ``BENCH_19.json``).
+        Inside the rule the Gram sped up both paths at every measured shape, by
+        4% to 74%; outside it ``sqa_fista`` ran 9% slower at 600x900 and 33%
+        slower at 2400x2400.  The Gram of a sparse design is mostly dense, so a
+        dense matvec by it is no cheaper than the two sparse products."""
         Z = self.features
         csr_bytes = Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes
         if Z.shape[0] * Z.shape[1] * np.dtype(float).itemsize <= csr_bytes:
@@ -143,12 +135,35 @@ _GRAM_BLOCK = 1 << 18  # entries of one scaled row block (2 MiB)
 _GRAM_MAX_FEATURES = 1000  # the widest Gram (see LogisticDataset.operand)
 
 
-class _LogisticLinearization:
-    """Margins ``y * (Z@x)`` at the last point asked for, shared by value,
-    gradient and Hessian products there; the point is matched by its shape
-    and a stored copy of its bytes, so mutating ``x`` in place never gives
-    stale results.  The Hessian at that point is kept from its first
-    product there, in the same one-point slot: on a dense operand with
+class _OnePointCache:
+    """``state(x)`` at the last point asked for, shared by value, gradient
+    and Hessian products there; the point is matched by its shape and a
+    stored copy of its bytes, so mutating ``x`` in place never gives stale
+    results.  With ``dim`` set, a point of another shape raises before
+    anything is stored.  A subclass defines ``_state``.  Not thread-safe."""
+
+    _key = _kept = None
+
+    def __init__(self, dim=None, state=None):
+        self._dim = dim
+        if state is not None:
+            self._state = state
+
+    def at(self, x):
+        x = np.asarray(x, dtype=float)
+        key = x.shape, x.tobytes()
+        if key != self._key:
+            if self._dim is not None and x.shape != (self._dim,):
+                raise ValueError(f"expected dimension {self._dim}, got {x.shape}")
+            self._kept = self._state(x)
+            self._key = key
+        return self._kept
+
+
+class _LogisticLinearization(_OnePointCache):
+    """Margins ``y * (Z@x)`` at the last point asked for (see
+    :class:`_OnePointCache`).  The Hessian at that point is kept from its
+    first product there, in the same one-point slot: on a dense operand with
     ``n_features <= min(n_samples, 1000)`` as the Gram matrix
     ``G = (Zs.T @ Zs) / N``, ``Zs = sqrt(w) * Z`` with ``w = s(1-s)``,
     summed over row blocks (see :meth:`_gram`), and each product is
@@ -156,26 +171,20 @@ class _LogisticLinearization:
     product is ``Z.T (w * (Z v)) / N``.  On a design whose Gram overflows,
     ``G @ v`` gives NaN where an ``inf`` entry of ``G`` meets a zero of
     ``v``, where the two products might give a finite value or ``inf``;
-    the solvers stop on either.  The transposed
-    operand is kept from its first use: a view of the operand in every
-    layout (dense, CSC or CSR), so no copy is made for it.  Not safe to
-    share between threads."""
+    the solvers stop on either.  The transposed operand, a view in every
+    layout, is kept from its first use."""
+
+    _hess = None
 
     def __init__(self, data):
+        super().__init__(data.n_features)
         self.data = data
-        self._key = self._m = self._hess = None
 
-    def _margins_at(self, x):
-        x = np.asarray(x, dtype=float)
-        key = x.shape, x.tobytes()
-        if key != self._key:
-            data = self.data
-            if x.shape != (data.n_features,):
-                raise ValueError(f"expected dimension {data.n_features}, "
-                                 f"got {x.shape}")
-            m = data.labels * _product(data.operand, x)
-            self._key, self._m, self._hess = key, m, None
-        return self._m
+    def _state(self, x):
+        self._hess = None
+        return self.data.labels * _product(self.data.operand, x)
+
+    _margins_at = _OnePointCache.at
 
     @cached_property
     def _zt(self):
@@ -299,37 +308,29 @@ def _read_symmetric(prob, vec, what):
     return 0.5 * (M + M.T)
 
 
-class _LogdetLinearization:
-    """The symmetrized point ``P``, its lower Cholesky factor and
-    ``W = P^{-1}`` at the last point asked for, shared by value, gradient
-    and Hessian products there; the point is matched by its shape and a
-    stored copy of its bytes, as in :class:`_LogisticLinearization`.  The
-    factor is taken at the first call at a point and ``W`` at the first
-    gradient or product, so a solver iterate costs one factorization.
-    Positive definiteness is decided by whether the factorization
-    succeeds.  A point with a non-finite entry gives a NaN value, gradient
-    and products.  Not safe to share between threads."""
+class _LogdetLinearization(_OnePointCache):
+    """The symmetrized point ``P`` and its lower Cholesky factor, None where
+    the factorization fails (off the cone), at the last point asked for,
+    and ``W = P^{-1}`` from the first gradient or product there (see
+    :class:`_OnePointCache`): a solver iterate costs one factorization.  A
+    point with a non-finite entry gives a NaN value, gradient and products."""
 
     def __init__(self, prob):
+        super().__init__()
         self.prob = prob
-        self._key = self._P = self._L = self._W = None
 
-    def _factor_at(self, x):
+    def _state(self, x):
         """``(P, L)`` at ``x``; ``L`` is None off the cone."""
-        x = np.asarray(x, dtype=float)
-        key = x.shape, x.tobytes()
-        if key != self._key:
-            with np.errstate(all="ignore"):
-                P = _read_symmetric(self.prob, x, "Pvec")
-            if not np.isfinite(P).all():
-                P = np.full_like(P, np.nan)  # factors into NaN, no exception
-            L, info = dpotrf(P, lower=1, clean=1)
-            self._key, self._P, self._W = key, P, None
-            self._L = L if info == 0 else None
-        return self._P, self._L
+        with np.errstate(all="ignore"):
+            P = _read_symmetric(self.prob, x, "Pvec")
+        if not np.isfinite(P).all():
+            P = np.full_like(P, np.nan)  # factors into NaN, no exception
+        L, info = dpotrf(P, lower=1, clean=1)
+        self._W = None
+        return P, (L if info == 0 else None)
 
     def _inverse_at(self, x, what):
-        L = self._factor_at(x)[1]
+        L = self.at(x)[1]
         if L is None:
             raise NotPositiveDefiniteError(f"{what} requested at a non-PD point")
         if self._W is None:
@@ -339,7 +340,7 @@ class _LogdetLinearization:
 
     def value(self, x):
         """``tr(S P) - log det P`` for positive definite P, else ``+inf``."""
-        P, L = self._factor_at(x)
+        P, L = self.at(x)
         if L is None:
             return np.inf
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
@@ -392,12 +393,11 @@ def synthetic_quadratic_matrices(n, condition, seed):
 
 
 def synthetic_quadratic(n, condition, seed, mu=0.0):
-    """Composite problem ``0.5 x@A@x - b@x + mu*||x||_1``, seeded."""
+    """Composite problem ``0.5 x@A@x - b@x + mu*||x||_1``, seeded.  Value
+    and gradient share ``A @ x`` through a one-point cache, so do not share
+    it between threads."""
     A, b = synthetic_quadratic_matrices(n, condition, seed)
-    return CompositeProblem(
-        value=lambda x: 0.5 * float(x @ (A @ x)) - float(b @ x),
-        gradient=lambda x: A @ x - b,
-        hess_vec=lambda x, v: A @ v,
-        dim=n,
-        mu=mu,
-    )
+    ax = _OnePointCache(n, lambda x: A @ x).at
+    return CompositeProblem(value=lambda x: 0.5 * float(x @ ax(x)) - float(b @ x),
+                            gradient=lambda x: ax(x) - b,
+                            hess_vec=lambda x, v: A @ v, dim=n, mu=mu)

@@ -935,6 +935,184 @@ class TestCovarianceProblemCache:
             assert report.hess_vec_products > 0
 
 
+_QUAD_ARGS = (6, 20.0, (3, 1))
+
+
+def _fresh_quad():
+    """A new quadratic problem: the uncached reference oracles."""
+    return synthetic_quadratic(*_QUAD_ARGS)
+
+
+class TestQuadraticProblemCache:
+    """The quadratic's value and gradient share ``A @ x`` at one point, and
+    agree bitwise with a fresh problem's at every point."""
+
+    @staticmethod
+    def _counted(monkeypatch, args=_QUAD_ARGS, mu=0.1):
+        """A quadratic problem whose ``A`` records each of its products with
+        a vector, and the list it records them in."""
+        products = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                return np.asarray(self) @ other
+
+        original = objectives.synthetic_quadratic_matrices
+
+        def counted(*matrix_args):
+            A, b = original(*matrix_args)
+            return A.view(Counted), b
+
+        with monkeypatch.context() as m:
+            m.setattr(objectives, "synthetic_quadratic_matrices", counted)
+            return synthetic_quadratic(*args, mu=mu), products
+
+    @staticmethod
+    def _check(prob, x, products, new):
+        """Value and gradient at ``x`` match a fresh problem's bitwise and
+        cost ``new`` products by ``A``."""
+        before = len(products)
+        fresh = _fresh_quad()
+        assert _bitwise(prob.value(x), fresh.value(x))
+        assert _bitwise(prob.gradient(x), fresh.gradient(x))
+        assert _bitwise(prob.value(x), fresh.value(x))
+        assert len(products) == before + new
+
+    def test_interleaved_points_match_a_fresh_problem(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        prob, products = self._counted(monkeypatch)
+        x0, x1, v = rng.normal(size=(3, 6))
+        nan_point = x1.copy()
+        nan_point[2] = np.nan
+        for x, new in ((x0, 1), (x1, 1), (x0, 1), (x0.copy(), 0),
+                       (nan_point, 1), (x1, 1), (nan_point, 1)):
+            self._check(prob, x, products, new)
+        assert np.isnan(prob.value(nan_point))
+        # a Hessian product is one product by A and leaves the cache alone
+        assert _bitwise(prob.hess_vec(x0, v), _fresh_quad().hess_vec(x0, v))
+        assert len(products) == 7
+        self._check(prob, nan_point, products, 0)
+
+    def test_point_changed_in_place_gives_fresh_results(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        prob, products = self._counted(monkeypatch)
+        x = rng.normal(size=6)
+        kept = x.copy()
+        self._check(prob, x, products, 1)
+        x[3] += 0.5
+        self._check(prob, x, products, 1)
+        x[:] = kept
+        self._check(prob, x, products, 1)
+
+    def test_wrong_shape_raises_and_cache_stays_usable(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        prob, products = self._counted(monkeypatch)
+        x = rng.normal(size=6)
+        self._check(prob, x, products, 1)
+        for oracle in (prob.value, prob.gradient):
+            # another length, and the same bytes in two other shapes
+            for bad in (np.zeros(7), x.reshape(2, 3).copy(), x[:, None].copy()):
+                with pytest.raises(ValueError, match="expected dimension 6"):
+                    oracle(bad)
+        assert len(products) == 1  # no rejected point was multiplied
+        self._check(prob, x, products, 0)  # and x's product is kept
+
+    def test_mutating_a_returned_gradient_changes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        prob, products = self._counted(monkeypatch)
+        x = rng.normal(size=6)
+        g = prob.gradient(x)
+        g += 1.0
+        self._check(prob, x, products, 0)
+        assert not _bitwise(g, prob.gradient(x))
+        assert len(products) == 1
+
+    @pytest.mark.parametrize("solver", ["fista", "sqa_obm_cg"])
+    def test_one_product_per_point_of_a_solve(self, solver, monkeypatch):
+        prob, products = self._counted(monkeypatch, (30, 100.0, 21), 0.05)
+        points = []  # each point value or gradient was asked at, once per visit
+        hess_products = []
+
+        def visits(oracle):
+            def wrapped(x):
+                key = np.asarray(x).tobytes()
+                if not points or points[-1] != key:
+                    points.append(key)
+                return oracle(x)
+            return wrapped
+
+        def hess_vec(x, v):
+            hess_products.append(1)
+            return prob.hess_vec(x, v)
+
+        traced = dataclasses.replace(prob, value=visits(prob.value),
+                                     gradient=visits(prob.gradient),
+                                     hess_vec=hess_vec)
+        if solver == "fista":
+            _, report = fista_baseline_solve(traced, SolverConfig())
+        else:
+            _, report = sqa_solve(traced, SolverConfig(inner_solver="obm_cg"))
+        assert report.status == "converged"
+        at_points = len(products) - len(hess_products)
+        assert at_points == len(points) == report.fg_evaluations
+        assert len(hess_products) == report.hess_vec_products
+        assert (report.hess_vec_products > 0) == (solver != "fista")
+
+
+def _one_point_problem(family, rng):
+    """A problem of one family, and a point inside its domain."""
+    if family == "logistic":
+        return logistic_problem(_small_dataset(rng, 12, 8), 0.1), rng.normal(size=8)
+    if family == "covariance":
+        return covariance_problem(_cov_problem(rng), 0.1), _random_spd_vec(rng)
+    return synthetic_quadratic(8, 10.0, seed=22, mu=0.1), rng.normal(size=8)
+
+
+class TestOnePointCache:
+    """The contract of the cache that all three families share, run once on
+    each family's oracles."""
+
+    @pytest.mark.parametrize("family", ["logistic", "covariance", "quadratic"])
+    def test_recomputes_only_at_a_new_point(self, family, monkeypatch):
+        states = []  # the state computations that returned
+        cls = objectives._OnePointCache
+        init = cls.__init__
+
+        def counted_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            state = self._state
+
+            def counted(x):
+                kept = state(x)
+                states.append(1)
+                return kept
+
+            self._state = counted
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+        prob, x = _one_point_problem(family, np.random.default_rng(23))
+        assert states == []  # construction computes nothing
+        value = prob.value(x)
+        prob.gradient(x)
+        prob.hess_vec(x, x)
+        prob.value(x.copy())  # the same bytes in a new array
+        assert len(states) == 1
+        y = x.copy()
+        y[0] += 0.25  # the first diagonal entry of a covariance point
+        prob.value(y)
+        assert len(states) == 2
+        assert _bitwise(prob.value(x), value)  # one point kept: recomputed
+        assert len(states) == 3
+        for oracle in (prob.value, prob.gradient):
+            for shape in ((2, -1), (-1, 1)):
+                with pytest.raises(ValueError):
+                    oracle(x.reshape(shape).copy())
+        assert len(states) == 3  # rejected, and nothing stored
+        assert _bitwise(prob.value(x), value)
+        assert len(states) == 3
+
+
 class TestSyntheticQuadratic:
     def test_condition_one_is_identity(self):
         A, b = synthetic_quadratic_matrices(6, 1.0, seed=2)
