@@ -159,12 +159,13 @@ def lbfgs_reduced_inverse_solve(store, face, v, tally=None):
     """Exact Newton direction on the free variables of an orthant face.
 
     Returns ``d`` with ``d_F = -(B_FF)^{-1} v_F`` and zeros on the active
-    set, where ``B_FF`` is the free principal block of the store's Hessian
+    set, the zeros of ``face``, the int8 sign vector of ``orthant_face``;
+    ``B_FF`` is the free principal block of the store's Hessian
     approximation.  A reduced system that cannot be Cholesky factored falls
     back to scaled steepest descent, flagged in the telemetry.
     """
     v = np.asarray(v, dtype=float)
-    free = face.free_mask
+    free = face != 0
     d = np.zeros_like(v)
     if not free.any():
         return d

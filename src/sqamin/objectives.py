@@ -184,8 +184,6 @@ class _LogisticLinearization(_OnePointCache):
         self._hess = None
         return self.data.labels * _product(self.data.operand, x)
 
-    _margins_at = _OnePointCache.at
-
     @cached_property
     def _zt(self):
         return self.data.operand.T
@@ -215,12 +213,12 @@ class _LogisticLinearization(_OnePointCache):
 
     def value(self, x):
         """Mean loss ``log(1 + e^t)``, ``t = -y_i x@z_i``, overflow-safe."""
-        t = -self._margins_at(x)
+        t = -self.at(x)
         return float(np.mean(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))))
 
     def gradient(self, x):
         """``-(1/N) Z.T (y * sigmoid(-y * Zx))``."""
-        s = expit(-self._margins_at(x))
+        s = expit(-self.at(x))
         r = self.data.labels * s
         return -np.asarray(_product(self._zt, r)) / self.data.n_samples
 
@@ -230,7 +228,7 @@ class _LogisticLinearization(_OnePointCache):
         v = np.asarray(v, dtype=float)
         if v.shape != (data.n_features,):
             raise ValueError(f"expected dimension {data.n_features}, got {v.shape}")
-        m = self._margins_at(x)
+        m = self.at(x)
         with np.errstate(all="ignore"):  # as _product does
             if self._hess is None:
                 s = expit(-m)
@@ -398,6 +396,11 @@ def synthetic_quadratic(n, condition, seed, mu=0.0):
     it between threads."""
     A, b = synthetic_quadratic_matrices(n, condition, seed)
     ax = _OnePointCache(n, lambda x: A @ x).at
+
+    def hess_vec(x, v):
+        if np.shape(v) != (n,):
+            raise ValueError(f"expected dimension {n}, got {np.shape(v)}")
+        return A @ v
     return CompositeProblem(value=lambda x: 0.5 * float(x @ ax(x)) - float(b @ x),
                             gradient=lambda x: ax(x) - b,
-                            hess_vec=lambda x, v: A @ v, dim=n, mu=mu)
+                            hess_vec=hess_vec, dim=n, mu=mu)

@@ -6,11 +6,11 @@ the face's free variables (truncated conjugate gradients against the model
 Hessian, or an exact reduced quasi-Newton solve), and backtracks along the
 direction with re-projection onto the face until the model decreases
 sufficiently.  The l1 term is linear on each face, which is what makes the
-subspace phase a smooth quadratic problem.
+subspace phase a smooth quadratic problem.  A face is the int8 sign vector
+of :func:`orthant_face`; zeros are the active set.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -20,7 +20,6 @@ from .lbfgs import lbfgs_reduced_inverse_solve
 from .prox import soft_threshold
 
 __all__ = [
-    "OrthantFace",
     "orthant_face",
     "orthant_project",
     "min_norm_subgradient_from_gradient",
@@ -35,45 +34,21 @@ ARMIJO_CONSTANT = 1e-4
 ALPHA_MIN = 1e-12
 
 
-@dataclass(frozen=True)
-class OrthantFace:
-    """Sign vector defining a closed orthant face; zeros form the active set."""
-
-    omega: np.ndarray
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega)
-        if not ((omega == 0) | (np.abs(omega) == 1)).all():
-            raise ValueError("face signs must be -1, 0 or +1")
-
-    @classmethod
-    def _from_signs(cls, omega):
-        """A face on signs known to be -1, 0 or +1, built without the check."""
-        face = object.__new__(cls)
-        object.__setattr__(face, "omega", omega)
-        return face
-
-    @property
-    def free_mask(self):
-        return self.omega != 0
-
-
 def orthant_face(z, v):
     """Face spanned by the iterate's signs, broken by the steepest descent
-    direction ``-v`` on zero components."""
+    direction ``-v`` on zero components, as its int8 sign vector."""
     z = np.asarray(z, dtype=float)
     v = np.asarray(v, dtype=float)
     if z.shape != v.shape:
         raise ValueError(f"shape mismatch: z {z.shape} vs v {v.shape}")
-    return OrthantFace._from_signs(
-        np.sign(np.where(z != 0, z, -v)).astype(np.int8))
+    return np.sign(np.where(z != 0, z, -v)).astype(np.int8)
 
 
 def orthant_project(w, face):
     """Euclidean projection onto the face (componentwise clipping); a NaN
     component projects to 0."""
     w = np.asarray(w, dtype=float)
-    return np.where(face.omega * w > 0, w, 0.0)
+    return np.where(face * w > 0, w, 0.0)
 
 
 def min_norm_subgradient_from_gradient(u, z, mu):
@@ -109,7 +84,7 @@ def subspace_cg_solve(model, face, v, cg_cap):
     if cg_cap < 1:
         raise ValueError(f"cg_cap must be >= 1, got {cg_cap}")
     v = np.asarray(v, dtype=float)
-    free = face.omega.nonzero()[0]
+    free = face.nonzero()[0]
     d = np.zeros(v.shape)
     hd = np.zeros(v.shape)
     r = -v.take(free)
@@ -162,8 +137,9 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     Armijo test against the subgradient linearization and does not increase
     the model value ``q_ref`` at ``z`` (projection can flip the sign of the
     linearized change, so the plain-decrease guard keeps the iterates
-    monotone).  Returns ``z`` flagged as stalled when the step underflows,
-    or at once, with a NaN ``q_value``, at a NaN trial.
+    monotone).  Returns ``z``: stalled when the step underflows, stalled
+    at once with a NaN ``q_value`` at a NaN trial, and not stalled after
+    zero trials at a zero ``d``, which :func:`obm_solve` never passes.
 
     A trial that the projection leaves unclipped lies on the ray
     ``z + alpha d``.  When ``model.search_products`` holds

@@ -35,15 +35,15 @@ def model_value(model, x):
 
 
 def face_active_set(face):
-    """Indices pinned to zero on an orthant face."""
-    return np.flatnonzero(face.omega == 0)
+    """Indices pinned to zero on an orthant face, given as its sign vector."""
+    return np.flatnonzero(face == 0)
 
 
 def face_conforms(face, z):
-    """True iff ``z`` lies in the face: sign-consistent, zero on actives."""
+    """True iff ``z`` lies in the face, given as its sign vector:
+    sign-consistent, zero on actives."""
     z = np.asarray(z)
-    return bool(np.all(z * face.omega >= 0)
-                and np.all(z[~face.free_mask] == 0))
+    return bool(np.all(z * face >= 0) and np.all(z[face == 0] == 0))
 
 
 def objective_values(report):

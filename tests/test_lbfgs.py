@@ -8,7 +8,6 @@ import pytest
 import sqamin.lbfgs
 from sqamin import (
     LbfgsStore,
-    OrthantFace,
     Telemetry,
     lbfgs_reduced_inverse_solve,
 )
@@ -160,14 +159,13 @@ class TestRingBuffer:
             else:
                 picked = rng.choice(self.n, size=n_free, replace=False)
             omega[picked] = rng.choice([-1, 1], size=n_free)
-            face = OrthantFace(omega)
-            free = face.free_mask
+            free = omega != 0
             B = materialize_operator(store.hessian_vec, self.n)
             v = rng.normal(size=self.n)
             expected = np.zeros(self.n)
             expected[free] = -np.linalg.solve(B[np.ix_(free, free)], v[free])
             tally = Telemetry()
-            d = lbfgs_reduced_inverse_solve(store, face, v, tally)
+            d = lbfgs_reduced_inverse_solve(store, omega, v, tally)
             np.testing.assert_allclose(d, expected, rtol=1e-9, atol=1e-11)
             assert tally.lbfgs_fallback_solves == 0
 
@@ -217,7 +215,7 @@ class TestApplies:
 class TestReducedSolve:
     def test_empty_store_negative_gradient(self):
         store = LbfgsStore()
-        face = OrthantFace(np.array([1, -1, 0], dtype=np.int8))
+        face = np.array([1, -1, 0], dtype=np.int8)
         v = np.array([0.5, -0.25, 7.0])
         d = lbfgs_reduced_inverse_solve(store, face, v)
         np.testing.assert_allclose(d, [-0.5, 0.25, 0.0])
@@ -226,7 +224,7 @@ class TestReducedSolve:
         rng = np.random.default_rng(3)
         n = 8
         store = _filled_store(rng, n=n, n_pairs=5)
-        face = OrthantFace(np.ones(n, dtype=np.int8))
+        face = np.ones(n, dtype=np.int8)
         v = rng.normal(size=n)
         d = lbfgs_reduced_inverse_solve(store, face, v)
         np.testing.assert_allclose(d, -lbfgs_inverse_vec(store, v), rtol=1e-10,
@@ -237,28 +235,26 @@ class TestReducedSolve:
         n = 8
         store = _filled_store(rng, n=n, n_pairs=3)
         omega = np.array([1, 0, -1, 1, 0, -1, 1, 1], dtype=np.int8)
-        face = OrthantFace(omega)
-        free = face.free_mask
+        free = omega != 0
         B = materialize_operator(store.hessian_vec, n)
         v = rng.normal(size=n)
         expected = np.zeros(n)
         expected[free] = -np.linalg.solve(B[np.ix_(free, free)], v[free])
-        d = lbfgs_reduced_inverse_solve(store, face, v)
+        d = lbfgs_reduced_inverse_solve(store, omega, v)
         np.testing.assert_allclose(d, expected, rtol=1e-8, atol=1e-10)
 
     def test_active_components_zero(self):
         rng = np.random.default_rng(5)
         store = _filled_store(rng, n=6, n_pairs=4)
         omega = np.array([0, 1, 0, -1, 1, 0], dtype=np.int8)
-        d = lbfgs_reduced_inverse_solve(store, OrthantFace(omega),
-                                        rng.normal(size=6))
+        d = lbfgs_reduced_inverse_solve(store, omega, rng.normal(size=6))
         np.testing.assert_array_equal(d[omega == 0], np.zeros(3))
 
     def test_all_active_face(self):
         rng = np.random.default_rng(6)
         store = _filled_store(rng, n=4, n_pairs=2)
         d = lbfgs_reduced_inverse_solve(
-            store, OrthantFace(np.zeros(4, dtype=np.int8)), rng.normal(size=4)
+            store, np.zeros(4, dtype=np.int8), rng.normal(size=4)
         )
         np.testing.assert_array_equal(d, np.zeros(4))
 
@@ -275,7 +271,7 @@ class TestReducedSolve:
         # factor was computed before the patch
         monkeypatch.setattr(sqamin.lbfgs, "dpotrf", not_positive_definite)
         tally = Telemetry()
-        d = lbfgs_reduced_inverse_solve(store, OrthantFace(omega), v, tally)
+        d = lbfgs_reduced_inverse_solve(store, omega, v, tally)
         free = omega != 0
         np.testing.assert_array_equal(d[free], -v[free] / store.sigma)
         np.testing.assert_array_equal(d[~free], 0.0)

@@ -377,11 +377,11 @@ class TestLogisticProblemCache:
 
     @staticmethod
     def _count_margins(monkeypatch):
-        """Count the margin computations: the calls of ``_margins_at`` that
-        miss the cache, whether they then store new margins or raise."""
+        """Count the margin computations: the calls of ``at`` that miss the
+        cache, whether they then store new margins or raise."""
         calls = []
         cls = objectives._LogisticLinearization
-        original = cls._margins_at
+        original = cls.at
 
         def counted(self, x):
             key = self._key
@@ -394,7 +394,7 @@ class TestLogisticProblemCache:
                 if self._key is not key:
                     calls.append(1)
 
-        monkeypatch.setattr(cls, "_margins_at", counted)
+        monkeypatch.setattr(cls, "at", counted)
         return calls
 
     def _check_all(self, prob, data, x, v):
@@ -1111,6 +1111,14 @@ class TestOnePointCache:
         assert len(states) == 3  # rejected, and nothing stored
         assert _bitwise(prob.value(x), value)
         assert len(states) == 3
+
+    @pytest.mark.parametrize("family", ["logistic", "covariance", "quadratic"])
+    def test_hess_vec_rejects_a_direction_of_another_shape(self, family):
+        prob, x = _one_point_problem(family, np.random.default_rng(24))
+        for v in (x[:, None].copy(), np.append(x, 0.0)):
+            with pytest.raises(ValueError,
+                               match="expected dimension|must have length"):
+                prob.hess_vec(x, v)
 
 
 class TestSyntheticQuadratic:

@@ -6,10 +6,11 @@ import importlib
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sqamin
-from sqamin import synthetic_quadratic
+from sqamin import LbfgsStore, Telemetry, synthetic_quadratic
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -65,3 +66,27 @@ def test_traced_benchmark_surface(monkeypatch):
             spans = {metric[:-2] for metric in tracing.PATH_METRICS[path]
                      if metric.endswith(".s") and not metric.startswith("trace.")}
             assert spans <= set(calls), (path, sorted(spans - set(calls)))
+
+
+def test_traced_reduced_solve_reads_the_tally(monkeypatch):
+    # the reduced solve's hook finds the tally as the fourth positional
+    # argument, where obm_solve passes it
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    rng = np.random.default_rng(7)
+    M = rng.normal(size=(6, 6))
+    A = M @ M.T + np.eye(6)
+    store = LbfgsStore()
+    for _ in range(3):
+        s = rng.normal(size=6)
+        store.update(s, A @ s)
+    # fail the reduced solve's factorizations, as LAPACK reports a
+    # non-positive leading minor, so that it falls back once
+    monkeypatch.setattr(sqamin.lbfgs, "dpotrf", lambda a, **kwargs: (a, 1))
+    face = np.array([1, 0, -1, 1, 0, 1], dtype=np.int8)
+    tally = Telemetry()
+    with tracing.Tracer() as tracer:
+        sqamin.obm.lbfgs_reduced_inverse_solve(store, face, rng.normal(size=6),
+                                               tally)
+    assert tally.lbfgs_fallback_solves == 1
+    assert tracer.counts["lbfgs.fallback_solves"] == 1
