@@ -143,7 +143,9 @@ def outer_line_search(problem, model, d, theta=0.1):
     Each trial evaluates the smooth value once, counted on ``model.tally``.
     An infinite value backtracks; a NaN value, or step length underflow
     (violated preconditions: the direction must carry positive linear-model
-    decrease), raises :class:`LineSearchError`.
+    decrease), raises :class:`LineSearchError`.  So does a trial equal to
+    ``model.x_ref``, before it is evaluated: both sides of the decrease test
+    would be exactly 0, and every shorter step rounds to the same point.
     """
     d = np.asarray(d, dtype=float)
     if not np.any(d):
@@ -153,6 +155,9 @@ def outer_line_search(problem, model, d, theta=0.1):
     trials = 0
     while alpha >= ALPHA_UNDERFLOW:
         x_trial = model.x_ref + alpha * d
+        if (x_trial == model.x_ref).all():
+            raise LineSearchError("line search trial rounds to the reference "
+                                  "point; no step can make progress")
         f_trial = problem.value(x_trial)
         model.tally.fg_evaluations += 1
         trials += 1

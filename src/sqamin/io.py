@@ -165,15 +165,21 @@ def _parse_lines(path, n_features):
 
 
 def write_svmlight(data, path):
-    """Emit a dataset in SVMLight format; values use round-tripping repr."""
+    """Emit a dataset in SVMLight format; values use round-tripping repr.
+
+    Indices and values are formatted from Python lists, not one numpy
+    scalar per entry."""
     Z = data.features
+    cols = (Z.indices + 1).tolist()
+    vals = Z.data.astype(float, copy=False).tolist()
+    bounds = Z.indptr.tolist()
+    positive = (np.asarray(data.labels) > 0).tolist()
     with open(path, "w", encoding="utf-8") as handle:
-        for i in range(data.n_samples):
-            row = Z.indices[Z.indptr[i]:Z.indptr[i + 1]]
-            vals = Z.data[Z.indptr[i]:Z.indptr[i + 1]]
-            label = "+1" if data.labels[i] > 0 else "-1"
-            pairs = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(row, vals))
-            handle.write(f"{label} {pairs}".rstrip() + "\n")
+        for i, plus in enumerate(positive):
+            lo, hi = bounds[i], bounds[i + 1]
+            pairs = " ".join(f"{j}:{v!r}"
+                             for j, v in zip(cols[lo:hi], vals[lo:hi]))
+            handle.write(f"{'+1' if plus else '-1'} {pairs}".rstrip() + "\n")
 
 
 def load_dense_matrix(path):

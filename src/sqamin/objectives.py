@@ -4,13 +4,14 @@ Each family has a constructor returning a
 :class:`~sqamin.model.CompositeProblem` with the l1 weight attached.  The
 oracles of every problem share a one-point cache, reused while the solver
 stays at one iterate, so no problem should be shared between threads: the
-logistic margins and Hessian, the log-det Cholesky factor and inverse, or
-the quadratic's ``A @ x``.  The logistic oracles multiply by a dense, CSC
-or CSR layout of the design (see :attr:`LogisticDataset.operand`), and on
-a small dense one keep the Hessian as its Gram matrix, so that each
-product is one BLAS matvec.  The log-det objective treats
-non-positive-definite points as ``+inf`` so that line searches reject them
-and every accepted iterate stays inside the cone.
+logistic margins, their one exponential, sigmoid and Hessian, the log-det
+Cholesky factor and inverse, or the quadratic's ``A @ x``.  The logistic
+oracles multiply by a dense, CSC or CSR layout of the design (see
+:attr:`LogisticDataset.operand`), and on a small dense one keep the
+Hessian as its Gram matrix, so that each product is one BLAS matvec.  The
+log-det objective treats non-positive-definite points as ``+inf`` so that
+line searches reject them and every accepted iterate stays inside the
+cone.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import expit
 
 from .model import CompositeProblem
 
@@ -161,9 +161,12 @@ class _OnePointCache:
 
 
 class _LogisticLinearization(_OnePointCache):
-    """Margins ``y * (Z@x)`` at the last point asked for (see
-    :class:`_OnePointCache`).  The Hessian at that point is kept from its
-    first product there, in the same one-point slot: on a dense operand with
+    """Margins ``m = y * (Z@x)`` at the last point asked for (see
+    :class:`_OnePointCache`).  The same one-point slot keeps, each from its
+    first use at that point, ``e = exp(-|m|)``, the one exponential that
+    value, gradient and Hessian read, and ``s = sigmoid(-m)`` taken from it
+    (see :meth:`_sigmoid`).  The Hessian at that point is kept from its
+    first product there, also in that slot: on a dense operand with
     ``n_features <= min(n_samples, 1000)`` as the Gram matrix
     ``G = (Zs.T @ Zs) / N``, ``Zs = sqrt(w) * Z`` with ``w = s(1-s)``,
     summed over row blocks (see :meth:`_gram`), and each product is
@@ -174,15 +177,34 @@ class _LogisticLinearization(_OnePointCache):
     the solvers stop on either.  The transposed operand, a view in every
     layout, is kept from its first use."""
 
-    _hess = None
+    _hess = _e = _s = None
 
     def __init__(self, data):
         super().__init__(data.n_features)
         self.data = data
 
     def _state(self, x):
-        self._hess = None
+        self._hess = self._e = self._s = None
         return self.data.labels * _product(self.data.operand, x)
+
+    def _exp(self, m):
+        """``e = exp(-|m|)`` at the kept margins ``m``."""
+        if self._e is None:
+            self._e = np.exp(-np.abs(m))
+        return self._e
+
+    def _sigmoid(self, m):
+        """``s = sigmoid(-m)`` at the kept margins ``m``: ``e/(1+e)`` where
+        ``m > 0`` and ``1/(1+e)`` elsewhere, as ``max(e, m <= 0) / (1 + e)``
+        (``e <= 1``).  The exponent is never positive, so nothing
+        overflows; ``m = +inf`` gives 0, ``-inf`` gives 1 and NaN stays
+        NaN."""
+        if self._s is None:
+            e = self._exp(m)
+            s = np.maximum(e, m <= 0.0)
+            s /= 1.0 + e
+            self._s = s
+        return self._s
 
     @cached_property
     def _zt(self):
@@ -212,14 +234,16 @@ class _LogisticLinearization(_OnePointCache):
         return G
 
     def value(self, x):
-        """Mean loss ``log(1 + e^t)``, ``t = -y_i x@z_i``, overflow-safe."""
-        t = -self.at(x)
-        return float(np.mean(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))))
+        """Mean loss ``log(1 + exp(-m))`` as ``log1p(e) - min(m, 0)``,
+        overflow-safe."""
+        m = self.at(x)
+        loss = np.log1p(self._exp(m))
+        loss -= np.minimum(m, 0.0)
+        return float(np.mean(loss))
 
     def gradient(self, x):
         """``-(1/N) Z.T (y * sigmoid(-y * Zx))``."""
-        s = expit(-self.at(x))
-        r = self.data.labels * s
+        r = self.data.labels * self._sigmoid(self.at(x))
         return -np.asarray(_product(self._zt, r)) / self.data.n_samples
 
     def hess_vec(self, x, v):
@@ -231,7 +255,7 @@ class _LogisticLinearization(_OnePointCache):
         m = self.at(x)
         with np.errstate(all="ignore"):  # as _product does
             if self._hess is None:
-                s = expit(-m)
+                s = self._sigmoid(m)
                 w = s * (1.0 - s)
                 if self._keeps_gram:
                     w = self._gram(np.sqrt(w))

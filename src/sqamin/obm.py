@@ -137,9 +137,9 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     Armijo test against the subgradient linearization and does not increase
     the model value ``q_ref`` at ``z`` (projection can flip the sign of the
     linearized change, so the plain-decrease guard keeps the iterates
-    monotone).  Returns ``z``: stalled when the step underflows, stalled
-    at once with a NaN ``q_value`` at a NaN trial, and not stalled after
-    zero trials at a zero ``d``, which :func:`obm_solve` never passes.
+    monotone).  Returns ``z``, stalled, when the step underflows, and at
+    once with a NaN ``q_value`` at a NaN trial.  A zero ``d``, which
+    :func:`obm_solve` never passes, raises ``ValueError``.
 
     A trial that the projection leaves unclipped lies on the ray
     ``z + alpha d``.  When ``model.search_products`` holds
@@ -155,7 +155,7 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     z = np.asarray(z, dtype=float)
     d = np.asarray(d, dtype=float)
     if not d.any():
-        return ProjectedSearchResult(z, 0.0, 0, math.nan, None, q_ref, False)
+        raise ValueError("line search direction is zero")
     alpha = 1.0
     trials = 0
     while alpha >= ALPHA_MIN:

@@ -9,6 +9,16 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
+
+from sqamin import (
+    LogisticDataset,
+    covariance_problem,
+    logistic_problem,
+    sample_covariance,
+    synthetic_quadratic,
+)
 
 
 def central_difference_gradient(f, x, h=1e-6):
@@ -272,3 +282,66 @@ def edge_case_vector(rng, n, mu):
     pick = rng.uniform(size=n) < 0.5
     x[pick] = rng.choice(pool, size=int(pick.sum()))
     return x
+
+
+# Desk-size copies of the four benchmark workloads, built here from the
+# sqamin constructors so that no test depends on perfbench.  The counter
+# ledger (tests/ledger.py) solves seeds (11, 0)-(11, 2) of each.
+
+DESK_SEEDS = ((11, 0), (11, 1), (11, 2))
+
+
+def _planted_labels(rng, Z, noise=0.5):
+    """+/-1 labels from a noisy linear model over a quarter of the features,
+    the clean score scaled to unit standard deviation."""
+    w = np.zeros(Z.shape[1])
+    support = rng.choice(Z.shape[1], size=max(1, Z.shape[1] // 4), replace=False)
+    w[support] = rng.normal(size=support.size)
+    score = np.asarray(Z @ w).ravel()
+    score /= score.std()
+    score += noise * rng.normal(size=Z.shape[0])
+    return np.where(score >= 0, 1.0, -1.0)
+
+
+def desk_logistic_sparse(seed, mu=1e-3):
+    """1000x200 CSR at 1% density; its operand is the CSC copy."""
+    rng = np.random.default_rng(seed)
+    Z = scipy.sparse.random(1000, 200, density=0.01, format="csr",
+                            random_state=rng, data_rvs=rng.standard_normal)
+    return logistic_problem(LogisticDataset(Z, _planted_labels(rng, Z)), mu)
+
+
+def desk_logistic_hard(seed, mu=1e-3, rho=0.9):
+    """Dense 200x30 AR(1) design stored as CSR; its Hessian is a Gram."""
+    rng = np.random.default_rng(seed)
+    E = rng.normal(size=(200, 30))
+    Z = np.empty_like(E)
+    Z[:, 0] = E[:, 0]
+    for j in range(1, Z.shape[1]):
+        Z[:, j] = rho * Z[:, j - 1] + np.sqrt(1.0 - rho ** 2) * E[:, j]
+    labels = _planted_labels(rng, Z)
+    return logistic_problem(LogisticDataset(scipy.sparse.csr_matrix(Z), labels),
+                            mu)
+
+
+def desk_covariance(seed, mu=0.1, p=15, off_diagonal=0.4):
+    """Log-det problem from 20p samples of a tridiagonal precision."""
+    rng = np.random.default_rng(seed)
+    precision = (np.eye(p) + off_diagonal * np.eye(p, k=1)
+                 + off_diagonal * np.eye(p, k=-1))
+    L = np.linalg.cholesky(precision)
+    samples = scipy.linalg.solve_triangular(
+        L.T, rng.normal(size=(p, 20 * p)), lower=False).T
+    return covariance_problem(sample_covariance(samples), mu)
+
+
+def desk_quadratic(seed, mu=1.0):
+    return synthetic_quadratic(50, 1e4, seed, mu=mu)
+
+
+DESK_WORKLOADS = {
+    "logistic_sparse": desk_logistic_sparse,
+    "logistic_hard": desk_logistic_hard,
+    "covariance": desk_covariance,
+    "quadratic": desk_quadratic,
+}

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -13,6 +16,7 @@ from sqamin import (
     ConvergenceReport,
     CovarianceProblem,
     LbfgsStore,
+    LineSearchError,
     LogisticDataset,
     QuadraticModel,
     SolverConfig,
@@ -195,6 +199,18 @@ class TestOuterLineSearch:
                                prob.mu)
         with pytest.raises(RuntimeError, match="underflow"):
             outer_line_search(prob, model, +g)
+
+    def test_trial_that_rounds_to_the_reference_raises_unevaluated(self):
+        # 1e-20 * d vanishes against entries of size 1: the unit trial is
+        # x_ref itself, where both sides of the decrease test are exactly 0
+        prob = synthetic_quadratic(5, 10.0, seed=22, mu=0.1)
+        x = np.ones(5)
+        g = prob.gradient(x)
+        model = QuadraticModel(x, g, prob.value(x), lambda v: v.copy(),
+                               prob.mu)
+        with pytest.raises(LineSearchError, match="reference point"):
+            outer_line_search(prob, model, -1e-20 * g)
+        assert model.tally.fg_evaluations == 0
 
     def test_backtracks_on_overshooting_direction(self):
         # a crude model (identity Hessian on a stiff problem) produces an
@@ -417,6 +433,31 @@ class TestSqaSolve:
         assert report.outer_iterations < 300
         assert report.final_residual_inf < 1e-6
         assert report.lbfgs_fallback_solves == 0
+
+    def test_qn_spin_below_its_rounding_floor_ends_line_search_failed(self):
+        # at 1e-10 the outer steps of this run stop moving x; the search
+        # refuses a trial equal to its reference point, so the run ends
+        # instead of accepting such steps up to max_outer
+        prob = synthetic_quadratic(100, 1e4, seed=(11, 3), mu=1.0)
+        _, report = sqa_solve(
+            prob, SolverConfig(inner_solver="obm_qn", tol_inf=1e-10))
+        assert report.status == "line_search_failed"
+        assert report.outer_iterations < 300
+
+    def test_qn_spin_ends_the_same_way_with_one_blas_thread(self):
+        code = ("import json; from sqamin import *; _, r = sqa_solve("
+                "synthetic_quadratic(100, 1e4, (11, 3), mu=1.0), SolverConfig("
+                "inner_solver='obm_qn', tol_inf=1e-10)); "
+                "print(json.dumps([r.status, r.outer_iterations]))")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                             env=env, capture_output=True, text=True, check=True)
+        status, outer = json.loads(out.stdout)
+        assert status == "line_search_failed"
+        assert outer < 300
 
 
 # a Huber loss is linear far from its centre, so the first L-BFGS steps

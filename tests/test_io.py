@@ -124,6 +124,32 @@ class TestParseSvmlight:
         np.testing.assert_array_equal(back.labels, data.labels)
         assert (back.features != data.features).nnz == 0
 
+    def test_writer_bytes_match_the_per_entry_formula(self, tmp_path):
+        # an empty row, -0.0, a subnormal and 1e300 among random values
+        rng = np.random.default_rng(14)
+        Z = scipy.sparse.random(30, 12, density=0.3, random_state=14,
+                                format="csr")
+        Z.data = rng.normal(size=Z.data.size)
+        Z.sort_indices()
+        Z.data[:3] = [-0.0, 5e-324, 1e300]
+        Z = scipy.sparse.csr_matrix(
+            (Z.data, Z.indices, np.insert(Z.indptr, 4, Z.indptr[4])),
+            shape=(31, 12))
+        labels = np.where(rng.uniform(size=31) > 0.5, 1.0, -1.0)
+        path = tmp_path / "w.svm"
+        write_svmlight(LogisticDataset(Z, labels), path)
+        expected = ""
+        for i in range(31):  # one numpy scalar per entry
+            row = Z.indices[Z.indptr[i]:Z.indptr[i + 1]]
+            vals = Z.data[Z.indptr[i]:Z.indptr[i + 1]]
+            label = "+1" if labels[i] > 0 else "-1"
+            pairs = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(row, vals))
+            expected += f"{label} {pairs}".rstrip() + "\n"
+        lines = expected.splitlines()
+        assert lines[4] in ("+1", "-1")  # the empty row
+        assert all(f":{v}" in lines[0] for v in ("-0.0", "5e-324", "1e+300"))
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_random_well_formed_files_accepted(self, tmp_path):
         # seeded mini-corpus of random shapes, densities and value scales
         for trial in range(20):

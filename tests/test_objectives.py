@@ -1,6 +1,7 @@
 """Oracle consistency of the logistic, log-det, and quadratic objectives."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -369,6 +370,113 @@ class TestLogisticHessVec:
 def _bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _diagonal_dataset(rng, margins):
+    """A square design with one entry per row and column and a point at
+    which the margins are ``margins``: each gradient and Hessian-product
+    entry then comes from one sample, so entries compare without
+    cancellation.  The CSR arrays are smaller than a dense copy."""
+    n = margins.size
+    z = rng.normal(size=n)
+    y = np.where(rng.uniform(size=n) > 0.5, 1.0, -1.0)
+    data = LogisticDataset(scipy.sparse.diags(z, format="csr"), y)
+    return data, margins / (y * z)
+
+
+class TestLogisticExponential:
+    """The logistic oracles take one exponential per point, ``e =
+    exp(-|m|)``, and read value, sigmoid and Hessian weights from it."""
+
+    @pytest.mark.parametrize("m, s, term", [
+        (np.inf, 0.0, 0.0),
+        (-np.inf, 1.0, np.inf),
+        (800.0, 0.0, 0.0),  # exp(-800) underflows to 0
+        (-800.0, 1.0, 800.0),
+        (720.0, np.exp(-720.0), np.exp(-720.0)),  # subnormal; expit gives 0
+        (0.0, 0.5, np.log1p(1.0)),
+        (-0.0, 0.5, np.log1p(1.0)),
+        (np.nan, np.nan, np.nan),
+    ])
+    def test_exact_limits_without_warnings(self, m, s, term):
+        # one sample with z = y = 1, so the margin is the point itself
+        data = LogisticDataset(scipy.sparse.csr_matrix(np.array([[1.0]])),
+                               np.array([1.0]))
+        x = np.array([m])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = _fresh(data)
+            value, grad = prob.value(x), prob.gradient(x)
+            hv = prob.hess_vec(x, np.ones(1))
+        np.testing.assert_array_equal([value], [term])
+        np.testing.assert_array_equal(grad, [-s])
+        # the dense 1x1 operand keeps sqrt(w)**2 as its Gram
+        np.testing.assert_allclose(hv, [s * (1.0 - s)], rtol=1e-15,
+                                   atol=1e-320)
+
+    def test_agrees_with_expit(self):
+        rng = np.random.default_rng(41)
+        m = np.concatenate([
+            rng.normal(size=300) * rng.choice([1.0, 3.0, 30.0, 300.0], 300),
+            rng.uniform(700.0, 760.0, 100) * rng.choice([-1.0, 1.0], 100),
+        ])
+        data, x = _diagonal_dataset(rng, m)
+        Z, y, n = data.features, data.labels, m.size
+        margins = y * (Z @ x)
+        s = expit(-margins)
+        v = rng.normal(size=n)
+        prob = _fresh(data)
+        # for 709 < m < 745, s lies below the normal range: expit rounds it
+        # to 0 where e / (1 + e) keeps a subnormal; the absolute floor
+        # covers those
+        np.testing.assert_allclose(prob.gradient(x), -(Z.T @ (y * s)) / n,
+                                   rtol=1e-14, atol=1e-300)
+        np.testing.assert_allclose(prob.hess_vec(x, v),
+                                   Z.T @ (s * (1.0 - s) * (Z @ v)) / n,
+                                   rtol=1e-14, atol=1e-300)
+        assert np.any((s == 0.0) & (prob.gradient(x) != 0.0))
+
+    def test_value_is_the_two_sided_formula_bitwise(self):
+        rng = np.random.default_rng(42)
+        for scale in (0.1, 1.0, 30.0, 1e3):
+            data = _small_dataset(rng, 40, 8)
+            x = scale * rng.normal(size=8)
+            t = -data.labels * (data.operand @ x)
+            expected = float(np.mean(np.maximum(t, 0.0)
+                                     + np.log1p(np.exp(-np.abs(t)))))
+            assert _bitwise(_fresh(data).value(x), expected)
+        m = np.array([np.inf, -np.inf, 800.0, -800.0, 720.0, 0.0, -0.0, 3.5])
+        data, x = _diagonal_dataset(rng, m)
+        t = -data.labels * (data.features @ x)
+        expected = float(np.mean(np.maximum(t, 0.0)
+                                 + np.log1p(np.exp(-np.abs(t)))))
+        assert _bitwise(_fresh(data).value(x), expected)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(
+        ("value", "gradient", "hess_vec"))))
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_one_exponential_per_point(self, monkeypatch, order, layout):
+        rng = np.random.default_rng(43)
+        data = (_small_dataset(rng) if layout == "dense"
+                else _one_per_row_dataset(rng, 12, 6))
+        assert isinstance(data.operand, np.ndarray) == (layout == "dense")
+        calls = []
+        exp = np.exp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return exp(*args, **kwargs)
+
+        prob = _fresh(data)
+        monkeypatch.setattr(np, "exp", counted)
+        x0, x1, v = rng.normal(size=(3, 6))
+        call = {"value": prob.value, "gradient": prob.gradient,
+                "hess_vec": lambda x: prob.hess_vec(x, v)}
+        for k, x in enumerate((x0, x0.copy(), x1)):
+            for name in order:
+                call[name](x)
+                call[name](x)
+            assert len(calls) == (1 if k < 2 else 2)
 
 
 class TestLogisticProblemCache:

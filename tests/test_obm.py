@@ -350,15 +350,19 @@ class TestProjectedLineSearch:
                                             model_value(model, z))
         assert outcome.alpha == 1.0
 
-    def test_zero_direction_returns_input(self):
+    def test_zero_direction_raises(self):
+        # as the outer search does: there is no step to take, and no
+        # accepted point to return a smooth value and gradient for
         rng = np.random.default_rng(11)
         model = _random_model(rng)
         z = rng.normal(size=6)
         face = orthant_face(z, np.zeros(6))
-        outcome = obm_projected_line_search(model, z, face, np.zeros(6),
-                                            np.zeros(6), model_value(model, z))
-        np.testing.assert_array_equal(outcome.point, z)
-        assert not outcome.stalled
+        q_ref = model_value(model, z)
+        products = model.tally.hess_vec_products
+        with pytest.raises(ValueError, match="direction is zero"):
+            obm_projected_line_search(model, z, face, np.zeros(6),
+                                      np.zeros(6), q_ref)
+        assert model.tally.hess_vec_products == products
 
     def test_ascent_direction_stalls_at_the_input(self):
         # v > 0 and z > 0, so z + alpha * v stays on the face and raises the
