@@ -164,22 +164,30 @@ def _parse_lines(path, n_features):
     return LogisticDataset(matrix, np.array(labels))
 
 
+_WRITE_ROWS = 1000  # rows whose entries write_svmlight lists at a time
+
+
 def write_svmlight(data, path):
     """Emit a dataset in SVMLight format; values use round-tripping repr.
 
     Indices and values are formatted from Python lists, not one numpy
-    scalar per entry."""
+    scalar per entry, listed ``_WRITE_ROWS`` rows at a time so that the
+    lists stay small beside the matrix."""
     Z = data.features
-    cols = (Z.indices + 1).tolist()
-    vals = Z.data.astype(float, copy=False).tolist()
     bounds = Z.indptr.tolist()
     positive = (np.asarray(data.labels) > 0).tolist()
     with open(path, "w", encoding="utf-8") as handle:
-        for i, plus in enumerate(positive):
-            lo, hi = bounds[i], bounds[i + 1]
-            pairs = " ".join(f"{j}:{v!r}"
-                             for j, v in zip(cols[lo:hi], vals[lo:hi]))
-            handle.write(f"{'+1' if plus else '-1'} {pairs}".rstrip() + "\n")
+        for start in range(0, len(positive), _WRITE_ROWS):
+            stop = min(start + _WRITE_ROWS, len(positive))
+            first, last = bounds[start], bounds[stop]
+            cols = (Z.indices[first:last] + 1).tolist()
+            vals = Z.data[first:last].astype(float, copy=False).tolist()
+            for i in range(start, stop):
+                lo, hi = bounds[i] - first, bounds[i + 1] - first
+                pairs = " ".join(f"{j}:{v!r}"
+                                 for j, v in zip(cols[lo:hi], vals[lo:hi]))
+                handle.write(f"{'+1' if positive[i] else '-1'} {pairs}".rstrip()
+                             + "\n")
 
 
 def load_dense_matrix(path):

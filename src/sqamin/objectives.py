@@ -3,19 +3,19 @@
 Each family has a constructor returning a
 :class:`~sqamin.model.CompositeProblem` with the l1 weight attached.  The
 oracles of every problem share a one-point cache, reused while the solver
-stays at one iterate, so no problem should be shared between threads: the
-logistic margins, their one exponential, sigmoid and Hessian, the log-det
-Cholesky factor and inverse, or the quadratic's ``A @ x``.  The logistic
-oracles multiply by a dense, CSC or CSR layout of the design (see
-:attr:`LogisticDataset.operand`), and on a small dense one keep the
-Hessian as its Gram matrix, so that each product is one BLAS matvec.  The
-log-det objective treats non-positive-definite points as ``+inf`` so that
-line searches reject them and every accepted iterate stays inside the
-cone.
+stays at one iterate, so no problem should be shared between threads: one
+record per point of the logistic margins, their one exponential, sigmoid
+and Hessian, or of the log-det Cholesky factor and inverse, or the
+quadratic's ``A @ x``.  The logistic oracles multiply by a dense, CSC or
+CSR layout of the design (see :attr:`LogisticDataset.operand`), and on a
+small dense one keep the Hessian as its Gram matrix, so that each product
+is one BLAS matvec.  The log-det objective treats non-positive-definite
+points as ``+inf`` so that line searches reject them and every accepted
+iterate stays inside the cone.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse
@@ -140,14 +140,16 @@ class _OnePointCache:
     and Hessian products there; the point is matched by its shape and a
     stored copy of its bytes, so mutating ``x`` in place never gives stale
     results.  With ``dim`` set, a point of another shape raises before
-    anything is stored.  A subclass defines ``_state``.  Not thread-safe."""
+    anything is stored.  A logistic or log-det state is a record, a dict to
+    which a value built on first use there is added, so a new point drops it
+    with the rest; its state function holds the data, not the cache, so a
+    dropped problem is freed at once.  Not thread-safe."""
 
     _key = _kept = None
 
-    def __init__(self, dim=None, state=None):
+    def __init__(self, state, dim=None):
+        self._state = state
         self._dim = dim
-        if state is not None:
-            self._state = state
 
     def at(self, x):
         x = np.asarray(x, dtype=float)
@@ -161,50 +163,35 @@ class _OnePointCache:
 
 
 class _LogisticLinearization(_OnePointCache):
-    """Margins ``m = y * (Z@x)`` at the last point asked for (see
-    :class:`_OnePointCache`).  The same one-point slot keeps, each from its
-    first use at that point, ``e = exp(-|m|)``, the one exponential that
-    value, gradient and Hessian read, and ``s = sigmoid(-m)`` taken from it
-    (see :meth:`_sigmoid`).  The Hessian at that point is kept from its
-    first product there, also in that slot: on a dense operand with
-    ``n_features <= min(n_samples, 1000)`` as the Gram matrix
-    ``G = (Zs.T @ Zs) / N``, ``Zs = sqrt(w) * Z`` with ``w = s(1-s)``,
-    summed over row blocks (see :meth:`_gram`), and each product is
-    ``G @ v``; on every other layout as the weights ``w``, and each
-    product is ``Z.T (w * (Z v)) / N``.  On a design whose Gram overflows,
-    ``G @ v`` gives NaN where an ``inf`` entry of ``G`` meets a zero of
-    ``v``, where the two products might give a finite value or ``inf``;
-    the solvers stop on either.  The transposed operand, a view in every
-    layout, is kept from its first use."""
-
-    _hess = _e = _s = None
+    """The record of the last point asked for (see :meth:`_record`).  The
+    Hessian there is added to it, as ``"hess"``, by the first product: on a
+    dense operand with ``n_features <= min(n_samples, 1000)`` as the Gram
+    matrix ``G = (Zs.T @ Zs) / N``, ``Zs = sqrt(w) * Z`` with
+    ``w = e / (1 + e)**2``, summed over row blocks (see :meth:`_gram`), and
+    each product is ``G @ v``; on every other layout as the weights ``w``,
+    and each product is ``Z.T (w * (Z v)) / N``.  On a design whose Gram
+    overflows, ``G @ v`` gives NaN where an ``inf`` entry of ``G`` meets a
+    zero of ``v``, where the two products might give a finite value or
+    ``inf``; the solvers stop on either.  The transposed operand, a view in
+    every layout, is kept from its first use."""
 
     def __init__(self, data):
-        super().__init__(data.n_features)
+        super().__init__(partial(self._record, data), data.n_features)
         self.data = data
 
-    def _state(self, x):
-        self._hess = self._e = self._s = None
-        return self.data.labels * _product(self.data.operand, x)
-
-    def _exp(self, m):
-        """``e = exp(-|m|)`` at the kept margins ``m``."""
-        if self._e is None:
-            self._e = np.exp(-np.abs(m))
-        return self._e
-
-    def _sigmoid(self, m):
-        """``s = sigmoid(-m)`` at the kept margins ``m``: ``e/(1+e)`` where
-        ``m > 0`` and ``1/(1+e)`` elsewhere, as ``max(e, m <= 0) / (1 + e)``
-        (``e <= 1``).  The exponent is never positive, so nothing
-        overflows; ``m = +inf`` gives 0, ``-inf`` gives 1 and NaN stays
-        NaN."""
-        if self._s is None:
-            e = self._exp(m)
-            s = np.maximum(e, m <= 0.0)
-            s /= 1.0 + e
-            self._s = s
-        return self._s
+    @staticmethod
+    def _record(data, x):
+        """Margins ``m = y * (Z@x)``, ``e = exp(-|m|)``, the one exponential
+        that value, gradient and Hessian read, and ``s = sigmoid(-m)``:
+        ``e/(1+e)`` where ``m > 0`` and ``1/(1+e)`` elsewhere, as
+        ``max(e, m <= 0) / (1 + e)`` (``e <= 1``).  The exponent is never
+        positive, so nothing overflows; ``m = +inf`` gives ``s = 0``,
+        ``-inf`` gives 1 and NaN stays NaN."""
+        m = data.labels * _product(data.operand, x)
+        e = np.exp(-np.abs(m))
+        s = np.maximum(e, m <= 0.0)
+        s /= 1.0 + e
+        return {"m": m, "e": e, "s": s}
 
     @cached_property
     def _zt(self):
@@ -236,33 +223,32 @@ class _LogisticLinearization(_OnePointCache):
     def value(self, x):
         """Mean loss ``log(1 + exp(-m))`` as ``log1p(e) - min(m, 0)``,
         overflow-safe."""
-        m = self.at(x)
-        loss = np.log1p(self._exp(m))
-        loss -= np.minimum(m, 0.0)
+        rec = self.at(x)
+        loss = np.log1p(rec["e"])
+        loss -= np.minimum(rec["m"], 0.0)
         return float(np.mean(loss))
 
     def gradient(self, x):
         """``-(1/N) Z.T (y * sigmoid(-y * Zx))``."""
-        r = self.data.labels * self._sigmoid(self.at(x))
+        r = self.data.labels * self.at(x)["s"]
         return -np.asarray(_product(self._zt, r)) / self.data.n_samples
 
     def hess_vec(self, x, v):
-        """``(1/N) Z.T (w * (Z v))`` with ``w = s(1-s)``."""
+        """``(1/N) Z.T (w * (Z v))`` with ``w = s(1-s)``, taken as
+        ``e / (1 + e)**2``, which does not cancel where ``m`` is very
+        negative."""
         data = self.data
         v = np.asarray(v, dtype=float)
         if v.shape != (data.n_features,):
             raise ValueError(f"expected dimension {data.n_features}, got {v.shape}")
-        m = self.at(x)
+        rec = self.at(x)
         with np.errstate(all="ignore"):  # as _product does
-            if self._hess is None:
-                s = self._sigmoid(m)
-                w = s * (1.0 - s)
-                if self._keeps_gram:
-                    w = self._gram(np.sqrt(w))
-                self._hess = w
+            if "hess" not in rec:
+                w = rec["e"] / np.square(1.0 + rec["e"])
+                rec["hess"] = self._gram(np.sqrt(w)) if self._keeps_gram else w
             if self._keeps_gram:
-                return self._hess @ v
-            hv = self._zt @ (self._hess * (data.operand @ v))
+                return rec["hess"] @ v
+            hv = self._zt @ (rec["hess"] * (data.operand @ v))
         return np.asarray(hv) / data.n_samples
 
 
@@ -331,42 +317,41 @@ def _read_symmetric(prob, vec, what):
 
 
 class _LogdetLinearization(_OnePointCache):
-    """The symmetrized point ``P`` and its lower Cholesky factor, None where
-    the factorization fails (off the cone), at the last point asked for,
-    and ``W = P^{-1}`` from the first gradient or product there (see
-    :class:`_OnePointCache`): a solver iterate costs one factorization.  A
-    point with a non-finite entry gives a NaN value, gradient and products."""
+    """The record of the last point asked for (see :class:`_OnePointCache`):
+    the symmetrized point ``"P"``, its lower Cholesky factor ``"L"``, None
+    off the cone, and ``"W" = P^{-1}`` from the first gradient or product
+    there, so a solver iterate costs one factorization.  A point with a
+    non-finite entry gives a NaN value, gradient and products."""
 
     def __init__(self, prob):
-        super().__init__()
+        super().__init__(partial(self._record, prob))
         self.prob = prob
 
-    def _state(self, x):
-        """``(P, L)`` at ``x``; ``L`` is None off the cone."""
+    @staticmethod
+    def _record(prob, x):
         with np.errstate(all="ignore"):
-            P = _read_symmetric(self.prob, x, "Pvec")
+            P = _read_symmetric(prob, x, "Pvec")
         if not np.isfinite(P).all():
             P = np.full_like(P, np.nan)  # factors into NaN, no exception
         L, info = dpotrf(P, lower=1, clean=1)
-        self._W = None
-        return P, (L if info == 0 else None)
+        return {"P": P, "L": L if info == 0 else None}
 
     def _inverse_at(self, x, what):
-        L = self.at(x)[1]
-        if L is None:
+        rec = self.at(x)
+        if rec["L"] is None:
             raise NotPositiveDefiniteError(f"{what} requested at a non-PD point")
-        if self._W is None:
-            W = dpotrs(L, np.eye(self.prob.p), lower=1)[0]
-            self._W = 0.5 * (W + W.T)
-        return self._W
+        if "W" not in rec:
+            W = dpotrs(rec["L"], np.eye(self.prob.p), lower=1)[0]
+            rec["W"] = 0.5 * (W + W.T)
+        return rec["W"]
 
     def value(self, x):
         """``tr(S P) - log det P`` for positive definite P, else ``+inf``."""
-        P, L = self.at(x)
-        if L is None:
+        rec = self.at(x)
+        if rec["L"] is None:
             return np.inf
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        return float(np.sum(self.prob.sample_cov * P)) - logdet
+        logdet = 2.0 * float(np.sum(np.log(np.diag(rec["L"]))))
+        return float(np.sum(self.prob.sample_cov * rec["P"])) - logdet
 
     def gradient(self, x):
         """Flattened ``S - P^{-1}``; raises off the positive definite cone."""
@@ -419,7 +404,7 @@ def synthetic_quadratic(n, condition, seed, mu=0.0):
     and gradient share ``A @ x`` through a one-point cache, so do not share
     it between threads."""
     A, b = synthetic_quadratic_matrices(n, condition, seed)
-    ax = _OnePointCache(n, lambda x: A @ x).at
+    ax = _OnePointCache(lambda x: A @ x, n).at
 
     def hess_vec(x, v):
         if np.shape(v) != (n,):

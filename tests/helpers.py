@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.special import expit, xlogy
 
 from sqamin import (
     LogisticDataset,
@@ -18,6 +19,7 @@ from sqamin import (
     logistic_problem,
     sample_covariance,
     synthetic_quadratic,
+    synthetic_quadratic_matrices,
 )
 
 
@@ -284,11 +286,62 @@ def edge_case_vector(rng, n, mu):
     return x
 
 
+# Duality gaps: each bounds phi(x) - phi* from above with no reference
+# solve.  The gradient ``g`` at ``x`` is scaled into the l1 dual ball by
+# ``min(1, mu / max|g|)``, and the gap is phi(x) minus the dual objective
+# there, both recomputed from the instance data with plain numpy.
+
+
+def _dual_scale(g, mu):
+    peak = float(np.max(np.abs(g)))
+    return 1.0 if peak <= mu else mu / peak
+
+
+def logistic_duality_gap(data, mu, x):
+    """Mean logistic loss plus ``mu ||x||_1``: the dual point is
+    ``a = scale * sigmoid(-m)``, margins ``m = y * (Z @ x)``, and the dual
+    objective ``-mean(a log a + (1 - a) log(1 - a))``."""
+    Z, y = data.features.toarray(), data.labels
+    x = np.asarray(x, dtype=float)
+    m = y * (Z @ x)
+    sigma = expit(-m)
+    a = _dual_scale(Z.T @ (y * sigma) / m.size, mu) * sigma
+    dual = -float(np.mean(xlogy(a, a) + xlogy(1.0 - a, 1.0 - a)))
+    primal = float(np.mean(np.logaddexp(0.0, -m))) + mu * float(np.abs(x).sum())
+    return primal - dual
+
+
+def covariance_duality_gap(prob, mu, x):
+    """``tr(S P) - log det P + mu ||x||_1`` over the flattened ``x``, ``P``
+    its symmetric part: with ``R = P^{-1} - S`` the dual objective is
+    ``log det(S + scale R) + p``."""
+    S, p = prob.sample_cov, prob.p
+    x = np.asarray(x, dtype=float)
+    P = 0.5 * (x.reshape(p, p) + x.reshape(p, p).T)
+    W = np.linalg.inv(P)
+    R = 0.5 * (W + W.T) - S
+    dual = np.linalg.slogdet(S + _dual_scale(R, mu) * R)[1] + p
+    primal = float(np.sum(S * P)) - np.linalg.slogdet(P)[1]
+    return primal + mu * float(np.abs(x).sum()) - dual
+
+
+def quadratic_duality_gap(A, b, mu, x):
+    """``0.5 x A x - b x + mu ||x||_1``: with ``v = scale g + b`` the dual
+    objective is ``-0.5 v A^{-1} v``."""
+    x = np.asarray(x, dtype=float)
+    g = A @ x - b
+    v = _dual_scale(g, mu) * g + b
+    dual = -0.5 * float(v @ np.linalg.solve(A, v))
+    primal = 0.5 * float(x @ A @ x) - float(b @ x) + mu * float(np.abs(x).sum())
+    return primal - dual
+
+
 # Desk-size copies of the four benchmark workloads, built here from the
 # sqamin constructors so that no test depends on perfbench.  The counter
 # ledger (tests/ledger.py) solves seeds (11, 0)-(11, 2) of each.
 
 DESK_SEEDS = ((11, 0), (11, 1), (11, 2))
+_DESK_QUADRATIC = (50, 1e4)  # dimension and condition
 
 
 def _planted_labels(rng, Z, noise=0.5):
@@ -303,15 +356,15 @@ def _planted_labels(rng, Z, noise=0.5):
     return np.where(score >= 0, 1.0, -1.0)
 
 
-def desk_logistic_sparse(seed, mu=1e-3):
+def desk_logistic_sparse(seed):
     """1000x200 CSR at 1% density; its operand is the CSC copy."""
     rng = np.random.default_rng(seed)
     Z = scipy.sparse.random(1000, 200, density=0.01, format="csr",
                             random_state=rng, data_rvs=rng.standard_normal)
-    return logistic_problem(LogisticDataset(Z, _planted_labels(rng, Z)), mu)
+    return LogisticDataset(Z, _planted_labels(rng, Z))
 
 
-def desk_logistic_hard(seed, mu=1e-3, rho=0.9):
+def desk_logistic_hard(seed, rho=0.9):
     """Dense 200x30 AR(1) design stored as CSR; its Hessian is a Gram."""
     rng = np.random.default_rng(seed)
     E = rng.normal(size=(200, 30))
@@ -320,28 +373,40 @@ def desk_logistic_hard(seed, mu=1e-3, rho=0.9):
     for j in range(1, Z.shape[1]):
         Z[:, j] = rho * Z[:, j - 1] + np.sqrt(1.0 - rho ** 2) * E[:, j]
     labels = _planted_labels(rng, Z)
-    return logistic_problem(LogisticDataset(scipy.sparse.csr_matrix(Z), labels),
-                            mu)
+    return LogisticDataset(scipy.sparse.csr_matrix(Z), labels)
 
 
-def desk_covariance(seed, mu=0.1, p=15, off_diagonal=0.4):
-    """Log-det problem from 20p samples of a tridiagonal precision."""
+def desk_covariance(seed, p=15, off_diagonal=0.4):
+    """Sample covariance of 20p samples of a tridiagonal precision."""
     rng = np.random.default_rng(seed)
     precision = (np.eye(p) + off_diagonal * np.eye(p, k=1)
                  + off_diagonal * np.eye(p, k=-1))
     L = np.linalg.cholesky(precision)
     samples = scipy.linalg.solve_triangular(
         L.T, rng.normal(size=(p, 20 * p)), lower=False).T
-    return covariance_problem(sample_covariance(samples), mu)
+    return sample_covariance(samples)
 
 
-def desk_quadratic(seed, mu=1.0):
-    return synthetic_quadratic(50, 1e4, seed, mu=mu)
-
-
+# workload: the problem of a seed
 DESK_WORKLOADS = {
-    "logistic_sparse": desk_logistic_sparse,
-    "logistic_hard": desk_logistic_hard,
-    "covariance": desk_covariance,
-    "quadratic": desk_quadratic,
+    "logistic_sparse": lambda seed: logistic_problem(desk_logistic_sparse(seed),
+                                                     1e-3),
+    "logistic_hard": lambda seed: logistic_problem(desk_logistic_hard(seed),
+                                                   1e-3),
+    "covariance": lambda seed: covariance_problem(desk_covariance(seed), 0.1),
+    "quadratic": lambda seed: synthetic_quadratic(*_DESK_QUADRATIC, seed,
+                                                  mu=1.0),
+}
+
+# workload: the duality gap at x of the problem of a seed, whose l1 weight
+# is mu
+DESK_DUALITY_GAPS = {
+    "logistic_sparse": lambda seed, mu, x: logistic_duality_gap(
+        desk_logistic_sparse(seed), mu, x),
+    "logistic_hard": lambda seed, mu, x: logistic_duality_gap(
+        desk_logistic_hard(seed), mu, x),
+    "covariance": lambda seed, mu, x: covariance_duality_gap(
+        desk_covariance(seed), mu, x),
+    "quadratic": lambda seed, mu, x: quadratic_duality_gap(
+        *synthetic_quadratic_matrices(*_DESK_QUADRATIC, seed), mu, x),
 }

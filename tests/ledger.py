@@ -28,14 +28,18 @@ COUNTERS = ("outer_iterations", "inner_iterations", "fg_evaluations",
             "lbfgs_fallback_solves")
 
 
+def solve(problem, solver, tol_inf=TOL_INF):
+    """``(x, report)`` of one solver path."""
+    if solver == "fista":
+        return fista_baseline_solve(problem, SolverConfig(tol_inf=tol_inf))
+    config = SolverConfig(tol_inf=tol_inf,
+                          inner_solver=solver.removeprefix("sqa_"))
+    return sqa_solve(problem, config)
+
+
 def entry(problem, solver):
     """One ledger entry: the status, counters and objective of one solve."""
-    if solver == "fista":
-        x, report = fista_baseline_solve(problem, SolverConfig(tol_inf=TOL_INF))
-    else:
-        config = SolverConfig(tol_inf=TOL_INF,
-                              inner_solver=solver.removeprefix("sqa_"))
-        x, report = sqa_solve(problem, config)
+    x, report = solve(problem, solver)
     row = {"status": report.status}
     row.update((name, getattr(report, name)) for name in COUNTERS)
     row["objective"] = problem.objective(x)

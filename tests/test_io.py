@@ -138,16 +138,31 @@ class TestParseSvmlight:
         labels = np.where(rng.uniform(size=31) > 0.5, 1.0, -1.0)
         path = tmp_path / "w.svm"
         write_svmlight(LogisticDataset(Z, labels), path)
-        expected = ""
-        for i in range(31):  # one numpy scalar per entry
-            row = Z.indices[Z.indptr[i]:Z.indptr[i + 1]]
-            vals = Z.data[Z.indptr[i]:Z.indptr[i + 1]]
-            label = "+1" if labels[i] > 0 else "-1"
-            pairs = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(row, vals))
-            expected += f"{label} {pairs}".rstrip() + "\n"
+        expected = _per_entry_svmlight(Z, labels)
         lines = expected.splitlines()
         assert lines[4] in ("+1", "-1")  # the empty row
         assert all(f":{v}" in lines[0] for v in ("-0.0", "5e-324", "1e+300"))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_writer_bytes_match_across_row_blocks(self, tmp_path):
+        # two and a half blocks of the writer; the rows on either side of
+        # the first boundary are empty
+        rng = np.random.default_rng(15)
+        block = sqio._WRITE_ROWS
+        n = 2 * block + block // 2
+        Z = scipy.sparse.random(n, 7, density=0.3, random_state=15,
+                                format="lil")
+        Z[block - 1:block + 1] = 0.0
+        Z = Z.tocsr()
+        Z.data = rng.normal(size=Z.data.size)
+        Z.sort_indices()
+        labels = np.where(rng.uniform(size=n) > 0.5, 1.0, -1.0)
+        path = tmp_path / "b.svm"
+        write_svmlight(LogisticDataset(Z, labels), path)
+        expected = _per_entry_svmlight(Z, labels)
+        lines = expected.splitlines()
+        assert len(lines) == n
+        assert lines[block - 1] in ("+1", "-1") and lines[block] in ("+1", "-1")
         assert path.read_bytes() == expected.encode("utf-8")
 
     def test_random_well_formed_files_accepted(self, tmp_path):
@@ -168,6 +183,19 @@ class TestParseSvmlight:
             back = parse_svmlight(path, n_features=n_cols)
             assert (back.features != data.features).nnz == 0
             np.testing.assert_array_equal(back.labels, data.labels)
+
+
+def _per_entry_svmlight(Z, labels):
+    """The SVMLight text of a CSR and its labels, one numpy scalar per
+    entry."""
+    lines = []
+    for i in range(Z.shape[0]):
+        row = Z.indices[Z.indptr[i]:Z.indptr[i + 1]]
+        vals = Z.data[Z.indptr[i]:Z.indptr[i + 1]]
+        label = "+1" if labels[i] > 0 else "-1"
+        pairs = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(row, vals))
+        lines.append(f"{label} {pairs}".rstrip() + "\n")
+    return "".join(lines)
 
 
 def _write(tmp_path, text, name="d.svm"):

@@ -431,10 +431,20 @@ class TestLogisticExponential:
         # covers those
         np.testing.assert_allclose(prob.gradient(x), -(Z.T @ (y * s)) / n,
                                    rtol=1e-14, atol=1e-300)
+        # s(1 - s) would cancel where m is very negative: the weight is
+        # sigmoid(m) * sigmoid(-m), each factor accurate
         np.testing.assert_allclose(prob.hess_vec(x, v),
-                                   Z.T @ (s * (1.0 - s) * (Z @ v)) / n,
+                                   Z.T @ (expit(margins) * s * (Z @ v)) / n,
                                    rtol=1e-14, atol=1e-300)
         assert np.any((s == 0.0) & (prob.gradient(x) != 0.0))
+
+    @pytest.mark.parametrize("m", [-20.0, -30.0, -37.0, -40.0])
+    def test_hessian_weight_does_not_cancel(self, m):
+        # one sample with z = y = 1; s(1 - s) loses every digit by m = -37
+        data = LogisticDataset(scipy.sparse.csr_matrix(np.array([[1.0]])),
+                               np.array([1.0]))
+        hv = _fresh(data).hess_vec(np.array([m]), np.ones(1))
+        np.testing.assert_allclose(hv, [expit(m) * expit(-m)], rtol=1e-15)
 
     def test_value_is_the_two_sided_formula_bitwise(self):
         rng = np.random.default_rng(42)
@@ -633,19 +643,19 @@ class TestLogisticGram:
     @staticmethod
     def _count_grams(monkeypatch):
         """Count the Gram builds: the calls of ``hess_vec`` that leave a
-        new matrix in the one-point Hessian slot, whether they then return
-        or raise.  Patch before building the problem, whose oracles are
-        bound methods."""
+        new matrix in the ``"hess"`` entry of the one-point record, whether
+        they then return or raise.  Patch before building the problem, whose
+        oracles are bound methods."""
         calls = []
         cls = objectives._LogisticLinearization
         original = cls.hess_vec
 
         def counted(self, x, v):
-            before = self._hess
+            before = (self._kept or {}).get("hess")
             try:
                 return original(self, x, v)
             finally:
-                after = self._hess
+                after = (self._kept or {}).get("hess")
                 if after is not before and np.ndim(after) == 2:
                     calls.append(1)
 
@@ -678,7 +688,7 @@ class TestLogisticGram:
         for v in rng.normal(size=(5, 6)):
             prob.hess_vec(x0, v)
         assert len(calls) == 1 and len(margins) == 1
-        hess = prob.hess_vec.__self__._hess
+        hess = prob.hess_vec.__self__._kept["hess"]
         assert hess.shape == (6, 6)
         np.testing.assert_array_equal(hess, hess.T)
         prob.hess_vec(x0.copy(), x1)  # an equal point in a new array
@@ -705,7 +715,7 @@ class TestLogisticGram:
             for x, v in rng.normal(size=(3, 2, n)):
                 expected, _ = self._two_products(data, x, v)
                 assert self._close(prob.hess_vec(x, v), expected)
-                assert np.ndim(prob.hess_vec.__self__._hess) == 1
+                assert np.ndim(prob.hess_vec.__self__._kept["hess"]) == 1
             assert calls == []
             monkeypatch.undo()
 
@@ -756,11 +766,11 @@ class TestLogisticGram:
         expected, _ = self._two_products(data, x, v)
         whole = logistic_problem(data, 0.1)
         whole.hess_vec(x, v)
-        G = whole.hess_vec.__self__._hess
+        G = whole.hess_vec.__self__._kept["hess"]
         monkeypatch.setattr(objectives, "_GRAM_BLOCK", 8)
         blocked = logistic_problem(data, 0.1)
         assert self._close(blocked.hess_vec(x, v), expected)
-        Gb = blocked.hess_vec.__self__._hess
+        Gb = blocked.hess_vec.__self__._kept["hess"]
         np.testing.assert_array_equal(Gb, Gb.T)
         assert np.linalg.norm(Gb - G) <= 1e-12 * np.linalg.norm(G)
 
@@ -1183,7 +1193,7 @@ class TestOnePointCache:
 
     @pytest.mark.parametrize("family", ["logistic", "covariance", "quadratic"])
     def test_recomputes_only_at_a_new_point(self, family, monkeypatch):
-        states = []  # the state computations that returned
+        states = []  # the state computations that returned, in order
         cls = objectives._OnePointCache
         init = cls.__init__
 
@@ -1193,7 +1203,7 @@ class TestOnePointCache:
 
             def counted(x):
                 kept = state(x)
-                states.append(1)
+                states.append(kept)
                 return kept
 
             self._state = counted
@@ -1219,6 +1229,21 @@ class TestOnePointCache:
         assert len(states) == 3  # rejected, and nothing stored
         assert _bitwise(prob.value(x), value)
         assert len(states) == 3
+        # the entry a first product adds to the record: built once per
+        # point, and a new point's record starts without it
+        derived = {"logistic": "hess", "covariance": "W"}.get(family)
+        if derived is None:
+            return
+        built = states[0][derived]
+        assert derived not in states[1] and derived not in states[2]
+        prob.gradient(x)
+        prob.hess_vec(x, y)
+        prob.hess_vec(x, 2.0 * y)
+        assert len(states) == 3 and derived in states[2]
+        again = states[2][derived]
+        assert again is not built
+        prob.hess_vec(x.copy(), y)
+        assert states[2][derived] is again
 
     @pytest.mark.parametrize("family", ["logistic", "covariance", "quadratic"])
     def test_hess_vec_rejects_a_direction_of_another_shape(self, family):
