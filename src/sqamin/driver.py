@@ -352,8 +352,8 @@ def fista_baseline_solve(problem, config):
     with zero momentum).  Terminates on the max-norm of the optimality
     residual.  The non-finite rule of :func:`sqa_solve` holds at the start
     and at each iterate the inner loop accepts.  A non-finite gradient at a
-    momentum point leaves a non-finite candidate, which ends the curvature
-    search with status ``"line_search_failed"``.
+    momentum point ends the run ``"nonfinite_oracle"`` too, once the
+    curvature search fails on the non-finite candidate it leaves.
     """
     tally = Telemetry()
     t0 = time.perf_counter()

@@ -96,7 +96,8 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
         accepted iterate; a truthy return ends the run.
     max_iter : int
         Iteration cap; reaching it is a status, not an error.  So is a
-        diverged or NaN curvature backtracking (``"line_search_failed"``).
+        diverged or NaN curvature backtracking (``"line_search_failed"``,
+        or ``"nonfinite_oracle"`` if it stepped from a non-finite gradient).
     lipschitz0 : float
         Initial curvature estimate; only ever increased.
     quadratic : bool
@@ -153,6 +154,7 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
             t = t_next
             y = y_next
             fy, gy = smooth(y) if momentum is None else momentum
-    except _CurvatureDiverged:
-        status = "line_search_failed"
+    except _CurvatureDiverged:  # gy is scanned here, not per evaluation
+        finite = np.isfinite(gy).all()
+        status = "line_search_failed" if finite else "nonfinite_oracle"
     return InnerResult(x, iterations, q_start - qx, status, L, fallbacks)

@@ -8,10 +8,10 @@ record per point of the logistic margins, their one exponential, sigmoid
 and Hessian, or of the log-det Cholesky factor and inverse, or the
 quadratic's ``A @ x``.  The logistic oracles multiply by a dense, CSC or
 CSR layout of the design (see :attr:`LogisticDataset.operand`), and on a
-small dense one keep the Hessian as its Gram matrix, so that each product
-is one BLAS matvec.  The log-det objective treats non-positive-definite
-points as ``+inf`` so that line searches reject them and every accepted
-iterate stays inside the cone.
+small dense one keep the Hessian as its Gram matrix; each product by it or
+by the quadratic's ``A`` reads one triangle (see :func:`_symv`).  The
+log-det objective treats non-positive-definite points as ``+inf`` so that
+line searches reject them and every accepted iterate stays inside the cone.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,7 @@ from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .model import CompositeProblem
@@ -105,15 +106,9 @@ class LogisticDataset:
         operand with ``n_features <= min(n_samples, 1000)`` also gets its
         logistic Hessian built as one ``n_features``-square Gram matrix per
         point, no larger than the operand, so that each Hessian product is one
-        matvec; other operands keep the two products.  A build costs as much as
-        15 two-product HVPs at N x p = 600x100, 57 at 600x600, 101 at 1000x1000
-        and 133 at 2400x2400, and the sqa paths made 59 to 532 products per
-        point on dense AR(1) logistic designs with N from 200 to 2400 and p
-        from N/6 to 1.5 N (one BLAS thread; ``sweep`` in ``BENCH_19.json``).
-        Inside the rule the Gram sped up both paths at every measured shape, by
-        4% to 74%; outside it ``sqa_fista`` ran 9% slower at 600x900 and 33%
-        slower at 2400x2400.  The Gram of a sparse design is mostly dense, so a
-        dense matvec by it is no cheaper than the two sparse products."""
+        symmetric matvec; other operands keep the two products.  README.md's
+        Objectives section gives the rule's measurements (``sweep`` in
+        ``BENCH_19.json``)."""
         Z = self.features
         csr_bytes = Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes
         if Z.shape[0] * Z.shape[1] * np.dtype(float).itemsize <= csr_bytes:
@@ -129,6 +124,13 @@ def _product(A, v):
     output where it enters."""
     with np.errstate(all="ignore"):
         return A @ v
+
+
+def _symv(S, v):
+    """``S @ v`` for a C-ordered symmetric ``S`` by BLAS ``dsymv``, which reads
+    one triangle and raises no floating-point warning; ``S.T`` is ``S`` in
+    Fortran order, so nothing is copied."""
+    return dsymv(1.0, S.T, v)
 
 
 _GRAM_BLOCK = 1 << 18  # entries of one scaled row block (2 MiB)
@@ -168,12 +170,11 @@ class _LogisticLinearization(_OnePointCache):
     dense operand with ``n_features <= min(n_samples, 1000)`` as the Gram
     matrix ``G = (Zs.T @ Zs) / N``, ``Zs = sqrt(w) * Z`` with
     ``w = e / (1 + e)**2``, summed over row blocks (see :meth:`_gram`), and
-    each product is ``G @ v``; on every other layout as the weights ``w``,
-    and each product is ``Z.T (w * (Z v)) / N``.  On a design whose Gram
-    overflows, ``G @ v`` gives NaN where an ``inf`` entry of ``G`` meets a
-    zero of ``v``, where the two products might give a finite value or
-    ``inf``; the solvers stop on either.  The transposed operand, a view in
-    every layout, is kept from its first use."""
+    each product is ``_symv(G, v)``; on every other layout as the weights
+    ``w``, and each product is ``Z.T (w * (Z v)) / N``.  An overflowing Gram
+    gives NaN where an ``inf`` entry meets a zero of ``v``, where the two
+    products might not; the solvers stop on either.  The transposed operand,
+    a view in every layout, is kept from its first use."""
 
     def __init__(self, data):
         super().__init__(partial(self._record, data), data.n_features)
@@ -214,9 +215,10 @@ class _LogisticLinearization(_OnePointCache):
         n, p = Z.shape
         rows = max(1, _GRAM_BLOCK // max(p, 1))
         G = np.zeros((p, p))
-        for i in range(0, n, rows):
-            zb = Z[i:i + rows] * sw[i:i + rows, None]
-            G += zb.T @ zb
+        with np.errstate(all="ignore"):  # as _product does
+            for i in range(0, n, rows):
+                zb = Z[i:i + rows] * sw[i:i + rows, None]
+                G += zb.T @ zb
         G /= n
         return G
 
@@ -234,20 +236,19 @@ class _LogisticLinearization(_OnePointCache):
         return -np.asarray(_product(self._zt, r)) / self.data.n_samples
 
     def hess_vec(self, x, v):
-        """``(1/N) Z.T (w * (Z v))`` with ``w = s(1-s)``, taken as
-        ``e / (1 + e)**2``, which does not cancel where ``m`` is very
-        negative."""
+        """``(1/N) Z.T (w * (Z v))`` with ``w = s(1-s)`` as ``e/(1+e)**2``,
+        which does not cancel where ``m`` is very negative."""
         data = self.data
         v = np.asarray(v, dtype=float)
         if v.shape != (data.n_features,):
             raise ValueError(f"expected dimension {data.n_features}, got {v.shape}")
         rec = self.at(x)
+        if "hess" not in rec:
+            w = rec["e"] / np.square(1.0 + rec["e"])
+            rec["hess"] = self._gram(np.sqrt(w)) if self._keeps_gram else w
+        if self._keeps_gram:
+            return _symv(rec["hess"], v)
         with np.errstate(all="ignore"):  # as _product does
-            if "hess" not in rec:
-                w = rec["e"] / np.square(1.0 + rec["e"])
-                rec["hess"] = self._gram(np.sqrt(w)) if self._keeps_gram else w
-            if self._keeps_gram:
-                return rec["hess"] @ v
             hv = self._zt @ (rec["hess"] * (data.operand @ v))
         return np.asarray(hv) / data.n_samples
 
@@ -402,14 +403,18 @@ def synthetic_quadratic_matrices(n, condition, seed):
 def synthetic_quadratic(n, condition, seed, mu=0.0):
     """Composite problem ``0.5 x@A@x - b@x + mu*||x||_1``, seeded.  Value
     and gradient share ``A @ x`` through a one-point cache, so do not share
-    it between threads."""
+    it between threads; it and each Hessian product ``A @ v`` are one
+    :func:`_symv`, and no oracle raises a floating-point warning."""
     A, b = synthetic_quadratic_matrices(n, condition, seed)
-    ax = _OnePointCache(lambda x: A @ x, n).at
+    ax = _OnePointCache(lambda x: _symv(A, x), n).at
+
+    def value(x):
+        with np.errstate(all="ignore"):  # as _product does
+            return 0.5 * float(x @ ax(x)) - float(b @ x)
 
     def hess_vec(x, v):
         if np.shape(v) != (n,):
             raise ValueError(f"expected dimension {n}, got {np.shape(v)}")
-        return A @ v
-    return CompositeProblem(value=lambda x: 0.5 * float(x @ ax(x)) - float(b @ x),
-                            gradient=lambda x: ax(x) - b,
+        return _symv(A, v)
+    return CompositeProblem(value=value, gradient=lambda x: ax(x) - b,
                             hess_vec=hess_vec, dim=n, mu=mu)

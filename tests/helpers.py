@@ -6,6 +6,10 @@ search, face enumeration, or plain long-running fixed-point iteration.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,3 +414,18 @@ DESK_DUALITY_GAPS = {
     "quadratic": lambda seed, mu, x: quadratic_duality_gap(
         *synthetic_quadratic_matrices(*_DESK_QUADRATIC, seed), mu, x),
 }
+
+
+def with_one_blas_thread(code):
+    """The JSON that ``code`` prints, run by a new interpreter with
+    ``OPENBLAS_NUM_THREADS=1`` and warnings as errors, with this
+    checkout's ``src`` and ``tests`` first on its path: BLAS can round
+    differently with another thread count, and that count is fixed when
+    the library loads."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [os.path.join(here, os.pardir, "src"),
+                                         here, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)

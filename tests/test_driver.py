@@ -2,9 +2,6 @@
 
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 
 import numpy as np
@@ -42,6 +39,7 @@ from helpers import (
     long_run_ista,
     model_exact_minimizer,
     objective_values,
+    with_one_blas_thread,
 )
 
 
@@ -438,24 +436,18 @@ class TestSqaSolve:
         # at 1e-10 the outer steps of this run stop moving x; the search
         # refuses a trial equal to its reference point, so the run ends
         # instead of accepting such steps up to max_outer
-        prob = synthetic_quadratic(100, 1e4, seed=(11, 3), mu=1.0)
+        prob = synthetic_quadratic(100, 1e4, seed=(11, 1), mu=1.0)
         _, report = sqa_solve(
             prob, SolverConfig(inner_solver="obm_qn", tol_inf=1e-10))
         assert report.status == "line_search_failed"
         assert report.outer_iterations < 300
 
     def test_qn_spin_ends_the_same_way_with_one_blas_thread(self):
-        code = ("import json; from sqamin import *; _, r = sqa_solve("
-                "synthetic_quadratic(100, 1e4, (11, 3), mu=1.0), SolverConfig("
-                "inner_solver='obm_qn', tol_inf=1e-10)); "
-                "print(json.dumps([r.status, r.outer_iterations]))")
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           os.pardir, "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-        out = subprocess.run([sys.executable, "-W", "error", "-c", code],
-                             env=env, capture_output=True, text=True, check=True)
-        status, outer = json.loads(out.stdout)
+        status, outer = with_one_blas_thread(
+            "import json; from sqamin import *; _, r = sqa_solve("
+            "synthetic_quadratic(100, 1e4, (11, 1), mu=1.0), SolverConfig("
+            "inner_solver='obm_qn', tol_inf=1e-10)); "
+            "print(json.dumps([r.status, r.outer_iterations]))")
         assert status == "line_search_failed"
         assert outer < 300
 
@@ -698,15 +690,44 @@ class TestNonfiniteObjective:
         # step's momentum point, which is its candidate).
         good = 10 if solver == "fista" else 3
         prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
-        calls = Counter()
+        bad, _ = self._nan_gradient_after(prob, good)
+        x, report = _run(bad, solver)
+        self._check_ended_at_second_iterate(prob, solver, x, report)
+
+    def test_nan_gradient_at_a_momentum_point_ends_the_run(self):
+        # the baseline's 10th gradient is at the momentum point of its second
+        # step (see above), so a NaN there leaves a NaN candidate; the
+        # curvature search that fails on it names the oracle, and the
+        # evaluations counted still end with that candidate's
+        prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
+        bad, asked = self._nan_gradient_after(prob, 9)
+        x, report = _run(bad, "fista")
+        self._check_ended_at_second_iterate(prob, "fista", x, report)
+        assert report.fg_evaluations == 11
+        # the NaN was asked beyond the second iterate, on the line through
+        # the first two
+        x1, _ = _run(prob, "fista", max_outer=1)
+        step, momentum = x - x1, asked[9] - x
+        beta = float(momentum @ step) / float(step @ step)
+        assert 0.0 < beta < 1.0
+        np.testing.assert_allclose(momentum, beta * step, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _nan_gradient_after(prob, good):
+        """``prob`` with exact gradients for ``good`` calls and NaN from
+        then on, and the list of the points they were asked at."""
+        asked = []
 
         def gradient(x):
-            calls["gradient"] += 1
-            if calls["gradient"] > good:
-                return np.full(10, np.nan)
+            asked.append(np.array(x, dtype=float))
+            if len(asked) > good:
+                return np.full(prob.dim, np.nan)
             return prob.gradient(x)
 
-        x, report = _run(dataclasses.replace(prob, gradient=gradient), solver)
+        return dataclasses.replace(prob, gradient=gradient), asked
+
+    @staticmethod
+    def _check_ended_at_second_iterate(prob, solver, x, report):
         assert report.status == "nonfinite_oracle"
         assert report.outer_iterations == 2
         assert len(report.trace) == report.outer_iterations + 1

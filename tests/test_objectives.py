@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from sqamin import objectives
@@ -1061,30 +1062,64 @@ def _fresh_quad():
     return synthetic_quadratic(*_QUAD_ARGS)
 
 
+class TestSymmetricProduct:
+    """``objectives._symv``, the product by every stored symmetric Hessian:
+    the quadratic's ``A`` and the logistic Gram matrix."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           exponent=st.integers(-100, 100))
+    def test_matches_matmul_and_reads_one_triangle(self, n, seed, exponent):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(n, n)) * 10.0**exponent
+        S = M + M.T
+        v = rng.normal(size=n)
+        got = objectives._symv(S, v)
+        # within 1e-13 of each entry's scale |S| |v|, which bounds its
+        # rounding error in any summation order
+        assert np.all(np.abs(got - S @ v) <= 1e-13 * (np.abs(S) @ np.abs(v)))
+        upper_nan = S.copy()
+        upper_nan[np.triu_indices(n, 1)] = np.nan
+        assert _bitwise(objectives._symv(upper_nan, v), got)
+
+    def test_overflowing_quadratic_is_silent(self):
+        # BLAS flags the overflow under numpy's matmul; the non-finite
+        # output goes to the solver, as with the logistic products
+        prob = synthetic_quadratic(*_QUAD_ARGS)
+        x = np.full(6, 1e308)
+        x[::2] *= -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(prob.value(x))
+            assert not np.all(np.isfinite(prob.gradient(x)))
+            assert not np.all(np.isfinite(prob.hess_vec(np.zeros(6), x)))
+
+
 class TestQuadraticProblemCache:
     """The quadratic's value and gradient share ``A @ x`` at one point, and
     agree bitwise with a fresh problem's at every point."""
 
     @staticmethod
     def _counted(monkeypatch, args=_QUAD_ARGS, mu=0.1):
-        """A quadratic problem whose ``A`` records each of its products with
-        a vector, and the list it records them in."""
+        """A quadratic problem whose products by ``A`` are each recorded, at
+        ``objectives._symv``, and the list they are recorded in; products by
+        another problem's matrix are not."""
         products = []
-
-        class Counted(np.ndarray):
-            def __matmul__(self, other):
-                products.append(1)
-                return np.asarray(self) @ other
-
-        original = objectives.synthetic_quadratic_matrices
-
-        def counted(*matrix_args):
-            A, b = original(*matrix_args)
-            return A.view(Counted), b
-
+        made = []
+        original, symv = objectives.synthetic_quadratic_matrices, objectives._symv
         with monkeypatch.context() as m:
-            m.setattr(objectives, "synthetic_quadratic_matrices", counted)
-            return synthetic_quadratic(*args, mu=mu), products
+            m.setattr(objectives, "synthetic_quadratic_matrices",
+                      lambda *a: made.append(original(*a)) or made[-1])
+            prob = synthetic_quadratic(*args, mu=mu)
+        A = made[0][0]
+
+        def counted(S, v):
+            if S is A:
+                products.append(1)
+            return symv(S, v)
+
+        monkeypatch.setattr(objectives, "_symv", counted)
+        return prob, products
 
     @staticmethod
     def _check(prob, x, products, new):
