@@ -21,7 +21,7 @@ from .fista import fista_composite
 from .lbfgs import LbfgsStore
 from .model import ConvergenceReport, QuadraticModel, Telemetry, TraceRow
 from .obm import obm_solve
-from .prox import residual, soft_threshold
+from .prox import l1_penalty, residual, soft_threshold
 
 __all__ = [
     "eta_schedule",
@@ -82,9 +82,9 @@ def _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode, zeta,
     F = residual(x_hat, sgrad, tau, model.mu)
     rnorm = math.sqrt(F @ F)  # np.linalg.norm of a 1-D array
     bound = eta * ref_residual_norm
-    penalty = model.mu * float(np.abs(x_hat).sum())
+    penalty = l1_penalty(x_hat, model.mu)
     q_hat = sval + penalty
-    q_ref = model.reference_objective()
+    q_ref = model.q_ref
     lhs = q_hat - q_ref
     if mode == "simple":
         rhs = 0.0
@@ -150,7 +150,7 @@ def outer_line_search(problem, model, d, theta=0.1):
     d = np.asarray(d, dtype=float)
     if not np.any(d):
         raise ValueError("line search direction is zero")
-    phi_ref = model.reference_objective()
+    phi_ref = model.q_ref
     alpha = 1.0
     trials = 0
     while alpha >= ALPHA_UNDERFLOW:
@@ -163,7 +163,7 @@ def outer_line_search(problem, model, d, theta=0.1):
         trials += 1
         if np.isnan(f_trial):
             raise LineSearchError("smooth value is NaN at a line search trial")
-        phi_trial = f_trial + problem.mu * float(np.abs(x_trial).sum())
+        phi_trial = f_trial + l1_penalty(x_trial, problem.mu)
         linear_decrease = phi_ref - model.linear_value(x_trial)
         if phi_ref - phi_trial >= theta * linear_decrease:
             return LineSearchResult(alpha, x_trial, f_trial, phi_trial, trials)
@@ -202,8 +202,8 @@ def _keep(problem, tau, k, x, fx, gx, alpha=0.0, inner=0, eta=0.0):
     """
     F = None if gx is None else residual(x, gx, tau, problem.mu)
     res_inf = math.nan if F is None else float(np.max(np.abs(F)))
-    row = TraceRow(k, fx + problem.mu * float(np.abs(x).sum()), res_inf,
-                   alpha, inner, eta)
+    row = TraceRow(k, fx + l1_penalty(x, problem.mu), res_inf, alpha, inner,
+                   eta)
     return F, row, None if math.isfinite(fx + res_inf) else "nonfinite_oracle"
 
 
@@ -274,8 +274,6 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     t0 = time.perf_counter()
     mu, tau = problem.mu, config.tau
     x, fx, gx, F, trace, status = _start(problem, tau, tally)
-    penalty = lambda z: mu * float(np.abs(z).sum())
-    prox = lambda v, t: soft_threshold(v, t * mu)
     k = 0
     warm_lipschitz = 1.0
     # a NaN residual is not optimal
@@ -292,13 +290,14 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
                        mode=config.inexactness_mode, zeta=config.zeta,
                        ref_residual_norm=res_norm2)
         if config.inner_solver == "fista":
-            inner = fista_composite(model.smooth_eval, penalty, prox,
+            inner = fista_composite(model.smooth_eval, mu, soft_threshold,
                                     (x, fx, gx),
                                     stop=stop, max_iter=config.max_inner,
                                     lipschitz0=warm_lipschitz, quadratic=True)
             warm_lipschitz = inner.lipschitz
         else:
-            inner = obm_solve(model, stop, k + 1, store, config.max_inner)
+            inner = obm_solve(model, stop, k + 1, store,
+                              max_iter=config.max_inner)
         tally.inner_iterations += inner.inner_iterations
         d = inner.solution - x
         stalled = inner.status != "converged" and not inner.model_decrease > 0.0
@@ -332,8 +331,8 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
                     residual_norm2=res_norm2,
                     residual_inf=trace[-1].residual_inf,
                     ell_candidate=model.linear_value(inner.solution),
-                    q_reference=model.reference_objective(),
-                    q_candidate=model.reference_objective() - inner.model_decrease,
+                    q_reference=model.q_ref,
+                    q_candidate=model.q_ref - inner.model_decrease,
                     inner=inner,
                     model=model,
                 )
@@ -375,9 +374,8 @@ def fista_baseline_solve(problem, config):
         return row.residual_inf <= config.tol_inf
 
     if status is None and not trace[0].residual_inf <= config.tol_inf:
-        penalty = lambda z: mu * float(np.abs(z).sum())
-        prox = lambda v, t: soft_threshold(v, t * mu)
-        result = fista_composite(smooth, penalty, prox, (x, fx, gx), stop=stop,
-                                 max_iter=config.max_outer, lipschitz0=1.0)
+        result = fista_composite(smooth, mu, soft_threshold, (x, fx, gx),
+                                 stop=stop, max_iter=config.max_outer,
+                                 lipschitz0=1.0)
         status = status or result.status
     return x, _report("fista", status, trace, tally, t0, config.tol_inf)

@@ -13,8 +13,11 @@ objective; this keeps objective decrease available at any stopping time.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+
+from .prox import l1_penalty
 
 __all__ = ["InnerResult", "fista_composite"]
 
@@ -38,7 +41,7 @@ class InnerResult:
     monotone_fallbacks: int = 0
 
 
-def _backtracked_prox_step(smooth, prox, y, fy, gy, L):
+def _backtracked_prox_step(smooth, mu, shrink, y, fy, gy, L):
     """Largest-step proximal move from ``y`` passing the curvature test.
 
     Doubles ``L`` until the smooth part at the candidate is bounded by its
@@ -47,7 +50,7 @@ def _backtracked_prox_step(smooth, prox, y, fy, gy, L):
     NaN one ends the search, since no curvature can pass it.
     """
     while True:
-        cand = prox(y - gy / L, 1.0 / L)
+        cand = shrink(y - gy / L, (1.0 / L) * mu)
         fc, gc = smooth(cand)
         if math.isnan(fc):
             raise _CurvatureDiverged
@@ -73,9 +76,9 @@ def _quadratic_on_line(x, fx, gx, c, fc, gc, s):
     return value, gx + s * dg
 
 
-def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
+def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
                     lipschitz0=1.0, quadratic=False):
-    """Minimize ``smooth(x) + penalty(x)`` by accelerated proximal descent.
+    """Minimize ``smooth(x) + mu * ||x||_1`` by accelerated proximal descent.
 
     Parameters
     ----------
@@ -83,10 +86,11 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
         ``smooth(x) -> (value, gradient)``.  May return ``(inf, None)`` for
         points outside the domain; the momentum point is then reset to the
         last accepted iterate.
-    penalty : callable
-        Nonsmooth term value, e.g. ``mu * ||x||_1``.
-    prox : callable
-        ``prox(v, t)`` solving ``argmin_x ||x - v||**2 / (2 t) + penalty(x)``.
+    mu : float
+        Weight of the l1 term, formed by :func:`~sqamin.prox.l1_penalty`.
+    shrink : callable
+        The l1 prox :func:`~sqamin.prox.soft_threshold` (or a wrapper of
+        it), called once per curvature trial as ``shrink(v, (1 / L) * mu)``.
     start : tuple
         ``(x, value, gradient)``: the initial point with its smooth value and
         gradient, both finite.  The caller evaluates and checks the start,
@@ -117,9 +121,10 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
     when they trigger.
     """
     x, fx, gx = start
-    qx = fx + penalty(x)
+    qx = fx + l1_penalty(x, mu)
     q_start = qx
     L = max(float(lipschitz0), 1e-12)
+    prox_step = partial(_backtracked_prox_step, smooth, mu, shrink)
     y, fy, gy = x, fx, gx
     t = 1.0
     iterations = 0
@@ -130,15 +135,15 @@ def fista_composite(smooth, penalty, prox, start, stop=None, max_iter=1000,
             if not math.isfinite(fy):
                 y, fy, gy = x, fx, gx
                 t = 1.0
-            cand, fc, gc, L = _backtracked_prox_step(smooth, prox, y, fy, gy, L)
-            qc = fc + penalty(cand)
+            cand, fc, gc, L = prox_step(y, fy, gy, L)
+            qc = fc + l1_penalty(cand, mu)
             if qc > qx and y is not x:
                 # Monotone fallback: redo the step from the accepted iterate.
                 fallbacks += 1
                 y, fy, gy = x, fx, gx
                 t = 1.0
-                cand, fc, gc, L = _backtracked_prox_step(smooth, prox, y, fy, gy, L)
-                qc = fc + penalty(cand)
+                cand, fc, gc, L = prox_step(y, fy, gy, L)
+                qc = fc + l1_penalty(cand, mu)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
             y_next = cand + beta * (cand - x)

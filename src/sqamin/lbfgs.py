@@ -75,7 +75,7 @@ class LbfgsStore:
         if memory < 1:
             raise ValueError(f"memory must be positive, got {memory}")
         self.memory = memory
-        self.gamma_scale = 1.0  # inverse-Hessian base scale, s@y / y@y
+        self.sigma = 1.0  # base scale of B, y@y / s@y of the newest pair
         self._S = self._Y = None  # memory-by-n ring buffers, allocated lazily
         self._support = None  # per column, the stored steps nonzero there
         self._SS = np.zeros((memory, memory))
@@ -88,11 +88,6 @@ class LbfgsStore:
 
     def __len__(self):
         return min(self._count, self.memory)
-
-    @property
-    def sigma(self):
-        """Base scale of the direct Hessian approximation."""
-        return 1.0 / self.gamma_scale
 
     def update(self, s, y):
         """Append a pair unless it fails the curvature guard.
@@ -128,8 +123,8 @@ class LbfgsStore:
         age[slot] = self._count
         L = np.where(age[:, None] > age[None, :], SY, 0.0)
         d = SY.diagonal().copy()
-        gamma_scale = sy / yy
-        C_chol = _cholesky((1.0 / gamma_scale) * SS + (L / d) @ L.T)
+        sigma = 1.0 / (sy / yy)  # not yy / sy, which rounds differently
+        C_chol = _cholesky(sigma * SS + (L / d) @ L.T)
         self._support -= self._S[slot] != 0
         self._support += s != 0
         self._S[slot] = s
@@ -137,7 +132,7 @@ class LbfgsStore:
         self._SS[:k, :k], self._SY[:k, :k] = SS, SY
         self._age[slot] = self._count
         self._count += 1
-        self.gamma_scale = gamma_scale
+        self.sigma = sigma
         self._L, self._d, self._C_chol = L, d, C_chol
         return True
 

@@ -16,6 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .prox import l1_penalty
+
 __all__ = [
     "CompositeProblem",
     "QuadraticModel",
@@ -74,7 +76,7 @@ class CompositeProblem:
 
     def objective(self, x):
         """Full composite objective value at ``x``."""
-        return self.value(x) + self.mu * float(np.abs(x).sum())
+        return self.value(x) + l1_penalty(x, self.mu)
 
     def start_point(self):
         if self.x0 is not None:
@@ -90,7 +92,8 @@ class QuadraticModel:
     and its linear underestimate drops the quadratic term.  ``hessian`` is an
     abstract symmetric positive definite linear map ``v -> H v``; it is never
     materialized here.  ``f_ref`` is cached so the model never re-calls the
-    smooth oracle.  Every Hessian product is counted on ``self.tally``.
+    smooth oracle, and ``q_ref`` is the model value at ``x_ref``.  Every
+    Hessian product is counted on ``self.tally``.
     The OBM solver hands ``(z, H(z - x_ref), d, H d)`` to its next projected
     search along ``d`` in ``search_products``, which that search clears.
     """
@@ -106,7 +109,7 @@ class QuadraticModel:
             raise ValueError(f"mu must be finite and nonnegative, got {mu}")
         self.mu = float(mu)
         self.tally = Telemetry() if tally is None else tally
-        self._q_ref = self.f_ref + self.mu * float(np.abs(self.x_ref).sum())
+        self.q_ref = self.f_ref + l1_penalty(self.x_ref, self.mu)
         self.search_products = None
 
     @property
@@ -142,15 +145,8 @@ class QuadraticModel:
     def linear_value(self, x):
         """Piecewise linear underestimate: drops the quadratic term."""
         x = self._check_dim(x)
-        return (
-            self.f_ref
-            + float(self.g_ref @ (x - self.x_ref))
-            + self.mu * float(np.abs(x).sum())
-        )
-
-    def reference_objective(self):
-        """Model value at the reference point, computed once."""
-        return self._q_ref
+        return (self.f_ref + float(self.g_ref @ (x - self.x_ref))
+                + l1_penalty(x, self.mu))
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fista import InnerResult
 from .lbfgs import lbfgs_reduced_inverse_solve
-from .prox import soft_threshold
+from .prox import l1_penalty, soft_threshold
 
 __all__ = [
     "orthant_face",
@@ -165,7 +165,7 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
         hdx = (known[0] + alpha * known[1] if on_ray
                else model.apply_hessian(cand - model.x_ref))
         sval, sgrad = model.smooth_eval(cand, hdx)
-        q_cand = sval + model.mu * float(np.abs(cand).sum())
+        q_cand = sval + l1_penalty(cand, model.mu)
         trials += 1
         if math.isnan(q_cand):
             return ProjectedSearchResult(z, 0.0, trials, math.nan, None,
@@ -192,7 +192,7 @@ def _ista_safeguard(model, z, sgrad, q_ref):
         cand = soft_threshold(z - step * sgrad, step * model.mu)
         hdx = model.apply_hessian(cand - model.x_ref)
         sval, sgrad_c = model.smooth_eval(cand, hdx)
-        q_cand = sval + model.mu * float(np.abs(cand).sum())
+        q_cand = sval + l1_penalty(cand, model.mu)
         if math.isnan(q_cand):
             return None
         if q_cand < q_ref - 1e-15 * max(1.0, abs(q_ref)):
@@ -202,7 +202,7 @@ def _ista_safeguard(model, z, sgrad, q_ref):
     return None
 
 
-def obm_solve(model, stop, outer_k, store=None, max_iter=200):
+def obm_solve(model, stop, outer_k, store=None, *, max_iter):
     """Minimize the model by orthant-face identification plus subspace steps.
 
     The subspace phase runs truncated conjugate gradients with the
@@ -214,7 +214,7 @@ def obm_solve(model, stop, outer_k, store=None, max_iter=200):
     to a proximal-gradient step with guaranteed decrease before giving up.
     A NaN trial value, or a zero minimum-norm subgradient (an exact model
     minimizer, where no step decreases the model), ends the solve with
-    status ``"stalled"``.
+    status ``"stalled"``; ``max_iter`` iterates end it ``"iteration_cap"``.
 
     The start, the model's reference point, costs no Hessian-vector product,
     each CG iteration one, and each projected-search trial one unless it is
@@ -228,7 +228,7 @@ def obm_solve(model, stop, outer_k, store=None, max_iter=200):
     """
     z, sval, sgrad = model.x_ref.copy(), model.f_ref, model.g_ref
     hz = np.zeros_like(z)  # H(z - x_ref)
-    q_z = q_start = model.reference_objective()
+    q_z = q_start = model.q_ref
     iterations = 0
     status = "iteration_cap"
     done = stop is not None and stop(z, sval, sgrad)

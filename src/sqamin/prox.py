@@ -10,9 +10,15 @@ minimizers, and the proximal-gradient (ISTA) point
 import numpy as np
 
 __all__ = [
+    "l1_penalty",
     "soft_threshold",
     "residual",
 ]
+
+
+def l1_penalty(x, mu):
+    """The l1 term ``mu * ||x||_1``, the one place the solvers form it."""
+    return mu * float(np.abs(x).sum())
 
 
 def soft_threshold(v, t):

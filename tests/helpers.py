@@ -221,7 +221,7 @@ def lbfgs_pairs(store):
 def lbfgs_inverse_vec(store, v):
     """Apply the inverse of an L-BFGS store's Hessian approximation to ``v``.
 
-    The standard two-loop recursion with base ``gamma_scale * I``, an
+    The standard two-loop recursion with base ``I / sigma``, an
     independent route to the matrix the store applies in compact form.
     """
     pairs = lbfgs_pairs(store)
@@ -234,7 +234,7 @@ def lbfgs_inverse_vec(store, v):
         q -= a * y
         alphas.append(a)
         rhos.append(rho)
-    r = store.gamma_scale * q
+    r = (1.0 / store.sigma) * q
     for (s, y), a, rho in zip(pairs, reversed(alphas), reversed(rhos)):
         b = rho * float(y @ r)
         r += (a - b) * s

@@ -355,8 +355,8 @@ class TestCriterion08HalfDecrease:
                                    float(rng.normal()), lambda v, _H=H: _H @ v,
                                    float(rng.uniform(0.1, 1.0)))
             ybar = model_exact_minimizer(model)
-            q_dec = model.reference_objective() - model_value(model, ybar)
-            ell_dec = model.reference_objective() - model.linear_value(ybar)
+            q_dec = model.q_ref - model_value(model, ybar)
+            ell_dec = model.q_ref - model.linear_value(ybar)
             worst = min(worst, q_dec - 0.5 * ell_dec)
         _report_line(
             "criterion 08 exact-minimizer half decrease",

@@ -107,7 +107,7 @@ class TestInexactnessCheck:
                                 mode="strengthened", zeta=0.25)
         F_ref = residual(model.x_ref, model.g_ref, 0.5, model.mu)
         assert rep.residual_bound == pytest.approx(0.3 * np.linalg.norm(F_ref))
-        assert rep.q_reference == pytest.approx(model.reference_objective())
+        assert rep.q_reference == pytest.approx(model.q_ref)
         assert rep.decrease_rhs <= 0.0
 
     def test_costs_one_hessian_product(self):
@@ -128,7 +128,7 @@ class TestInexactnessCheck:
         rep = inexactness_check(model, xhat, eta=0.5, tau=0.5, mode=mode,
                                 zeta=0.25)
         sval, sgrad = model.smooth_eval(xhat)
-        q_ref = model.reference_objective()
+        q_ref = model.q_ref
         expected_rhs = (0.0 if mode == "simple"
                         else 0.25 * (model.linear_value(xhat) - q_ref))
         assert rep.q_reference.hex() == q_ref.hex()
@@ -152,8 +152,7 @@ class TestInexactnessCheck:
             rep = _inexactness_from_eval(model, xhat, sval, sgrad, eta=0.5,
                                          tau=0.5, mode="strengthened",
                                          zeta=0.25, ref_residual_norm=1.0)
-            expected = 0.25 * (model.linear_value(xhat)
-                               - model.reference_objective())
+            expected = 0.25 * (model.linear_value(xhat) - model.q_ref)
             assert rep.decrease_rhs.hex() == expected.hex()
 
 

@@ -10,10 +10,7 @@ from helpers import model_value, quadratic_l1_minimizer
 
 
 def _model_pieces(model):
-    smooth = model.smooth_eval
-    penalty = lambda z: model.mu * float(np.abs(z).sum())
-    prox = lambda v, t: soft_threshold(v, t * model.mu)
-    return smooth, penalty, prox
+    return model.smooth_eval, model.mu
 
 
 def _start(smooth, x):
@@ -27,11 +24,12 @@ class TestFistaComposite:
         n = 6
         x_ref = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -1.0])
         model = QuadraticModel(x_ref, np.zeros(n), 0.0, lambda v: v.copy(), 0.0)
-        smooth, penalty, prox = _model_pieces(model)
+        smooth, mu = _model_pieces(model)
         rng = np.random.default_rng(0)
         start = rng.normal(size=n) * 5
-        res = fista_composite(smooth, penalty, prox, _start(smooth, start),
-                              max_iter=1, lipschitz0=1.0)
+        res = fista_composite(smooth, mu, soft_threshold,
+                              _start(smooth, start), max_iter=1,
+                              lipschitz0=1.0)
         np.testing.assert_allclose(res.solution, x_ref, atol=1e-12)
 
     def test_diagonal_case_matches_closed_form(self):
@@ -43,8 +41,8 @@ class TestFistaComposite:
         # separable: minimize g_i (z - xr) + D_i/2 (z - xr)^2 + mu |z|
         w = x_ref - g_ref / D
         expected = np.sign(w) * np.maximum(np.abs(w) - mu / D, 0.0)
-        smooth, penalty, prox = _model_pieces(model)
-        res = fista_composite(smooth, penalty, prox,
+        smooth, mu = _model_pieces(model)
+        res = fista_composite(smooth, mu, soft_threshold,
                               _start(smooth, np.zeros(2)), max_iter=4000,
                               lipschitz0=2.0)
         np.testing.assert_allclose(res.solution, expected, atol=1e-8)
@@ -54,10 +52,10 @@ class TestFistaComposite:
         # whose candidate is the only point evaluated
         model = QuadraticModel(np.zeros(2), np.ones(2), 0.0,
                                lambda v: v.copy(), 0.1)
-        smooth, penalty, prox = _model_pieces(model)
+        smooth, mu = _model_pieces(model)
         start = _start(smooth, np.array([5.0, -3.0]))
         before = model.tally.hess_vec_products
-        res = fista_composite(smooth, penalty, prox, start,
+        res = fista_composite(smooth, mu, soft_threshold, start,
                               stop=lambda x, fx, gx: True, max_iter=50)
         assert res.status == "converged"
         assert res.inner_iterations == 1
@@ -70,8 +68,8 @@ class TestFistaComposite:
         H = A @ A.T + np.eye(5)
         model = QuadraticModel(rng.normal(size=5), rng.normal(size=5), 0.0,
                                lambda v: H @ v, 0.3)
-        smooth, penalty, prox = _model_pieces(model)
-        res = fista_composite(smooth, penalty, prox,
+        smooth, mu = _model_pieces(model)
+        res = fista_composite(smooth, mu, soft_threshold,
                               _start(smooth, model.x_ref), max_iter=3)
         assert res.status == "iteration_cap"
         assert res.inner_iterations == 3
@@ -88,11 +86,11 @@ class TestFistaComposite:
         mu = 0.3
         model = QuadraticModel(rng.normal(size=8), rng.normal(size=8), 1.5,
                                lambda v: H @ v, mu)
-        smooth, penalty, prox = _model_pieces(model)
+        smooth, mu = _model_pieces(model)
         for K in (5, 10, 20):
             start = _start(smooth, model.x_ref)
             before = model.tally.hess_vec_products
-            res = fista_composite(smooth, penalty, prox, start,
+            res = fista_composite(smooth, mu, soft_threshold, start,
                                   max_iter=K, lipschitz0=1.01 * L_true)
             zero_momentum_steps = 1 + res.monotone_fallbacks
             expected = 2 * K + res.monotone_fallbacks - zero_momentum_steps
@@ -107,11 +105,11 @@ class TestFistaComposite:
         L_true = float(np.linalg.eigvalsh(H).max())
         model = QuadraticModel(rng.normal(size=8), rng.normal(size=8), 1.5,
                                lambda v: H @ v, 0.3)
-        smooth, penalty, prox = _model_pieces(model)
+        smooth, mu = _model_pieces(model)
         for K in (5, 10, 20):
             start = _start(smooth, model.x_ref)
             before = model.tally.hess_vec_products
-            res = fista_composite(smooth, penalty, prox, start,
+            res = fista_composite(smooth, mu, soft_threshold, start,
                                   max_iter=K, lipschitz0=1.01 * L_true,
                                   quadratic=True)
             expected = K + res.monotone_fallbacks
@@ -142,8 +140,8 @@ class TestFistaComposite:
             H = A @ A.T + 0.1 * np.eye(10)
             model = QuadraticModel(rng.normal(size=10), rng.normal(size=10),
                                    0.0, lambda v, H=H: H @ v, 0.4)
-            smooth, penalty, prox = _model_pieces(model)
-            runs = [fista_composite(smooth, penalty, prox,
+            smooth, mu = _model_pieces(model)
+            runs = [fista_composite(smooth, mu, soft_threshold,
                                     _start(smooth, model.x_ref),
                                     max_iter=50, quadratic=flag)
                     for flag in (False, True)]
@@ -167,9 +165,9 @@ class TestFistaComposite:
             values.append(fx + mu * np.abs(x).sum())
             return False
 
-        smooth, penalty, prox = _model_pieces(model)
-        fista_composite(smooth, penalty, prox, _start(smooth, model.x_ref),
-                        stop=record, max_iter=200)
+        smooth, mu = _model_pieces(model)
+        fista_composite(smooth, mu, soft_threshold,
+                        _start(smooth, model.x_ref), stop=record, max_iter=200)
         diffs = np.diff(np.array(values))
         assert np.all(diffs <= 1e-10)
 
@@ -183,28 +181,60 @@ class TestFistaComposite:
         model = QuadraticModel(x_ref, g_ref, 0.0, lambda v: H @ v, mu)
         c = g_ref - H @ x_ref
         expected, _ = quadratic_l1_minimizer(H, c, mu)
-        smooth, penalty, prox = _model_pieces(model)
-        res = fista_composite(smooth, penalty, prox, _start(smooth, x_ref),
-                              max_iter=5000)
+        smooth, mu = _model_pieces(model)
+        res = fista_composite(smooth, mu, soft_threshold,
+                              _start(smooth, x_ref), max_iter=5000)
         np.testing.assert_allclose(res.solution, expected, atol=1e-7)
 
     def test_model_decrease_recorded(self):
         rng = np.random.default_rng(5)
         model = QuadraticModel(rng.normal(size=3), rng.normal(size=3), 0.0,
                                lambda v: v.copy(), 0.2)
-        smooth, penalty, prox = _model_pieces(model)
-        res = fista_composite(smooth, penalty, prox,
+        smooth, mu = _model_pieces(model)
+        res = fista_composite(smooth, mu, soft_threshold,
                               _start(smooth, model.x_ref), max_iter=100)
         q0 = model_value(model, model.x_ref)
         qf = model_value(model, res.solution)
         assert res.model_decrease == pytest.approx(q0 - qf, abs=1e-12)
         assert res.model_decrease >= 0
 
+    def test_one_shrink_per_curvature_trial(self):
+        # each trial, backtracked or accepted, shrinks y - gy / L by
+        # (1 / L) * mu; at these values mu / L would round differently
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(6, 6))
+        H = A @ A.T + np.eye(6)
+        mu, l0 = 0.3, 0.7
+        model = QuadraticModel(rng.normal(size=6), rng.normal(size=6), 0.0,
+                               lambda v: H @ v, mu)
+        thresholds = []
+        evaluated = []
+
+        def shrink(v, t):
+            thresholds.append(t)
+            return soft_threshold(v, t)
+
+        def smooth(z):  # on a quadratic, only candidates are evaluated
+            evaluated.append(z)
+            return model.smooth_eval(z)
+
+        res = fista_composite(smooth, mu, shrink,
+                              _start(model.smooth_eval, model.x_ref),
+                              max_iter=20, lipschitz0=l0, quadratic=True)
+        assert len(thresholds) == len(evaluated) > res.inner_iterations
+        curvatures = [l0 * 2.0 ** j for j in range(60)]
+        doublings = [next(j for j, L in enumerate(curvatures)
+                          if (1.0 / L) * mu == t) for t in thresholds]
+        assert doublings == sorted(doublings) and doublings[-1] > 0
+        assert curvatures[doublings[-1]] == res.lipschitz
+        assert all(t != mu / curvatures[j]
+                   for t, j in zip(thresholds, doublings))
+
     def test_curvature_limit_is_a_status(self):
         # every trial point lies outside the domain, so the curvature
         # estimate doubles past its limit without accepting a step
         smooth = lambda z: (0.0, np.ones(2)) if not np.any(z) else (np.inf, None)
-        res = fista_composite(smooth, lambda z: 0.0, lambda v, t: v,
+        res = fista_composite(smooth, 0.0, soft_threshold,
                               _start(smooth, np.zeros(2)), max_iter=5)
         assert res.status == "line_search_failed"
         assert res.inner_iterations == 0
@@ -228,7 +258,7 @@ class TestFistaComposite:
             values.append(fx)
             return abs(x[0] - 2.0) <= 1e-10
 
-        res = fista_composite(smooth, lambda z: 0.0, lambda v, t: v,
+        res = fista_composite(smooth, 0.0, soft_threshold,
                               _start(smooth, np.zeros(1)), stop=stop,
                               max_iter=500, lipschitz0=4.0)
         assert infeasible
@@ -245,8 +275,8 @@ class TestFistaComposite:
             calls.append(x.copy())
             return False
 
-        smooth, penalty, prox = _model_pieces(model)
-        res = fista_composite(smooth, penalty, prox,
+        smooth, mu = _model_pieces(model)
+        res = fista_composite(smooth, mu, soft_threshold,
                               _start(smooth, model.x_ref), stop=stop,
                               max_iter=17)
         assert len(calls) == res.inner_iterations == 17

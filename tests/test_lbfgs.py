@@ -39,12 +39,12 @@ class TestUpdatePolicy:
         store.update(np.array([0.0, 1.0]), np.array([0.0, 3.0]))
         assert len(store) == 1
         # base scale follows the surviving pair: s@y / y@y = 3/9
-        assert store.gamma_scale == pytest.approx(1.0 / 3.0)
+        assert 1.0 / store.sigma == pytest.approx(1.0 / 3.0)
 
     def test_scale_from_newest_pair(self):
         store = LbfgsStore(memory=4)
         store.update(np.array([1.0, 0.0]), np.array([4.0, 0.0]))
-        assert store.gamma_scale == pytest.approx(0.25)
+        assert 1.0 / store.sigma == pytest.approx(0.25)
 
     @pytest.mark.parametrize("n", [1, 7, 100, 3600])
     def test_curvature_guard_is_the_norm_product_rule(self, n):

@@ -120,12 +120,12 @@ class TestReferenceObjective:
             model = QuadraticModel(x_ref, rng.normal(size=n), -3.7,
                                    lambda v: v, 0.3)
             expected = model.f_ref + model.mu * float(np.abs(x_ref).sum())
-            assert model.reference_objective().hex() == expected.hex()
+            assert model.q_ref.hex() == expected.hex()
             assert model.linear_value(x_ref).hex() == expected.hex()
 
     def test_costs_no_hessian_product(self):
         model = _random_model(np.random.default_rng(17))
-        model.reference_objective()
+        model.q_ref
         assert model.tally.hess_vec_products == 0
 
 

@@ -537,7 +537,7 @@ class TestObmSolve:
             calls.append(np.linalg.norm(Fq))
             return np.linalg.norm(Fq) <= 1e-8
 
-        res = obm_solve(model, stop, outer_k=1)
+        res = obm_solve(model, stop, outer_k=1, max_iter=1000)
         assert res.status == "converged"
         assert res.inner_iterations == 0
         assert calls[0] <= 1e-8
@@ -712,7 +712,7 @@ class TestObmStallRecovery:
                                lambda w: w.copy(), 1.0)
         ybar = np.array([2.0, 0.0, -1.0])
         model = _centred_at(model, ybar)
-        res = obm_solve(model, None, outer_k=1)
+        res = obm_solve(model, None, outer_k=1, max_iter=1000)
         assert res.status == "stalled"
         assert res.inner_iterations == 0
         assert res.model_decrease == 0.0
@@ -733,7 +733,7 @@ class TestObmStallRecovery:
             return projections[-1][1]
 
         monkeypatch.setattr(obm, "orthant_project", recorded)
-        res = obm_solve(model, None, outer_k=1)
+        res = obm_solve(model, None, outer_k=1, max_iter=1000)
         ray, cand = projections[0]
         assert not np.array_equal(cand, ray)
         assert res.status == "stalled"
@@ -745,7 +745,6 @@ class TestObmStallRecovery:
     def test_safeguard_gives_up_at_its_first_nan_trial(self):
         model = _nan_model([1.0, -1.0, 0.5], np.array([3.0, 0.2, -0.1]))
         z = model.x_ref
-        outcome = obm._ista_safeguard(model, z, model.g_ref,
-                                      model.reference_objective())
+        outcome = obm._ista_safeguard(model, z, model.g_ref, model.q_ref)
         assert outcome is None
         assert model.tally.hess_vec_products == 1

@@ -1,12 +1,21 @@
-"""Soft-thresholding, proximal step, and residual map behavior."""
+"""The l1 term, soft-thresholding, proximal step, and residual map
+behavior."""
+
+import math
 
 import numpy as np
 import pytest
 
 from sqamin import (
     QuadraticModel,
+    SolverConfig,
+    driver,
+    fista_baseline_solve,
+    l1_penalty,
     residual,
     soft_threshold,
+    sqa_solve,
+    synthetic_quadratic,
 )
 
 from helpers import (
@@ -15,6 +24,54 @@ from helpers import (
     model_exact_minimizer,
     scalar_prox_grid,
 )
+
+
+class TestL1Penalty:
+    def test_edge_values(self):
+        out = l1_penalty(np.array([1.5, -2.0, 0.0]), 2)  # an int weight
+        assert type(out) is float and out == 7.0
+        zero = l1_penalty(np.array([-0.0, 0.0, -0.0]), 0.5)
+        assert zero.hex() == "0x0.0p+0"  # |-0.0| sums to +0.0
+        assert l1_penalty(np.array([1.0, -np.inf]), 0.5) == np.inf
+        assert math.isnan(l1_penalty(np.array([np.nan, 1.0]), 0.5))
+        assert l1_penalty(np.array([]), 0.5) == 0.0
+
+    @pytest.mark.parametrize("solver",
+                             ["fista", "sqa_fista", "sqa_obm_cg", "sqa_obm_qn"])
+    def test_every_objective_reads_it(self, solver, monkeypatch):
+        # an int weight, as a caller may pass one; the problem keeps it
+        prob = synthetic_quadratic(20, 50.0, seed=3, mu=1)
+        kept = {}
+        keep = driver._keep
+
+        def spy(problem, tau, k, x, fx, gx, *args):
+            kept[k] = (x.copy(), fx)
+            return keep(problem, tau, k, x, fx, gx, *args)
+
+        monkeypatch.setattr(driver, "_keep", spy)
+        records = []
+        if solver == "fista":
+            _, report = fista_baseline_solve(prob, SolverConfig())
+        else:
+            config = SolverConfig(inner_solver=solver[len("sqa_"):])
+            _, report = sqa_solve(prob, config, observer=records.append)
+        assert report.status == "converged"
+        assert len(report.trace) > 2
+        for row in report.trace:
+            x, fx = kept[row.k]
+            expected = fx + l1_penalty(x, 1)
+            assert row.objective.hex() == expected.hex()
+            assert prob.objective(x).hex() == expected.hex()
+        for rec in records:
+            model, x_hat = rec.model, rec.x_hat
+            q_ref = model.f_ref + l1_penalty(model.x_ref, 1)
+            assert model.q_ref.hex() == q_ref.hex()
+            ell = (model.f_ref + float(model.g_ref @ (x_hat - model.x_ref))
+                   + l1_penalty(x_hat, 1))
+            assert model.linear_value(x_hat).hex() == ell.hex()
+            assert rec.ell_candidate.hex() == ell.hex()
+        if solver != "fista":
+            assert len(records) == len(report.trace) - 1
 
 
 class TestSoftThreshold:
