@@ -75,14 +75,14 @@ class InexactnessReport:
         return self.ok
 
 
-def _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode, zeta,
-                           ref_residual_norm):
-    """Evaluate the inexactness conditions from a precomputed smooth eval."""
-    x_hat = np.asarray(x_hat, dtype=float)
+def _inexactness_report(model, x_hat, sval, sgrad, penalty, linear, eta, tau,
+                        mode, zeta, ref_residual_norm):
+    """Evaluate the inexactness conditions from what the inner solver formed
+    at ``x_hat``: the smooth value and gradient, the l1 term ``penalty`` and
+    the linear term ``linear = g_ref @ (x_hat - x_ref)``."""
     F = residual(x_hat, sgrad, tau, model.mu)
     rnorm = math.sqrt(F @ F)  # np.linalg.norm of a 1-D array
     bound = eta * ref_residual_norm
-    penalty = l1_penalty(x_hat, model.mu)
     q_hat = sval + penalty
     q_ref = model.q_ref
     lhs = q_hat - q_ref
@@ -91,7 +91,7 @@ def _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode, zeta,
         decrease_ok = lhs < 0.0
     else:
         # model.linear_value(x_hat), sharing the penalty with q_hat
-        ell = model.f_ref + float(model.g_ref @ (x_hat - model.x_ref)) + penalty
+        ell = model.f_ref + linear + penalty
         rhs = zeta * (ell - q_ref)
         decrease_ok = lhs <= rhs
     return InexactnessReport(
@@ -106,6 +106,17 @@ def _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode, zeta,
     )
 
 
+def _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode, zeta,
+                           ref_residual_norm):
+    """Evaluate the inexactness conditions from a precomputed smooth eval,
+    forming the l1 and linear terms at ``x_hat`` here."""
+    x_hat = np.asarray(x_hat, dtype=float)
+    linear = float(model.g_ref @ (x_hat - model.x_ref))
+    return _inexactness_report(model, x_hat, sval, sgrad,
+                               l1_penalty(x_hat, model.mu), linear, eta, tau,
+                               mode, zeta, ref_residual_norm)
+
+
 def inexactness_check(model, x_hat, eta, tau, mode="strengthened", zeta=0.25):
     """Is ``x_hat`` an acceptable approximate minimizer of the model?
 
@@ -113,8 +124,9 @@ def inexactness_check(model, x_hat, eta, tau, mode="strengthened", zeta=0.25):
     the residual norm at the reference point, together with model decrease:
     simple mode asks for any decrease, strengthened mode for at least
     ``zeta`` times the linear model's decrease.  Costs one Hessian-vector
-    product.  The returned report is truthy iff both conditions hold and
-    carries both sides of both inequalities.
+    product, and forms its own l1 and linear terms.  The returned report is
+    truthy iff both conditions hold and carries both sides of both
+    inequalities.
     """
     ref_norm = float(
         np.linalg.norm(residual(model.x_ref, model.g_ref, tau, model.mu))
@@ -193,17 +205,18 @@ class OuterIterationRecord:
     model: QuadraticModel
 
 
-def _keep(problem, tau, k, x, fx, gx, alpha=0.0, inner=0, eta=0.0):
+def _keep(problem, tau, k, x, fx, gx, objective, alpha=0.0, inner=0,
+          eta=0.0):
     """The one non-finite gate of a point a driver would keep.
 
-    Returns ``(residual, trace row, status)``: without a gradient the
+    ``objective`` is ``fx`` plus the l1 term at ``x``, as the caller formed
+    it.  Returns ``(residual, trace row, status)``: without a gradient the
     residual is None and the row's max-norm NaN; the status is
     ``"nonfinite_oracle"`` unless value plus max-norm is finite, else None.
     """
     F = None if gx is None else residual(x, gx, tau, problem.mu)
     res_inf = math.nan if F is None else float(np.max(np.abs(F)))
-    row = TraceRow(k, fx + l1_penalty(x, problem.mu), res_inf, alpha, inner,
-                   eta)
+    row = TraceRow(k, objective, res_inf, alpha, inner, eta)
     return F, row, None if math.isfinite(fx + res_inf) else "nonfinite_oracle"
 
 
@@ -218,7 +231,8 @@ def _start(problem, tau, tally):
     fx = problem.value(x)
     tally.fg_evaluations += 1
     gx = None if fx == np.inf else problem.gradient(x)
-    F, row, status = _keep(problem, tau, 0, x, fx, gx)
+    F, row, status = _keep(problem, tau, 0, x, fx, gx,
+                           fx + l1_penalty(x, problem.mu))
     return x, fx, gx, F, [row], status
 
 
@@ -237,6 +251,13 @@ def _report(solver, status, trace, tally, t0, tol_inf):
         trace=trace,
         **asdict(tally),
     )
+
+
+def _fista_stop(stop, model, z, sval, sgrad, penalty):
+    """The inexactness stop for FISTA iterates, which come without the
+    linear term: it is formed here."""
+    return stop(z, sval, sgrad, penalty,
+                float(model.g_ref @ (z - model.x_ref)))
 
 
 def sqa_solve(problem, config, hessian_source=None, observer=None):
@@ -261,6 +282,11 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     accepts: a non-finite value or gradient there ends the run with status
     ``"nonfinite_oracle"``, returning the start point or the last iterate
     whose value and gradient were finite.
+
+    The stop test takes the inner solver's l1 term, and the OBM solver's
+    linear term ``g_ref @ (x_hat - x_ref)`` too.  Overflow inside an inner
+    solve (a model that is not convex) raises no warning; the solvers end
+    on the non-finite values it leaves.
     """
     store = (LbfgsStore(config.lbfgs_memory)
              if config.inner_solver == "obm_qn" else None)
@@ -286,18 +312,21 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
             hess_op = lambda v, _x=x: problem.hess_vec(_x, v)
         model = QuadraticModel(x, gx, fx, hess_op, mu, tally)
         eta = _eta_value(config, k + 1, res_norm2)
-        stop = partial(_inexactness_from_eval, model, eta=eta, tau=tau,
+        stop = partial(_inexactness_report, model, eta=eta, tau=tau,
                        mode=config.inexactness_mode, zeta=config.zeta,
                        ref_residual_norm=res_norm2)
-        if config.inner_solver == "fista":
-            inner = fista_composite(model.smooth_eval, mu, soft_threshold,
-                                    (x, fx, gx),
-                                    stop=stop, max_iter=config.max_inner,
-                                    lipschitz0=warm_lipschitz, quadratic=True)
-            warm_lipschitz = inner.lipschitz
-        else:
-            inner = obm_solve(model, stop, k + 1, store,
-                              max_iter=config.max_inner)
+        # overflow from a model that is not convex warns nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.inner_solver == "fista":
+                inner = fista_composite(
+                    model.smooth_eval, mu, soft_threshold, (x, fx, gx),
+                    stop=partial(_fista_stop, stop, model),
+                    max_iter=config.max_inner, lipschitz0=warm_lipschitz,
+                    quadratic=True)
+                warm_lipschitz = inner.lipschitz
+            else:
+                inner = obm_solve(model, stop, k + 1, store,
+                                  max_iter=config.max_inner)
         tally.inner_iterations += inner.inner_iterations
         d = inner.solution - x
         stalled = inner.status != "converged" and not inner.model_decrease > 0.0
@@ -312,7 +341,7 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
         g_next = problem.gradient(ls.x_next)  # same point as the accepted
         # trial, so it does not open a new evaluation point
         F_next, row, status = _keep(problem, tau, k + 1, ls.x_next,
-                                    ls.f_next, g_next, ls.alpha,
+                                    ls.f_next, g_next, ls.phi_next, ls.alpha,
                                     inner.inner_iterations, eta)
         if status is not None:
             break
@@ -364,9 +393,10 @@ def fista_baseline_solve(problem, config):
         tally.fg_evaluations += 1
         return val, (problem.gradient(z) if np.isfinite(val) else None)
 
-    def stop(z, fz, gz):
+    def stop(z, fz, gz, penalty):
         nonlocal x, status
-        _, row, status = _keep(problem, tau, len(trace), z, fz, gz, 1.0)
+        _, row, status = _keep(problem, tau, len(trace), z, fz, gz,
+                               fz + penalty, 1.0)
         if status is not None:
             return True
         x = z

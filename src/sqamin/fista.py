@@ -96,8 +96,9 @@ def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
         gradient, both finite.  The caller evaluates and checks the start,
         so it costs no evaluation here.
     stop : callable, optional
-        ``stop(x, smooth_value, smooth_gradient)`` evaluated after every
-        accepted iterate; a truthy return ends the run.
+        ``stop(x, smooth_value, smooth_gradient, penalty)`` evaluated after
+        every accepted iterate, ``penalty`` being the l1 term at ``x`` that
+        the monotone test formed; a truthy return ends the run.
     max_iter : int
         Iteration cap; reaching it is a status, not an error.  So is a
         diverged or NaN curvature backtracking (``"line_search_failed"``,
@@ -136,14 +137,16 @@ def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
                 y, fy, gy = x, fx, gx
                 t = 1.0
             cand, fc, gc, L = prox_step(y, fy, gy, L)
-            qc = fc + l1_penalty(cand, mu)
+            pc = l1_penalty(cand, mu)
+            qc = fc + pc
             if qc > qx and y is not x:
                 # Monotone fallback: redo the step from the accepted iterate.
                 fallbacks += 1
                 y, fy, gy = x, fx, gx
                 t = 1.0
                 cand, fc, gc, L = prox_step(y, fy, gy, L)
-                qc = fc + l1_penalty(cand, mu)
+                pc = l1_penalty(cand, mu)
+                qc = fc + pc
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
             y_next = cand + beta * (cand - x)
@@ -153,7 +156,7 @@ def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
                                               1.0 + beta)
             x, fx, gx, qx = cand, fc, gc, qc
             iterations += 1
-            if stop is not None and stop(x, fx, gx):
+            if stop is not None and stop(x, fx, gx, pc):
                 status = "converged"
                 break
             t = t_next

@@ -139,8 +139,15 @@ class QuadraticModel:
         dx = x - self.x_ref
         if hdx is None:
             hdx = self.apply_hessian(dx)
-        val = self.f_ref + float(self.g_ref @ dx) + 0.5 * float(dx @ hdx)
-        return val, self.g_ref + hdx
+        val, grad, _ = self.step_eval(dx, hdx)
+        return val, grad
+
+    def step_eval(self, dx, hdx):
+        """Value, gradient and linear term ``g_ref @ dx`` of the smooth part
+        at ``x_ref + dx``, from ``hdx = H dx``; no product is applied."""
+        linear = float(self.g_ref @ dx)
+        value = self.f_ref + linear + 0.5 * float(dx @ hdx)
+        return value, self.g_ref + hdx, linear
 
     def linear_value(self, x):
         """Piecewise linear underestimate: drops the quadratic term."""

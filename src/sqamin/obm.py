@@ -78,23 +78,20 @@ def subspace_cg_solve(model, face, v, cg_cap):
     one reused buffer (one product per CG iteration), and returns early on
     nonpositive or NaN curvature: the current iterate if any progress was
     made, otherwise the steepest descent direction ``-v_F``.  Returns
-    ``(d, H d)``, the full-space product summed from those of the CG
-    directions, in arrays of its own; the model is left as it was.
+    ``(d, H d)``, summed full-length from the padded directions and their
+    products, in arrays of its own; the model is left as it was.
     """
     if cg_cap < 1:
         raise ValueError(f"cg_cap must be >= 1, got {cg_cap}")
     v = np.asarray(v, dtype=float)
     free = face.nonzero()[0]
-    d = np.zeros(v.shape)
-    hd = np.zeros(v.shape)
     r = -v.take(free)
     rs = float(r @ r)
-    if rs == 0.0 or r.size == 0:
-        return d, hd
+    if rs == 0.0:
+        return np.zeros(v.shape), np.zeros(v.shape)
     tol2 = max(rs * 1e-28, 1e-300)
-    df = np.zeros(r.shape)
     padded = np.zeros(v.shape)  # zero off the face for every direction
-    p = r.copy()
+    p = r
     for i in range(cg_cap):
         padded.put(free, p)
         hp = model.apply_hessian(padded)
@@ -102,20 +99,22 @@ def subspace_cg_solve(model, face, v, cg_cap):
         curvature = float(p @ w)
         if not curvature > 0.0:
             if i == 0:  # the first direction is r itself
-                df, hd = r, hp.copy()
+                d, hd = padded, hp.copy()
             break
         step = rs / curvature
-        df += step * p
-        hd += step * hp
+        if i == 0:
+            d, hd = step * padded, step * hp
+        else:
+            d += step * padded
+            hd += step * hp
         if i + 1 == cg_cap:  # the residual would go unused
             break
-        r -= step * w
+        r = r - step * w
         rs_new = float(r @ r)
         if rs_new <= tol2:
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    d.put(free, df)
     return d, hd
 
 
@@ -127,7 +126,11 @@ class ProjectedSearchResult(NamedTuple):
     smooth_grad: np.ndarray
     q_value: float
     stalled: bool
-    product: Optional[np.ndarray] = None  # H(point - x_ref) when accepted
+    # at an accepted point: H(point - x_ref), the l1 term and g_ref @
+    # (point - x_ref), which the solve hands to its stop test
+    product: Optional[np.ndarray] = None
+    penalty: float = math.nan
+    linear: float = math.nan
 
 
 def obm_projected_line_search(model, z, face, d, v, q_ref):
@@ -138,44 +141,50 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     the model value ``q_ref`` at ``z`` (projection can flip the sign of the
     linearized change, so the plain-decrease guard keeps the iterates
     monotone).  Returns ``z``, stalled, when the step underflows, and at
-    once with a NaN ``q_value`` at a NaN trial.  A zero ``d``, which
-    :func:`obm_solve` never passes, raises ``ValueError``.
+    once with a NaN ``q_value`` at a NaN trial.  A zero ``d`` that comes
+    without a hand-off raises ``ValueError``; :func:`obm_solve` passes none.
 
     A trial that the projection leaves unclipped lies on the ray
     ``z + alpha d``.  When ``model.search_products`` holds
     ``(z, H(z - x_ref), d, H d)`` for these very ``z`` and ``d`` objects,
     such a trial is evaluated from those products without a Hessian-vector
     product; every other trial pays one.  The slot is cleared on entry,
-    whether it matched or not.  An accepted point carries its product.
+    whether it matched or not.  An accepted point carries its product, its
+    l1 term and its linear term.
     """
     handed, model.search_products = model.search_products, None
-    known = None
     if handed is not None and handed[0] is z and handed[2] is d:
-        known = handed[1], handed[3]
+        hz, hd = handed[1], handed[3]
+    else:
+        hd = None
+        d = np.asarray(d, dtype=float)
+        if not d.any():
+            raise ValueError("line search direction is zero")
     z = np.asarray(z, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if not d.any():
-        raise ValueError("line search direction is zero")
     alpha = 1.0
     trials = 0
     while alpha >= ALPHA_MIN:
-        ray = z + alpha * d
+        # at alpha = 1 the steps are d and hd themselves, the bits of 1.0 * d
+        ray = z + (d if alpha == 1.0 else alpha * d)
         cand = orthant_project(ray, face)
-        on_ray = known is not None and (cand == ray).all()
-        hdx = (known[0] + alpha * known[1] if on_ray
-               else model.apply_hessian(cand - model.x_ref))
-        sval, sgrad = model.smooth_eval(cand, hdx)
-        q_cand = sval + l1_penalty(cand, model.mu)
+        on_ray = hd is not None and (cand == ray).all()
+        dx = cand - model.x_ref
+        hdx = (hz + (hd if alpha == 1.0 else alpha * hd) if on_ray
+               else model.apply_hessian(dx))
+        sval, sgrad, linear = model.step_eval(dx, hdx)
+        penalty = l1_penalty(cand, model.mu)
+        q_cand = sval + penalty
         trials += 1
         if math.isnan(q_cand):
             return ProjectedSearchResult(z, 0.0, trials, math.nan, None,
                                          math.nan, True)
-        linearized = float(v @ (cand - z))
-        if q_cand <= q_ref + ARMIJO_CONSTANT * linearized and q_cand <= q_ref:
+        if (q_cand <= q_ref and
+                q_cand <= q_ref + ARMIJO_CONSTANT * float(v @ (cand - z))):
             # an oracle's product is copied: it may reuse its output array
             return ProjectedSearchResult(cand, alpha, trials, sval, sgrad,
                                          q_cand, False,
-                                         hdx if on_ray else hdx.copy())
+                                         hdx if on_ray else hdx.copy(),
+                                         penalty, linear)
         alpha *= 0.5
     return ProjectedSearchResult(z, 0.0, trials, math.nan, None, q_ref, True)
 
@@ -190,14 +199,17 @@ def _ista_safeguard(model, z, sgrad, q_ref):
     step = 1.0
     for _ in range(60):
         cand = soft_threshold(z - step * sgrad, step * model.mu)
-        hdx = model.apply_hessian(cand - model.x_ref)
-        sval, sgrad_c = model.smooth_eval(cand, hdx)
-        q_cand = sval + l1_penalty(cand, model.mu)
+        dx = cand - model.x_ref
+        hdx = model.apply_hessian(dx)
+        sval, sgrad_c, linear = model.step_eval(dx, hdx)
+        penalty = l1_penalty(cand, model.mu)
+        q_cand = sval + penalty
         if math.isnan(q_cand):
             return None
         if q_cand < q_ref - 1e-15 * max(1.0, abs(q_ref)):
             return ProjectedSearchResult(cand, step, 1, sval, sgrad_c,
-                                         q_cand, False, hdx.copy())
+                                         q_cand, False, hdx.copy(), penalty,
+                                         linear)
         step *= 0.5
     return None
 
@@ -208,8 +220,12 @@ def obm_solve(model, stop, outer_k, store=None, *, max_iter):
     The subspace phase runs truncated conjugate gradients with the
     outer-iteration budget ``min(3, 1 + outer_k // 10)``, or, given a
     quasi-Newton ``store``, solves that store's reduced system exactly.
-    ``stop`` has the signature ``stop(z, smooth_value, smooth_grad)`` and is
-    checked at the start and after every accepted iterate.  Model values are
+    ``stop`` has the signature
+    ``stop(z, smooth_value, smooth_grad, penalty, linear)`` and is checked
+    at the start and after every accepted iterate; ``penalty`` is the l1
+    term at ``z`` and ``linear`` is ``g_ref @ (z - x_ref)``, as the search
+    or safeguard step that accepted ``z`` formed them (0 at the start, the
+    reference point).  Model values are
     nonincreasing along the iterates; a stalled projected search falls back
     to a proximal-gradient step with guaranteed decrease before giving up.
     A NaN trial value, or a zero minimum-norm subgradient (an exact model
@@ -221,29 +237,31 @@ def obm_solve(model, stop, outer_k, store=None, *, max_iter):
     unclipped on a CG direction: the solve keeps its iterate's product and
     hands it to the search with the CG's.  Quasi-Newton directions and
     safeguard steps pay one per trial.  An iteration with one CG step and
-    one trial also makes about 58 O(n) numpy passes (subgradient 7, face 5,
-    CG 17 plus 12 per further step, search 19, stop test 10), at n in the
+    one trial also makes about 43 O(n) numpy passes (subgradient 7, face 5,
+    CG 10 plus 12 per further step, search 15, stop test 6), at n in the
     hundreds mostly call overhead.  The model gradient must be finite, as
     the driver's oracle checks make it.
     """
     z, sval, sgrad = model.x_ref.copy(), model.f_ref, model.g_ref
     hz = np.zeros_like(z)  # H(z - x_ref)
+    penalty, linear = l1_penalty(z, model.mu), 0.0  # g_ref @ (z - x_ref)
     q_z = q_start = model.q_ref
+    cg_cap = cg_budget(outer_k)
     iterations = 0
     status = "iteration_cap"
-    done = stop is not None and stop(z, sval, sgrad)
+    done = stop is not None and stop(z, sval, sgrad, penalty, linear)
     while not done and iterations < max_iter:
         v = min_norm_subgradient_from_gradient(sgrad, z, model.mu)
         face = orthant_face(z, v)
         if store is None:
-            d, hd = subspace_cg_solve(model, face, v, cg_budget(outer_k))
-            model.search_products = (z, hz, d, hd)
+            d, hd = subspace_cg_solve(model, face, v, cg_cap)
         else:
             d = lbfgs_reduced_inverse_solve(store, face, v, model.tally)
         if d.any():
-            outcome = obm_projected_line_search(model, z, face, d, v, q_ref=q_z)
+            if store is None:
+                model.search_products = (z, hz, d, hd)
+            outcome = obm_projected_line_search(model, z, face, d, v, q_z)
         else:
-            model.search_products = None
             outcome = ProjectedSearchResult(z, 0.0, 0, sval, sgrad, q_z, True)
         # a zero v marks an exact model minimizer: no step decreases the model
         if outcome.stalled and not math.isnan(outcome.q_value) and v.any():
@@ -251,11 +269,11 @@ def obm_solve(model, stop, outer_k, store=None, *, max_iter):
         if outcome is None or outcome.stalled:
             status = "stalled"
             break
-        z, sval, sgrad, q_z, hz = (outcome.point, outcome.smooth_value,
-                                   outcome.smooth_grad, outcome.q_value,
-                                   outcome.product)
+        z, sval, sgrad, q_z = (outcome.point, outcome.smooth_value,
+                               outcome.smooth_grad, outcome.q_value)
+        hz, penalty, linear = outcome.product, outcome.penalty, outcome.linear
         iterations += 1
-        done = stop is not None and stop(z, sval, sgrad)
+        done = stop is not None and stop(z, sval, sgrad, penalty, linear)
     if done:
         status = "converged"
     return InnerResult(z, iterations, q_start - q_z, status)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -31,6 +32,7 @@ from sqamin import (
     synthetic_quadratic_matrices,
     write_report,
 )
+from sqamin import driver, fista, obm
 from sqamin.driver import _inexactness_from_eval
 from sqamin.io import SOLVERS
 
@@ -679,6 +681,27 @@ class TestNonfiniteObjective:
         assert len(report.trace) == 1
         np.testing.assert_array_equal(x, prob.start_point())
 
+    @pytest.mark.parametrize("solver", ["sqa_fista", "sqa_obm_cg",
+                                        "sqa_obm_qn"])
+    def test_wrong_sign_hessian_ends_without_a_warning(self, solver):
+        # a negated Hessian makes the model unbounded below, so the inner
+        # iterates grow until their products overflow; the run still ends
+        # with a report and no floating-point warning.  The L-BFGS model
+        # does not use the oracle's Hessian and solves the problem.
+        prob = synthetic_quadratic(60, 1e3, seed=23, mu=0.05)
+        bad = dataclasses.replace(
+            prob, hess_vec=lambda x, v: -prob.hess_vec(x, v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, report = _run(bad, solver)
+        if solver == "sqa_obm_qn":
+            assert report.status == "converged"
+            return
+        assert report.status == "line_search_failed"
+        assert report.outer_iterations == 0
+        assert report.inner_iterations > 0
+        np.testing.assert_array_equal(x, prob.start_point())
+
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_nan_gradient_at_an_accepted_iterate_ends_the_run(self, solver):
         # exact gradients for the first few calls, then NaN at the point
@@ -826,3 +849,83 @@ class TestDeterminism:
         for a, b in zip(r1.trace, r2.trace):
             assert a.objective == b.objective
             assert a.residual_inf == b.residual_inf
+
+
+class TestOneL1TermPerPoint:
+    """The l1 term is formed once per trial point, by the solver that tries
+    it; the inexactness stop takes it from there instead of forming it."""
+
+    @staticmethod
+    def _count_l1(monkeypatch):
+        calls = Counter()
+        for module in (driver, fista, obm):
+            monkeypatch.setattr(
+                module, "l1_penalty",
+                _counting(calls, module.__name__, module.l1_penalty))
+        return calls
+
+    @staticmethod
+    def _spy(monkeypatch, module, name, results):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(module, name, spy)
+
+    def _solve(self, monkeypatch, solver):
+        """Run ``solver`` counting l1 terms, those formed inside the stop
+        test separately; returns the counts, the report and the inner
+        results."""
+        calls = self._count_l1(monkeypatch)
+        report_sides = driver._inexactness_report
+
+        def stop_forming_none(*args, **kwargs):
+            before = sum(calls.values())
+            report = report_sides(*args, **kwargs)
+            calls["in stop"] += sum(calls.values()) - before
+            return report
+
+        monkeypatch.setattr(driver, "_inexactness_report", stop_forming_none)
+        inner, searches = [], []
+        self._spy(monkeypatch, driver, "outer_line_search", searches)
+        self._spy(monkeypatch, driver, "fista_composite", inner)
+        self._spy(monkeypatch, driver, "obm_solve", inner)
+        _, report = _run(synthetic_quadratic(40, 1e3, seed=3, mu=0.2), solver)
+        assert report.status == "converged"
+        # the start row, then one term per outer line-search trial
+        assert calls["sqamin.driver"] == 1 + sum(s.trials for s in searches)
+        assert calls["in stop"] == 0
+        return calls, report, inner
+
+    def test_obm_forms_one_per_search_trial(self, monkeypatch):
+        trials, safeguards = [], []
+        self._spy(monkeypatch, obm, "obm_projected_line_search", trials)
+        self._spy(monkeypatch, obm, "_ista_safeguard", safeguards)
+        calls, _, inner = self._solve(monkeypatch, "sqa_obm_cg")
+        assert not safeguards
+        # one at each solve's start, then one per projected-search trial
+        assert calls["sqamin.obm"] == (len(inner)
+                                       + sum(t.trials for t in trials))
+        assert calls["sqamin.fista"] == 0
+        assert sum(r.inner_iterations for r in inner) == len(trials) > 0
+
+    def test_fista_forms_one_per_accepted_curvature_trial(self, monkeypatch):
+        calls, report, inner = self._solve(monkeypatch, "sqa_fista")
+        # one at each solve's start, then one per prox step that passed the
+        # curvature test, a monotone fallback's redone step included
+        assert calls["sqamin.fista"] == sum(
+            1 + r.inner_iterations + r.monotone_fallbacks for r in inner)
+        assert calls["sqamin.obm"] == 0
+        assert report.inner_iterations > 0
+
+    def test_inexactness_check_forms_its_own(self, monkeypatch):
+        calls = self._count_l1(monkeypatch)
+        rng = np.random.default_rng(7)
+        model = _random_model(rng, n=5)
+        x_hat = rng.normal(size=5)
+        report = inexactness_check(model, x_hat, eta=0.5, tau=0.5)
+        assert calls == Counter({"sqamin.driver": 1})
+        sval, _ = model.smooth_eval(x_hat)
+        assert report.q_candidate == sval + model.mu * np.abs(x_hat).sum()

@@ -56,7 +56,7 @@ class TestFistaComposite:
         start = _start(smooth, np.array([5.0, -3.0]))
         before = model.tally.hess_vec_products
         res = fista_composite(smooth, mu, soft_threshold, start,
-                              stop=lambda x, fx, gx: True, max_iter=50)
+                              stop=lambda x, fx, gx, penalty: True, max_iter=50)
         assert res.status == "converged"
         assert res.inner_iterations == 1
         assert model.tally.hess_vec_products - before == 1
@@ -161,7 +161,7 @@ class TestFistaComposite:
                                lambda v: H @ v, mu)
         values = []
 
-        def record(x, fx, gx):
+        def record(x, fx, gx, penalty):
             values.append(fx + mu * np.abs(x).sum())
             return False
 
@@ -254,7 +254,7 @@ class TestFistaComposite:
 
         values = []
 
-        def stop(x, fx, gx):
+        def stop(x, fx, gx, penalty):
             values.append(fx)
             return abs(x[0] - 2.0) <= 1e-10
 
@@ -271,7 +271,7 @@ class TestFistaComposite:
                                lambda v: v.copy(), 0.2)
         calls = []
 
-        def stop(x, fx, gx):
+        def stop(x, fx, gx, penalty):
             calls.append(x.copy())
             return False
 

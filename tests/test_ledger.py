@@ -44,3 +44,22 @@ def test_dense_workloads_match_the_ledger_with_one_blas_thread():
     _check(workloads, with_one_blas_thread(
         "import json, ledger; "
         f"print(json.dumps(ledger.compute({workloads!r})))"))
+
+
+def test_diff_names_each_move_but_not_objective_noise():
+    # regenerating the ledger moves objectives by about 2e-13 relative;
+    # only a move beyond the test's tolerance is named
+    old = {"quadratic/0/fista": dict(status="converged", objective=2.0,
+                                     **dict.fromkeys(ledger.COUNTERS, 7))}
+    new = {key: dict(row, objective=2.0 * (1.0 + 2.3e-13))
+           for key, row in old.items()}
+    assert ledger.moves(old, new) == []
+    new["quadratic/0/fista"].update(status="iteration_cap",
+                                    hess_vec_products=8, objective=2.5)
+    new["quadratic/1/fista"] = old["quadratic/0/fista"]
+    assert ledger.moves(old, new) == [
+        "quadratic/1/fista: new entry",
+        "quadratic/0/fista status: converged -> iteration_cap",
+        "quadratic/0/fista hess_vec_products: 7 -> 8",
+        "quadratic/0/fista objective: 2.0 -> 2.5",
+    ]

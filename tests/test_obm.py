@@ -532,7 +532,7 @@ class TestObmSolve:
         model = _centred_at(model, model_exact_minimizer(model))
         calls = []
 
-        def stop(z, sval, sgrad):
+        def stop(z, sval, sgrad, penalty, linear):
             Fq = sgrad - np.clip(sgrad - z / 0.5, -model.mu, model.mu)
             calls.append(np.linalg.norm(Fq))
             return np.linalg.norm(Fq) <= 1e-8
@@ -551,7 +551,7 @@ class TestObmSolve:
         w = x_ref - g_ref / D
         expected = np.sign(w) * np.maximum(np.abs(w) - mu / D, 0.0)
 
-        def stop(z, sval, sgrad):
+        def stop(z, sval, sgrad, penalty, linear):
             Fq = sgrad - np.clip(sgrad - z / 0.5, -mu, mu)
             return np.linalg.norm(Fq) <= 1e-12
 
@@ -573,7 +573,7 @@ class TestObmSolve:
                                store.hessian_vec, mu)
         ybar = model_exact_minimizer(model)
 
-        def stop(z, sval, sgrad):
+        def stop(z, sval, sgrad, penalty, linear):
             Fq = sgrad - np.clip(sgrad - z / 0.5, -mu, mu)
             return np.linalg.norm(Fq) <= 1e-10
 
@@ -617,7 +617,7 @@ class TestObmSolve:
         model = _random_model(rng)
         values = []
 
-        def stop(z, sval, sgrad):
+        def stop(z, sval, sgrad, penalty, linear):
             values.append(sval + model.mu * np.abs(z).sum())
             return False
 
@@ -678,7 +678,7 @@ class TestObmStallRecovery:
         monkeypatch.setattr(obm, "_ista_safeguard", spy)
         values = []
 
-        def stop(z, sval, sgrad):
+        def stop(z, sval, sgrad, penalty, linear):
             values.append(sval + model.mu * np.abs(z).sum())
             return False
 
@@ -748,3 +748,45 @@ class TestObmStallRecovery:
         outcome = obm._ista_safeguard(model, z, model.g_ref, model.q_ref)
         assert outcome is None
         assert model.tally.hess_vec_products == 1
+
+    def test_gives_up_when_the_safeguard_finds_no_decrease(self, monkeypatch):
+        # a model of value 0.5 x'Hx about 1e-13 at its reference point: every
+        # ascent search stalls, and the proximal-gradient steps decrease it
+        # until a decrease beyond the safeguard's 1e-15 margin is out of
+        # reach, where the solve ends on its last iterate
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(6, 6))
+        H = A @ A.T + np.eye(6)
+        x_ref = 1e-7 * rng.normal(size=6)
+        model = QuadraticModel(x_ref, H @ x_ref, 0.5 * x_ref @ H @ x_ref,
+                               lambda v: H @ v, 0.0)
+        monkeypatch.setattr(obm, "subspace_cg_solve",
+                            lambda model, face, v, cg_cap:
+                            (v.copy(), model.hessian(v)))
+        safeguard = obm._ista_safeguard
+        outcomes = []
+
+        def spy(*args):
+            before = model.tally.hess_vec_products
+            outcomes.append((safeguard(*args),
+                             model.tally.hess_vec_products - before))
+            return outcomes[-1][0]
+
+        monkeypatch.setattr(obm, "_ista_safeguard", spy)
+        iterates, values = [], []
+
+        def stop(z, sval, sgrad, penalty, linear):
+            iterates.append(z.copy())
+            values.append(sval + penalty)
+            return False
+
+        res = obm_solve(model, stop, outer_k=1, max_iter=1000)
+        assert res.status == "stalled"
+        # each iteration is a safeguard step; the last call gives up after
+        # its 60 halvings
+        assert res.inner_iterations == len(outcomes) - 1 > 0
+        assert all(o is not None for o, _ in outcomes[:-1])
+        assert outcomes[-1] == (None, 60)
+        np.testing.assert_array_equal(res.solution, iterates[-1])
+        assert res.model_decrease == model.q_ref - values[-1] > 0.0
+        assert 0.0 <= values[-1] < 1e-14
