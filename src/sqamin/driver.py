@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fista import fista_composite
+from .fista import _quadratic_on_line, fista_composite
 from .lbfgs import LbfgsStore
 from .model import ConvergenceReport, QuadraticModel, Telemetry, TraceRow
 from .obm import obm_solve
@@ -322,7 +322,7 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
                     model.smooth_eval, mu, soft_threshold, (x, fx, gx),
                     stop=partial(_fista_stop, stop, model),
                     max_iter=config.max_inner, lipschitz0=warm_lipschitz,
-                    quadratic=True)
+                    on_line=_quadratic_on_line)
                 warm_lipschitz = inner.lipschitz
             else:
                 inner = obm_solve(model, stop, k + 1, store,
@@ -377,7 +377,11 @@ def fista_baseline_solve(problem, config):
 
     No quadratic models and no Hessian-vector products; one evaluation point
     per smooth call, two per iteration plus backtracking (one after a step
-    with zero momentum).  Terminates on the max-norm of the optimality
+    with zero momentum).  A problem with an ``on_line`` hook (see
+    :class:`~sqamin.model.CompositeProblem`) has it form the momentum
+    point's value and gradient, one evaluation point that makes no
+    product by the design on a logistic loss; only where it returns None is
+    the point evaluated.  Terminates on the max-norm of the optimality
     residual.  The non-finite rule of :func:`sqa_solve` holds at the start
     and at each iterate the inner loop accepts.  A non-finite gradient at a
     momentum point ends the run ``"nonfinite_oracle"`` too, once the
@@ -393,6 +397,13 @@ def fista_baseline_solve(problem, config):
         tally.fg_evaluations += 1
         return val, (problem.gradient(z) if np.isfinite(val) else None)
 
+    def on_line(x, fx, gx, c, fc, gc, beta):
+        if beta == 0.0:  # the momentum point is c, evaluated
+            return None
+        momentum = problem.on_line(x, fx, gx, c, fc, gc, beta)
+        tally.fg_evaluations += momentum is not None
+        return momentum
+
     def stop(z, fz, gz, penalty):
         nonlocal x, status
         _, row, status = _keep(problem, tau, len(trace), z, fz, gz,
@@ -406,6 +417,8 @@ def fista_baseline_solve(problem, config):
     if status is None and not trace[0].residual_inf <= config.tol_inf:
         result = fista_composite(smooth, mu, soft_threshold, (x, fx, gx),
                                  stop=stop, max_iter=config.max_outer,
-                                 lipschitz0=1.0)
+                                 lipschitz0=1.0,
+                                 on_line=(None if problem.on_line is None
+                                          else on_line))
         status = status or result.status
     return x, _report("fista", status, trace, tally, t0, config.tol_inf)

@@ -3,12 +3,15 @@
 Generic over the smooth part: the same routine minimizes the per-iteration
 quadratic model (smooth evaluations cost one Hessian-vector product each) or
 the original composite objective (smooth evaluations cost one
-function/gradient call each).  On an exact quadratic the momentum point's
-value and gradient follow from those of the two iterates it extrapolates,
-so only the candidate of each step is evaluated.  The classical accelerated
-scheme is made monotone by falling back to a plain proximal step from the
-current iterate whenever the accelerated candidate would increase the
-objective; this keeps objective decrease available at any stopping time.
+function/gradient call each).  The momentum point lies on the line through
+the last two iterates, and an ``on_line`` hook may form its value and
+gradient from what is known there instead of a smooth evaluation: on an
+exact quadratic from the two iterates' values and gradients
+(:func:`_quadratic_on_line`), on a logistic loss from their margins.  The
+classical accelerated scheme is made monotone by falling back to a plain
+proximal step from the current iterate whenever the accelerated candidate
+would increase the objective; this keeps objective decrease available at
+any stopping time.
 """
 
 import math
@@ -63,13 +66,15 @@ def _backtracked_prox_step(smooth, mu, shrink, y, fy, gy, L):
             raise _CurvatureDiverged
 
 
-def _quadratic_on_line(x, fx, gx, c, fc, gc, s):
-    """Value and gradient of a quadratic at ``x + s (c - x)``, from its
-    values and gradients at ``x`` and ``c``.
+def _quadratic_on_line(x, fx, gx, c, fc, gc, beta):
+    """Value and gradient of a quadratic at ``c + beta (c - x)``, that is
+    ``x + s (c - x)`` with ``s = 1 + beta``, from its values and gradients
+    at ``x`` and ``c``: an ``on_line`` hook of :func:`fista_composite`.
 
     The gradient is affine, so it moves by ``s (gc - gx)``, and
     ``(gc - gx) @ (c - x)`` is the curvature along the line.
     """
+    s = 1.0 + beta
     e = c - x
     dg = gc - gx
     value = fx + s * float(gx @ e) + 0.5 * s * s * float(dg @ e)
@@ -77,7 +82,7 @@ def _quadratic_on_line(x, fx, gx, c, fc, gc, s):
 
 
 def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
-                    lipschitz0=1.0, quadratic=False):
+                    lipschitz0=1.0, on_line=None):
     """Minimize ``smooth(x) + mu * ||x||_1`` by accelerated proximal descent.
 
     Parameters
@@ -105,21 +110,25 @@ def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
         or ``"nonfinite_oracle"`` if it stepped from a non-finite gradient).
     lipschitz0 : float
         Initial curvature estimate; only ever increased.
-    quadratic : bool
-        ``smooth`` is an exact quadratic, such as a
-        :class:`~sqamin.model.QuadraticModel`'s ``smooth_eval``.  The
-        momentum point then lies on the line through the last two iterates,
-        and its value and gradient are extrapolated from theirs instead of
-        evaluated.
+    on_line : callable, optional
+        ``on_line(x, fx, gx, c, fc, gc, beta) -> (value, gradient) | None``,
+        called once per iteration after the stop test with the previous
+        iterate ``x``, the new one ``c`` (each with its smooth value and
+        gradient) and the momentum weight ``beta``.  It returns the smooth
+        value and gradient at the momentum point ``c + beta (c - x)``, or
+        None, and then that point is evaluated by ``smooth`` as without a
+        hook (unless ``beta`` is 0: the point is then ``c``).  A
+        :class:`~sqamin.model.QuadraticModel` takes
+        :func:`_quadratic_on_line`.
 
-    Evaluation counting is the caller's job, through the ``smooth`` callable.
-    Each regular iteration evaluates ``smooth`` twice, once at the momentum
-    point and once at the candidate, or only at the candidate when
-    ``quadratic`` is set: on the model that is one Hessian-vector product
-    per iteration.  After a step with zero momentum (``t = 1``: the first
-    and each restart) the momentum point is the candidate, and costs none.
-    Curvature backtracking and the monotone fallback add evaluations only
-    when they trigger.
+    Evaluation counting is the caller's job, through the ``smooth`` and
+    ``on_line`` callables.  Each regular iteration evaluates ``smooth``
+    twice, once at the momentum point and once at the candidate, or only at
+    the candidate when ``on_line`` answers: on the model that is one
+    Hessian-vector product per iteration.  After a step with zero momentum
+    (``t = 1``: the first and each restart) the momentum point is the
+    candidate, and costs none.  Curvature backtracking and the monotone
+    fallback add evaluations only when they trigger.
     """
     x, fx, gx = start
     qx = fx + l1_penalty(x, mu)
@@ -150,10 +159,7 @@ def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
             y_next = cand + beta * (cand - x)
-            momentum = (fc, gc) if beta == 0.0 else None  # y_next == cand
-            if quadratic:
-                momentum = _quadratic_on_line(x, fx, gx, cand, fc, gc,
-                                              1.0 + beta)
+            previous = x, fx, gx
             x, fx, gx, qx = cand, fc, gc, qc
             iterations += 1
             if stop is not None and stop(x, fx, gx, pc):
@@ -161,7 +167,11 @@ def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
                 break
             t = t_next
             y = y_next
-            fy, gy = smooth(y) if momentum is None else momentum
+            momentum = (None if on_line is None
+                        else on_line(*previous, x, fx, gx, beta))
+            if momentum is None:  # beta == 0 puts y on x
+                momentum = (fx, gx) if beta == 0.0 else smooth(y)
+            fy, gy = momentum
     except _CurvatureDiverged:  # gy is scanned here, not per evaluation
         finite = np.isfinite(gy).all()
         status = "line_search_failed" if finite else "nonfinite_oracle"

@@ -57,6 +57,14 @@ class CompositeProblem:
     full objective is ``value(x) + mu * ||x||_1``.  ``x0`` overrides the
     default all-zeros starting point (needed when zero lies outside the
     smooth part's domain, e.g. for log-det objectives).
+
+    ``on_line``, optional, is the FISTA baseline's momentum hook (see
+    :func:`~sqamin.fista.fista_composite`): the smooth value and gradient at
+    ``c + beta (c - x)`` from the iterates ``x`` and ``c``, or None.  It
+    must agree with ``value`` and ``gradient`` to rounding, since the
+    baseline takes its answer in place of theirs, so a
+    ``dataclasses.replace`` that swaps in unrelated oracles must also set
+    ``on_line=None``.
     """
 
     value: Callable[[np.ndarray], float]
@@ -65,6 +73,7 @@ class CompositeProblem:
     dim: int
     mu: float
     x0: Optional[np.ndarray] = None
+    on_line: Optional[Callable[..., Optional[tuple]]] = None
 
     def __post_init__(self):
         if self.dim < 1:

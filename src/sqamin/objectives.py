@@ -6,7 +6,11 @@ oracles of every problem share a one-point cache, reused while the solver
 stays at one iterate, so no problem should be shared between threads: one
 record per point of the logistic margins, their one exponential, sigmoid
 and Hessian, or of the log-det Cholesky factor and inverse, or the
-quadratic's ``A @ x``.  The logistic oracles multiply by a dense, CSC or
+quadratic's ``A @ x``.  The logistic cache also keeps the record that its
+last point replaced, which only its ``on_line`` hook reads: the FISTA
+baseline's momentum point lies on the line through its last two iterates,
+so its margins are extrapolated from theirs with no product by the design.
+The logistic oracles multiply by a dense, CSC or
 CSR layout of the design (see :attr:`LogisticDataset.operand`), and on a
 small dense one keep the Hessian as its Gram matrix; each product by it or
 by the quadratic's ``A`` reads one triangle (see :func:`_symv`).  The
@@ -145,28 +149,67 @@ class _OnePointCache:
     anything is stored.  A logistic or log-det state is a record, a dict to
     which a value built on first use there is added, so a new point drops it
     with the rest; its state function holds the data, not the cache, so a
-    dropped problem is freed at once.  Not thread-safe."""
+    dropped problem is freed at once.  A subclass that sets
+    ``_keeps_replaced`` also keeps the state a new point replaced, for
+    :meth:`recorded`, which computes nothing; :meth:`at` serves only the
+    last point's.  Not thread-safe."""
 
     _key = _kept = None
+    _keeps_replaced = False
+    _replaced = (None, None)  # the key and state that the last point replaced
 
     def __init__(self, state, dim=None):
         self._state = state
         self._dim = dim
 
-    def at(self, x):
+    @staticmethod
+    def _key_of(x):
         x = np.asarray(x, dtype=float)
-        key = x.shape, x.tobytes()
+        return x, (x.shape, x.tobytes())
+
+    def at(self, x):
+        x, key = self._key_of(x)
         if key != self._key:
             if self._dim is not None and x.shape != (self._dim,):
                 raise ValueError(f"expected dimension {self._dim}, got {x.shape}")
-            self._kept = self._state(x)
-            self._key = key
+            state = self._state(x)
+            if self._keeps_replaced:
+                self._replaced = self._key, self._kept
+            self._key, self._kept = key, state
         return self._kept
+
+    def recorded(self, x):
+        """The state at ``x`` if it is the last point asked for, or the one
+        before it under ``_keeps_replaced``, else None."""
+        key = self._key_of(x)[1]
+        for kept_key, state in ((self._key, self._kept), self._replaced):
+            if key == kept_key:
+                return state
+        return None
+
+
+def _margin_record(m):
+    """The record of margins ``m = y * (Z@x)``: ``m``, ``e = exp(-|m|)``,
+    the one exponential that value, gradient and Hessian read, and
+    ``s = sigmoid(-m)``: ``e/(1+e)`` where ``m > 0`` and ``1/(1+e)``
+    elsewhere, as ``max(e, m <= 0) / (1 + e)`` (``e <= 1``).  The exponent
+    is never positive, so nothing overflows; ``m = +inf`` gives ``s = 0``,
+    ``-inf`` gives 1 and NaN stays NaN."""
+    e = np.exp(-np.abs(m))
+    s = np.maximum(e, m <= 0.0)
+    s /= 1.0 + e
+    return {"m": m, "e": e, "s": s}
+
+
+def _mean_loss(rec):
+    loss = np.log1p(rec["e"])
+    loss -= np.minimum(rec["m"], 0.0)
+    return float(np.mean(loss))
 
 
 class _LogisticLinearization(_OnePointCache):
-    """The record of the last point asked for (see :meth:`_record`).  The
-    Hessian there is added to it, as ``"hess"``, by the first product: on a
+    """The record of the last point asked for (see :func:`_margin_record`).
+    The Hessian there is added to it, as ``"hess"``, by the first product: on a
     dense operand with ``n_features <= min(n_samples, 1000)`` as the Gram
     matrix ``G = (Zs.T @ Zs) / N``, ``Zs = sqrt(w) * Z`` with
     ``w = e / (1 + e)**2``, summed over row blocks (see :meth:`_gram`), and
@@ -174,7 +217,10 @@ class _LogisticLinearization(_OnePointCache):
     ``w``, and each product is ``Z.T (w * (Z v)) / N``.  An overflowing Gram
     gives NaN where an ``inf`` entry meets a zero of ``v``, where the two
     products might not; the solvers stop on either.  The transposed operand,
-    a view in every layout, is kept from its first use."""
+    a view in every layout, is kept from its first use.  The record that the
+    last point replaced is kept too, for :meth:`on_line`."""
+
+    _keeps_replaced = True
 
     def __init__(self, data):
         super().__init__(partial(self._record, data), data.n_features)
@@ -182,17 +228,7 @@ class _LogisticLinearization(_OnePointCache):
 
     @staticmethod
     def _record(data, x):
-        """Margins ``m = y * (Z@x)``, ``e = exp(-|m|)``, the one exponential
-        that value, gradient and Hessian read, and ``s = sigmoid(-m)``:
-        ``e/(1+e)`` where ``m > 0`` and ``1/(1+e)`` elsewhere, as
-        ``max(e, m <= 0) / (1 + e)`` (``e <= 1``).  The exponent is never
-        positive, so nothing overflows; ``m = +inf`` gives ``s = 0``,
-        ``-inf`` gives 1 and NaN stays NaN."""
-        m = data.labels * _product(data.operand, x)
-        e = np.exp(-np.abs(m))
-        s = np.maximum(e, m <= 0.0)
-        s /= 1.0 + e
-        return {"m": m, "e": e, "s": s}
+        return _margin_record(data.labels * _product(data.operand, x))
 
     @cached_property
     def _zt(self):
@@ -225,15 +261,33 @@ class _LogisticLinearization(_OnePointCache):
     def value(self, x):
         """Mean loss ``log(1 + exp(-m))`` as ``log1p(e) - min(m, 0)``,
         overflow-safe."""
-        rec = self.at(x)
-        loss = np.log1p(rec["e"])
-        loss -= np.minimum(rec["m"], 0.0)
-        return float(np.mean(loss))
+        return _mean_loss(self.at(x))
 
     def gradient(self, x):
         """``-(1/N) Z.T (y * sigmoid(-y * Zx))``."""
-        r = self.data.labels * self.at(x)["s"]
+        return self._gradient(self.at(x))
+
+    def _gradient(self, rec):
+        r = self.data.labels * rec["s"]
         return -np.asarray(_product(self._zt, r)) / self.data.n_samples
+
+    def on_line(self, x, fx, gx, c, fc, gc, beta):
+        """Value and gradient at the FISTA momentum point
+        ``c + beta (c - x)``, whose margins are ``m_c + beta (m_c - m_x)``
+        since margins are linear in the point: one product, the gradient's,
+        where evaluating the point makes two.  ``m_x`` and ``m_c`` come from
+        the records of ``x`` and ``c`` that the cache keeps (see
+        :class:`_OnePointCache`); without both it returns None.  The
+        momentum point's record is not kept.  The other arguments are
+        unused."""
+        rec_x, rec_c = self.recorded(x), self.recorded(c)
+        if rec_x is None or rec_c is None:
+            return None
+        m = rec_c["m"] - rec_x["m"]
+        m *= beta
+        m += rec_c["m"]
+        rec = _margin_record(m)
+        return _mean_loss(rec), self._gradient(rec)
 
     def hess_vec(self, x, v):
         """``(1/N) Z.T (w * (Z v))`` with ``w = s(1-s)`` as ``e/(1+e)**2``,
@@ -255,10 +309,13 @@ class _LogisticLinearization(_OnePointCache):
 
 def logistic_problem(data, mu):
     """Composite problem for the l1-regularized mean logistic loss.  Its
-    oracles share a one-point cache, so do not share it between threads."""
+    oracles share a one-point cache, so do not share it between threads;
+    its ``on_line`` hook extrapolates the FISTA momentum point's margins
+    from those kept there."""
     lin = _LogisticLinearization(data)
     return CompositeProblem(value=lin.value, gradient=lin.gradient,
-                            hess_vec=lin.hess_vec, dim=data.n_features, mu=mu)
+                            hess_vec=lin.hess_vec, dim=data.n_features, mu=mu,
+                            on_line=lin.on_line)
 
 
 def synthetic_logistic_dataset(n_samples, n_features, seed, feature_scale=1.0):

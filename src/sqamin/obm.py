@@ -140,9 +140,12 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     Armijo test against the subgradient linearization and does not increase
     the model value ``q_ref`` at ``z`` (projection can flip the sign of the
     linearized change, so the plain-decrease guard keeps the iterates
-    monotone).  Returns ``z``, stalled, when the step underflows, and at
-    once with a NaN ``q_value`` at a NaN trial.  A zero ``d`` that comes
-    without a hand-off raises ``ValueError``; :func:`obm_solve` passes none.
+    monotone).  Returns ``z``, stalled, when the step underflows or a
+    candidate equals ``z``, before that candidate is evaluated (both tests
+    would pass it with equality, and every shorter step rounds to ``z``
+    too), and at once with a NaN ``q_value`` at a NaN trial.  A zero ``d``
+    that comes without a hand-off raises ``ValueError``; :func:`obm_solve`
+    passes none.
 
     A trial that the projection leaves unclipped lies on the ray
     ``z + alpha d``.  When ``model.search_products`` holds
@@ -167,6 +170,10 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
         # at alpha = 1 the steps are d and hd themselves, the bits of 1.0 * d
         ray = z + (d if alpha == 1.0 else alpha * d)
         cand = orthant_project(ray, face)
+        step = cand - z
+        slope = float(v @ step)  # 0 at a step of zeros, the only scan then
+        if slope == 0.0 and not step.any():  # shorter steps leave z too
+            break
         on_ray = hd is not None and (cand == ray).all()
         dx = cand - model.x_ref
         hdx = (hz + (hd if alpha == 1.0 else alpha * hd) if on_ray
@@ -179,7 +186,7 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
             return ProjectedSearchResult(z, 0.0, trials, math.nan, None,
                                          math.nan, True)
         if (q_cand <= q_ref and
-                q_cand <= q_ref + ARMIJO_CONSTANT * float(v @ (cand - z))):
+                q_cand <= q_ref + ARMIJO_CONSTANT * slope):
             # an oracle's product is copied: it may reuse its output array
             return ProjectedSearchResult(cand, alpha, trials, sval, sgrad,
                                          q_cand, False,

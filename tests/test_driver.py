@@ -32,7 +32,7 @@ from sqamin import (
     synthetic_quadratic_matrices,
     write_report,
 )
-from sqamin import driver, fista, obm
+from sqamin import driver, fista, objectives, obm
 from sqamin.driver import _inexactness_from_eval
 from sqamin.io import SOLVERS
 
@@ -499,17 +499,28 @@ class TestRunCounters:
     def test_counters_match_oracle_calls(self, instance, solver, monkeypatch):
         calls = Counter()
         prob = self.INSTANCES[instance]()
+        hook = prob.on_line
+
+        def on_line(*args):  # an answer is an evaluation, a None is not
+            momentum = hook(*args)
+            calls["on_line"] += momentum is not None
+            return momentum
+
         prob = dataclasses.replace(
             prob,
             value=_counting(calls, "value", prob.value),
             hess_vec=_counting(calls, "hess_vec", prob.hess_vec),
+            on_line=None if hook is None else on_line,
         )
         monkeypatch.setattr(
             LbfgsStore, "hessian_vec",
             _counting(calls, "lbfgs_hessian_vec", LbfgsStore.hessian_vec))
         _, report = _run(prob, solver)
         assert report.status == "converged"
-        assert report.fg_evaluations == calls["value"] > 0
+        assert report.fg_evaluations == calls["value"] + calls["on_line"] > 0
+        # the logistic hook answers at the baseline's momentum points
+        assert (calls["on_line"] > 0) == (solver == "fista"
+                                          and instance == "logistic")
         if solver == "sqa_obm_qn":
             assert calls["hess_vec"] == 0
             assert report.hess_vec_products == calls["lbfgs_hessian_vec"] > 0
@@ -529,12 +540,22 @@ class TestLogisticOracleCache:
     def test_solve_matches_pure_oracles(self, solver):
         data = synthetic_logistic_dataset(80, 12, seed=4, feature_scale=2.0)
         fresh = lambda: logistic_problem(data, 0.05)
+
+        def on_line(x, fx, gx, c, fc, gc, beta):
+            # both margins from fresh products, extrapolated as the cached
+            # problem's hook does
+            problem = fresh()
+            problem.value(x)
+            problem.value(c)
+            return problem.on_line(x, fx, gx, c, fc, gc, beta)
+
         pure = CompositeProblem(
             value=lambda x: fresh().value(x),
             gradient=lambda x: fresh().gradient(x),
             hess_vec=lambda x, v: fresh().hess_vec(x, v),
             dim=data.n_features,
             mu=0.05,
+            on_line=on_line,
         )
         x_pure, r_pure = _run(pure, solver)
         x, report = _run(logistic_problem(data, 0.05), solver)
@@ -544,6 +565,36 @@ class TestLogisticOracleCache:
                      "hess_vec_products"):
             assert getattr(report, name) == getattr(r_pure, name)
         assert report.trace == r_pure.trace
+
+    def test_baseline_makes_no_design_product_at_a_momentum_point(
+            self, monkeypatch):
+        # every momentum point with nonzero momentum is answered by the
+        # hook; the design multiplies only the points that were evaluated
+        data = synthetic_logistic_dataset(80, 12, seed=4, feature_scale=2.0)
+        prob = logistic_problem(data, 0.05)
+        momentum_points = []
+
+        def on_line(x, fx, gx, c, fc, gc, beta):
+            momentum = prob.on_line(x, fx, gx, c, fc, gc, beta)
+            assert momentum is not None
+            momentum_points.append((c + beta * (c - x)).tobytes())
+            return momentum
+
+        operand = data.operand
+        forward = []
+        product = objectives._product
+
+        def counted(A, v):
+            if A is operand:
+                forward.append(np.asarray(v).tobytes())
+            return product(A, v)
+
+        monkeypatch.setattr(objectives, "_product", counted)
+        _, report = _run(dataclasses.replace(prob, on_line=on_line), "fista")
+        assert report.status == "converged"
+        assert momentum_points
+        assert not set(momentum_points) & set(forward)
+        assert len(forward) + len(momentum_points) == report.fg_evaluations
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_csc_layout_takes_the_csr_steps(self, solver):
@@ -733,6 +784,33 @@ class TestNonfiniteObjective:
         beta = float(momentum @ step) / float(step @ step)
         assert 0.0 < beta < 1.0
         np.testing.assert_allclose(momentum, beta * step, rtol=0, atol=1e-12)
+
+    def test_nan_gradient_from_the_momentum_hook_ends_the_run(self):
+        # the logistic hook answers at the baseline's momentum points; a NaN
+        # gradient in its fourth answer (at the momentum point after the fifth
+        # step) leaves a NaN candidate, and the run ends on the oracle
+        # with the last accepted iterate
+        prob = logistic_problem(
+            synthetic_logistic_dataset(80, 12, seed=4, feature_scale=2.0),
+            mu=0.05)
+        answers = []
+
+        def on_line(*args):
+            value, gradient = prob.on_line(*args)
+            answers.append(value)
+            if len(answers) > 3:
+                gradient = np.full(prob.dim, np.nan)
+            return value, gradient
+
+        bad = dataclasses.replace(prob, on_line=on_line)
+        x, report = _run(bad, "fista")
+        assert len(answers) == 4 and np.isfinite(answers).all()
+        assert report.status == "nonfinite_oracle"
+        assert report.outer_iterations == 5
+        assert len(report.trace) == report.outer_iterations + 1
+        assert np.isfinite(report.final_residual_inf)
+        x_clean, _ = _run(prob, "fista", max_outer=report.outer_iterations)
+        np.testing.assert_array_equal(x, x_clean)
 
     @staticmethod
     def _nan_gradient_after(prob, good):

@@ -111,7 +111,7 @@ class TestFistaComposite:
             before = model.tally.hess_vec_products
             res = fista_composite(smooth, mu, soft_threshold, start,
                                   max_iter=K, lipschitz0=1.01 * L_true,
-                                  quadratic=True)
+                                  on_line=_quadratic_on_line)
             expected = K + res.monotone_fallbacks
             assert model.tally.hess_vec_products - before == expected
 
@@ -125,10 +125,10 @@ class TestFistaComposite:
                                    float(rng.normal()), lambda v, H=H: H @ v,
                                    0.5)
             x, c = rng.normal(size=n), rng.normal(size=n)
-            s = 1.0 + float(rng.uniform())
+            beta = float(rng.uniform())
             fy, gy = _quadratic_on_line(x, *model.smooth_eval(x),
-                                        c, *model.smooth_eval(c), s)
-            sval, sgrad = model.smooth_eval(x + s * (c - x))
+                                        c, *model.smooth_eval(c), beta)
+            sval, sgrad = model.smooth_eval(c + beta * (c - x))
             assert fy == pytest.approx(sval, rel=1e-10)
             np.testing.assert_allclose(gy, sgrad, rtol=1e-10,
                                        atol=1e-10 * np.abs(sgrad).max())
@@ -143,8 +143,8 @@ class TestFistaComposite:
             smooth, mu = _model_pieces(model)
             runs = [fista_composite(smooth, mu, soft_threshold,
                                     _start(smooth, model.x_ref),
-                                    max_iter=50, quadratic=flag)
-                    for flag in (False, True)]
+                                    max_iter=50, on_line=hook)
+                    for hook in (None, _quadratic_on_line)]
             generic, extrapolated = runs
             assert extrapolated.inner_iterations == generic.inner_iterations
             assert (extrapolated.monotone_fallbacks
@@ -220,7 +220,8 @@ class TestFistaComposite:
 
         res = fista_composite(smooth, mu, shrink,
                               _start(model.smooth_eval, model.x_ref),
-                              max_iter=20, lipschitz0=l0, quadratic=True)
+                              max_iter=20, lipschitz0=l0,
+                              on_line=_quadratic_on_line)
         assert len(thresholds) == len(evaluated) > res.inner_iterations
         curvatures = [l0 * 2.0 ** j for j in range(60)]
         doublings = [next(j for j, L in enumerate(curvatures)

@@ -635,6 +635,77 @@ class TestLogisticProblemCache:
             monkeypatch.undo()
 
 
+def _layout_datasets(rng):
+    """One desk dataset per operand layout, keyed by the layout."""
+    return {"dense": _small_dataset(rng, 40, 8),
+            "csc": _rows_dataset(rng, 8, rng.integers(1, 3, size=60)),
+            "csr": _rows_dataset(rng, 40, np.full(30, 3))}
+
+
+class TestLogisticMomentumHook:
+    """``on_line`` forms the FISTA momentum point's value and gradient from
+    the margins of the two points the cache keeps, without a product by the
+    design."""
+
+    @staticmethod
+    def _hook(prob, x, c, beta):
+        # the hook reads margins only; the values and gradients it is
+        # passed are the caller's and go unused
+        return prob.on_line(x, None, None, c, None, None, beta)
+
+    @pytest.mark.parametrize("layout", ["dense", "csc", "csr"])
+    def test_matches_a_fresh_problem_at_the_momentum_point(self, layout):
+        rng = np.random.default_rng(31)
+        data = _layout_datasets(rng)[layout]
+        assert (isinstance(data.operand, np.ndarray) if layout == "dense"
+                else data.operand.format == layout)
+        for beta in (0.0, 0.3, 0.9, 1.7):
+            x, c = rng.normal(size=(2, data.n_features))
+            prob = logistic_problem(data, 0.1)
+            prob.value(x)
+            prob.gradient(c)
+            for first, second in ((x, c), (c, x)):  # either order is kept
+                value, gradient = self._hook(prob, first, second, beta)
+                y = second + beta * (second - first)
+                assert value == pytest.approx(_fresh(data).value(y),
+                                              rel=1e-12)
+                expected = _fresh(data).gradient(y)
+                np.testing.assert_allclose(
+                    gradient, expected, rtol=0,
+                    atol=1e-12 * np.abs(expected).max())
+
+    def test_answers_only_from_the_last_two_points(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        data = _small_dataset(rng)
+        prob = logistic_problem(data, 0.1)
+        x, c, w = rng.normal(size=(3, 6))
+        for point in (x, c, w):
+            prob.value(point)
+        products = []
+        product = objectives._product
+        monkeypatch.setattr(objectives, "_product",
+                            lambda A, v: products.append(A) or product(A, v))
+        assert self._hook(prob, x, c, 0.5) is None  # x was replaced
+        assert self._hook(prob, c, x, 0.5) is None
+        assert products == []  # a None costs nothing
+        assert self._hook(prob, c, w, 0.5) is not None
+        assert len(products) == 1  # the gradient's, by the transpose
+        assert products[0] is not data.operand
+        # a point changed in place after the cache saw it is a new point
+        c[2] += 0.25
+        assert self._hook(prob, c, w, 0.5) is None
+        c[2] -= 0.25
+        assert self._hook(prob, c, w, 0.5) is not None
+        # the momentum point's record is not kept: w is still the last point
+        products.clear()
+        prob.value(w)
+        assert products == []
+        # and the oracles are served the last point only: c is recomputed
+        value = prob.value(c)
+        assert len(products) == 1
+        assert _bitwise(value, _fresh(data).value(c))
+
+
 class TestLogisticGram:
     """On a dense operand with no more features than samples and at most
     ``_GRAM_MAX_FEATURES`` of them, the Hessian at a point is built once as

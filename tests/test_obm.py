@@ -381,6 +381,24 @@ class TestProjectedLineSearch:
         np.testing.assert_array_equal(outcome.point, z)
         assert outcome.q_value == q_z
 
+    def test_candidate_equal_to_the_input_stalls_unevaluated(self):
+        # a direction below the rounding of z leaves every trial on z; both
+        # tests would pass it with equality, so it ends the search at once
+        model = QuadraticModel(np.zeros(3), np.array([0.1, -0.2, 0.3]), 0.0,
+                               lambda w: 2.0 * w, 0.5)
+        z = np.array([1.0, 2.0, 3.0])
+        v = min_norm_subgradient_from_gradient(model.smooth_eval(z)[1], z,
+                                               model.mu)
+        q_z = model_value(model, z)
+        products = model.tally.hess_vec_products
+        outcome = obm_projected_line_search(model, z, orthant_face(z, v),
+                                            -1e-20 * v, v, q_z)
+        assert outcome.stalled
+        assert (outcome.alpha, outcome.trials) == (0.0, 0)
+        assert model.tally.hess_vec_products == products
+        np.testing.assert_array_equal(outcome.point, z)
+        assert outcome.q_value == q_z
+
     def test_candidate_conforms_to_face(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -741,6 +759,29 @@ class TestObmStallRecovery:
         assert res.model_decrease == 0.0
         assert model.tally.hess_vec_products <= 2
         np.testing.assert_array_equal(res.solution, model.x_ref)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stalls_soon_after_its_last_decrease(self, seed):
+        # at the model's rounding floor a search accepted trials that left
+        # z unchanged, one product each, until max_iter (1000 iterations
+        # and 1001 products; the last decrease came at iteration 64, 142
+        # or 112); such a trial now stalls the search, and the safeguard,
+        # which demands strict decrease, ends the solve
+        model = _random_model(np.random.default_rng(seed))
+        iterates, values = [], []  # from the start, which stop sees first
+
+        def stop(z, sval, sgrad, penalty, linear):
+            iterates.append(z.copy())
+            values.append(sval + penalty)
+            return False
+
+        res = obm_solve(model, stop, 1, max_iter=1000)
+        assert res.status == "stalled"
+        last_decrease = max(np.nonzero(np.diff(values) < 0.0)[0]) + 1
+        assert res.inner_iterations - last_decrease < 50
+        assert model.tally.hess_vec_products < 600
+        assert np.all(np.diff(values) <= 0.0)
+        assert all((a != b).any() for a, b in zip(iterates, iterates[1:]))
 
     def test_safeguard_gives_up_at_its_first_nan_trial(self):
         model = _nan_model([1.0, -1.0, 0.5], np.array([3.0, 0.2, -0.1]))
