@@ -106,17 +106,6 @@ def _inexactness_report(model, x_hat, sval, sgrad, penalty, linear, eta, tau,
     )
 
 
-def _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode, zeta,
-                           ref_residual_norm):
-    """Evaluate the inexactness conditions from a precomputed smooth eval,
-    forming the l1 and linear terms at ``x_hat`` here."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    linear = float(model.g_ref @ (x_hat - model.x_ref))
-    return _inexactness_report(model, x_hat, sval, sgrad,
-                               l1_penalty(x_hat, model.mu), linear, eta, tau,
-                               mode, zeta, ref_residual_norm)
-
-
 def inexactness_check(model, x_hat, eta, tau, mode="strengthened", zeta=0.25):
     """Is ``x_hat`` an acceptable approximate minimizer of the model?
 
@@ -124,16 +113,20 @@ def inexactness_check(model, x_hat, eta, tau, mode="strengthened", zeta=0.25):
     the residual norm at the reference point, together with model decrease:
     simple mode asks for any decrease, strengthened mode for at least
     ``zeta`` times the linear model's decrease.  Costs one Hessian-vector
-    product, and forms its own l1 and linear terms.  The returned report is
-    truthy iff both conditions hold and carries both sides of both
-    inequalities.
+    product, and takes the smooth value, gradient and linear term from
+    :meth:`~sqamin.model.QuadraticModel.step_eval`, as the OBM stop does.
+    The returned report is truthy iff both conditions hold and carries both
+    sides of both inequalities.
     """
     ref_norm = float(
         np.linalg.norm(residual(model.x_ref, model.g_ref, tau, model.mu))
     )
-    sval, sgrad = model.smooth_eval(x_hat)
-    return _inexactness_from_eval(model, x_hat, sval, sgrad, eta, tau, mode,
-                                  zeta, ref_norm)
+    x_hat = model._check_dim(x_hat)
+    dx = x_hat - model.x_ref
+    sval, sgrad, linear = model.step_eval(dx, model.apply_hessian(dx))
+    return _inexactness_report(model, x_hat, sval, sgrad,
+                               l1_penalty(x_hat, model.mu), linear, eta, tau,
+                               mode, zeta, ref_norm)
 
 
 class LineSearchError(RuntimeError):
@@ -306,10 +299,8 @@ def sqa_solve(problem, config, hessian_source=None, observer=None):
     while (status is None and not trace[-1].residual_inf <= config.tol_inf
            and k < config.max_outer):
         res_norm2 = float(np.linalg.norm(F))
-        if store is not None:
-            hess_op = store.hessian_vec
-        else:
-            hess_op = lambda v, _x=x: problem.hess_vec(_x, v)
+        hess_op = (partial(problem.hess_vec, x) if store is None
+                   else store.hessian_vec)
         model = QuadraticModel(x, gx, fx, hess_op, mu, tally)
         eta = _eta_value(config, k + 1, res_norm2)
         stop = partial(_inexactness_report, model, eta=eta, tau=tau,
@@ -376,10 +367,10 @@ def fista_baseline_solve(problem, config):
     """Accelerated proximal gradient applied directly to the objective.
 
     No quadratic models and no Hessian-vector products; one evaluation point
-    per smooth call, two per iteration plus backtracking (one after a step
-    with zero momentum).  A problem with an ``on_line`` hook (see
-    :class:`~sqamin.model.CompositeProblem`) has it form the momentum
-    point's value and gradient, one evaluation point that makes no
+    per smooth call, two per iteration plus backtracking (one in the last
+    and after a step with zero momentum).  A problem with an ``on_line``
+    hook (see :class:`~sqamin.model.CompositeProblem`) has it form the
+    momentum point's value and gradient, one evaluation point that makes no
     product by the design on a logistic loss; only where it returns None is
     the point evaluated.  Terminates on the max-norm of the optimality
     residual.  The non-finite rule of :func:`sqa_solve` holds at the start

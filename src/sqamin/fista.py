@@ -81,7 +81,7 @@ def _quadratic_on_line(x, fx, gx, c, fc, gc, beta):
     return value, gx + s * dg
 
 
-def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
+def fista_composite(smooth, mu, shrink, start, stop, max_iter=1000,
                     lipschitz0=1.0, on_line=None):
     """Minimize ``smooth(x) + mu * ||x||_1`` by accelerated proximal descent.
 
@@ -100,7 +100,7 @@ def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
         ``(x, value, gradient)``: the initial point with its smooth value and
         gradient, both finite.  The caller evaluates and checks the start,
         so it costs no evaluation here.
-    stop : callable, optional
+    stop : callable
         ``stop(x, smooth_value, smooth_gradient, penalty)`` evaluated after
         every accepted iterate, ``penalty`` being the l1 term at ``x`` that
         the monotone test formed; a truthy return ends the run.
@@ -112,9 +112,9 @@ def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
         Initial curvature estimate; only ever increased.
     on_line : callable, optional
         ``on_line(x, fx, gx, c, fc, gc, beta) -> (value, gradient) | None``,
-        called once per iteration after the stop test with the previous
-        iterate ``x``, the new one ``c`` (each with its smooth value and
-        gradient) and the momentum weight ``beta``.  It returns the smooth
+        called after the stop test when another iteration follows, with the
+        previous iterate ``x``, the new one ``c`` (each with its smooth value
+        and gradient) and the momentum weight ``beta``.  It returns the smooth
         value and gradient at the momentum point ``c + beta (c - x)``, or
         None, and then that point is evaluated by ``smooth`` as without a
         hook (unless ``beta`` is 0: the point is then ``c``).  A
@@ -127,8 +127,8 @@ def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
     the candidate when ``on_line`` answers: on the model that is one
     Hessian-vector product per iteration.  After a step with zero momentum
     (``t = 1``: the first and each restart) the momentum point is the
-    candidate, and costs none.  Curvature backtracking and the monotone
-    fallback add evaluations only when they trigger.
+    candidate, and costs none; the last iteration forms none.  Curvature
+    backtracking and the monotone fallback add evaluations only on trigger.
     """
     x, fx, gx = start
     qx = fx + l1_penalty(x, mu)
@@ -156,17 +156,18 @@ def fista_composite(smooth, mu, shrink, start, stop=None, max_iter=1000,
                 cand, fc, gc, L = prox_step(y, fy, gy, L)
                 pc = l1_penalty(cand, mu)
                 qc = fc + pc
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_next
-            y_next = cand + beta * (cand - x)
             previous = x, fx, gx
             x, fx, gx, qx = cand, fc, gc, qc
             iterations += 1
-            if stop is not None and stop(x, fx, gx, pc):
+            if stop(x, fx, gx, pc):
                 status = "converged"
                 break
+            if iterations == max_iter:  # no later step reads a momentum point
+                break
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            y = x + beta * (x - previous[0])
             t = t_next
-            y = y_next
             momentum = (None if on_line is None
                         else on_line(*previous, x, fx, gx, beta))
             if momentum is None:  # beta == 0 puts y on x

@@ -136,19 +136,12 @@ class QuadraticModel:
         self.tally.hess_vec_products += 1
         return self.hessian(v)
 
-    def smooth_eval(self, x, hdx=None):
-        """Value and gradient of the smooth (quadratic) part at ``x``.
-
-        Both follow from ``hdx = H dx`` with ``dx = x - x_ref``: the gradient
-        is ``g_ref + hdx`` and the value needs ``dx @ hdx``.  A caller that
-        already knows ``hdx`` passes it and pays no Hessian-vector product;
-        otherwise one product is applied.  Nothing is kept on the model.
-        """
-        x = self._check_dim(x)
-        dx = x - self.x_ref
-        if hdx is None:
-            hdx = self.apply_hessian(dx)
-        val, grad, _ = self.step_eval(dx, hdx)
+    def smooth_eval(self, x):
+        """Value and gradient of the smooth (quadratic) part at ``x``, by
+        :meth:`step_eval` after one Hessian-vector product; nothing is kept
+        on the model."""
+        dx = self._check_dim(x) - self.x_ref
+        val, grad, _ = self.step_eval(dx, self.apply_hessian(dx))
         return val, grad
 
     def step_eval(self, dx, hdx):

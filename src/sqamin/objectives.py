@@ -6,8 +6,8 @@ oracles of every problem share a one-point cache, reused while the solver
 stays at one iterate, so no problem should be shared between threads: one
 record per point of the logistic margins, their one exponential, sigmoid
 and Hessian, or of the log-det Cholesky factor and inverse, or the
-quadratic's ``A @ x``.  The logistic cache also keeps the record that its
-last point replaced, which only its ``on_line`` hook reads: the FISTA
+quadratic's ``A @ x``.  Each cache also keeps the record that its last
+point replaced, which only the logistic ``on_line`` hook reads: the FISTA
 baseline's momentum point lies on the line through its last two iterates,
 so its margins are extrapolated from theirs with no product by the design.
 The logistic oracles multiply by a dense, CSC or
@@ -149,13 +149,12 @@ class _OnePointCache:
     anything is stored.  A logistic or log-det state is a record, a dict to
     which a value built on first use there is added, so a new point drops it
     with the rest; its state function holds the data, not the cache, so a
-    dropped problem is freed at once.  A subclass that sets
-    ``_keeps_replaced`` also keeps the state a new point replaced, for
-    :meth:`recorded`, which computes nothing; :meth:`at` serves only the
-    last point's.  Not thread-safe."""
+    dropped problem is freed at once.  The state a new point replaced is
+    kept too, for :meth:`recorded`, which computes nothing; :meth:`at`
+    serves only the last point's.  So a cache holds two states, and only
+    the logistic ``on_line`` hook reads the older one.  Not thread-safe."""
 
     _key = _kept = None
-    _keeps_replaced = False
     _replaced = (None, None)  # the key and state that the last point replaced
 
     def __init__(self, state, dim=None):
@@ -173,14 +172,13 @@ class _OnePointCache:
             if self._dim is not None and x.shape != (self._dim,):
                 raise ValueError(f"expected dimension {self._dim}, got {x.shape}")
             state = self._state(x)
-            if self._keeps_replaced:
-                self._replaced = self._key, self._kept
+            self._replaced = self._key, self._kept
             self._key, self._kept = key, state
         return self._kept
 
     def recorded(self, x):
         """The state at ``x`` if it is the last point asked for, or the one
-        before it under ``_keeps_replaced``, else None."""
+        before it, else None."""
         key = self._key_of(x)[1]
         for kept_key, state in ((self._key, self._kept), self._replaced):
             if key == kept_key:
@@ -217,10 +215,8 @@ class _LogisticLinearization(_OnePointCache):
     ``w``, and each product is ``Z.T (w * (Z v)) / N``.  An overflowing Gram
     gives NaN where an ``inf`` entry meets a zero of ``v``, where the two
     products might not; the solvers stop on either.  The transposed operand,
-    a view in every layout, is kept from its first use.  The record that the
-    last point replaced is kept too, for :meth:`on_line`."""
-
-    _keeps_replaced = True
+    a view in every layout, is kept from its first use.  :meth:`on_line`
+    reads the record that the last point replaced, which the cache keeps."""
 
     def __init__(self, data):
         super().__init__(partial(self._record, data), data.n_features)

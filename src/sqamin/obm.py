@@ -227,14 +227,13 @@ def obm_solve(model, stop, outer_k, store=None, *, max_iter):
     The subspace phase runs truncated conjugate gradients with the
     outer-iteration budget ``min(3, 1 + outer_k // 10)``, or, given a
     quasi-Newton ``store``, solves that store's reduced system exactly.
-    ``stop`` has the signature
-    ``stop(z, smooth_value, smooth_grad, penalty, linear)`` and is checked
-    at the start and after every accepted iterate; ``penalty`` is the l1
-    term at ``z`` and ``linear`` is ``g_ref @ (z - x_ref)``, as the search
-    or safeguard step that accepted ``z`` formed them (0 at the start, the
-    reference point).  Model values are
-    nonincreasing along the iterates; a stalled projected search falls back
-    to a proximal-gradient step with guaranteed decrease before giving up.
+    The required ``stop(z, smooth_value, smooth_grad, penalty, linear)``
+    is checked at the start and after every accepted iterate; ``penalty``
+    is the l1 term at ``z`` and ``linear`` is ``g_ref @ (z - x_ref)``, as
+    the search or safeguard step that accepted ``z`` formed them (0 at the
+    start, the reference point).  Model values are nonincreasing along the
+    iterates; a stalled projected search falls back to a
+    proximal-gradient step with guaranteed decrease before giving up.
     A NaN trial value, or a zero minimum-norm subgradient (an exact model
     minimizer, where no step decreases the model), ends the solve with
     status ``"stalled"``; ``max_iter`` iterates end it ``"iteration_cap"``.
@@ -256,7 +255,7 @@ def obm_solve(model, stop, outer_k, store=None, *, max_iter):
     cg_cap = cg_budget(outer_k)
     iterations = 0
     status = "iteration_cap"
-    done = stop is not None and stop(z, sval, sgrad, penalty, linear)
+    done = stop(z, sval, sgrad, penalty, linear)
     while not done and iterations < max_iter:
         v = min_norm_subgradient_from_gradient(sgrad, z, model.mu)
         face = orthant_face(z, v)
@@ -280,7 +279,7 @@ def obm_solve(model, stop, outer_k, store=None, *, max_iter):
                                outcome.smooth_grad, outcome.q_value)
         hz, penalty, linear = outcome.product, outcome.penalty, outcome.linear
         iterations += 1
-        done = stop is not None and stop(z, sval, sgrad, penalty, linear)
+        done = stop(z, sval, sgrad, penalty, linear)
     if done:
         status = "converged"
     return InnerResult(z, iterations, q_start - q_z, status)

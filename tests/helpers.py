@@ -50,6 +50,12 @@ def model_value(model, x):
     return sval + model.mu * float(np.abs(x).sum())
 
 
+def never_stop(*_):
+    """A stop test for ``fista_composite`` or ``obm_solve`` that never ends
+    the run, so that only its iteration cap or a stall does."""
+    return False
+
+
 def face_active_set(face):
     """Indices pinned to zero on an orthant face, given as its sign vector."""
     return np.flatnonzero(face == 0)

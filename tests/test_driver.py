@@ -33,7 +33,6 @@ from sqamin import (
     write_report,
 )
 from sqamin import driver, fista, objectives, obm
-from sqamin.driver import _inexactness_from_eval
 from sqamin.io import SOLVERS
 
 from helpers import (
@@ -142,18 +141,14 @@ class TestInexactnessCheck:
         assert rep.residual_norm.hex() == float(np.linalg.norm(F)).hex()
 
     def test_linear_side_follows_a_point_changed_in_place(self):
-        # the stop test reuses smooth_eval's g_ref @ dx only while the point
-        # is byte for byte the one the model evaluated last
         rng = np.random.default_rng(6)
         model = _random_model(rng, n=40)
         xhat = rng.normal(size=40)
-        sval, sgrad = model.smooth_eval(xhat)
         for edit in (None, 0.0):
             if edit is not None:
                 xhat[::3] = edit
-            rep = _inexactness_from_eval(model, xhat, sval, sgrad, eta=0.5,
-                                         tau=0.5, mode="strengthened",
-                                         zeta=0.25, ref_residual_norm=1.0)
+            rep = inexactness_check(model, xhat, eta=0.5, tau=0.5,
+                                    mode="strengthened", zeta=0.25)
             expected = 0.25 * (model.linear_value(xhat) - model.q_ref)
             assert rep.decrease_rhs.hex() == expected.hex()
 
@@ -878,6 +873,32 @@ class TestFistaBaseline:
         _, report = fista_baseline_solve(prob, SolverConfig())
         phis = objective_values(report)
         assert np.all(np.diff(phis) <= 1e-12)
+
+    @pytest.mark.parametrize("instance", sorted(TestRunCounters.INSTANCES))
+    def test_capped_run_evaluates_nothing_after_its_last_iterate(self,
+                                                                instance):
+        # no momentum point follows the last iterate that max_outer allows:
+        # no later step would read it
+        prob = TestRunCounters.INSTANCES[instance]()
+        evaluated = []  # points given to value; None for a hook's answer
+
+        def on_line(*args):
+            momentum = prob.on_line(*args)
+            if momentum is not None:
+                evaluated.append(None)
+            return momentum
+
+        traced = dataclasses.replace(
+            prob, value=lambda z: evaluated.append(np.copy(z)) or prob.value(z),
+            on_line=None if prob.on_line is None else on_line)
+        x, report = fista_baseline_solve(traced, SolverConfig(max_outer=5))
+        assert report.status == "iteration_cap"
+        assert report.outer_iterations == 5
+        assert report.fg_evaluations == len(evaluated)
+        assert evaluated[-1] is not None
+        assert evaluated[-1].tobytes() == x.tobytes()
+        hook_answers = sum(point is None for point in evaluated)
+        assert (hook_answers > 0) == (prob.on_line is not None)
 
 
 class TestDecreaseProperties:

@@ -6,7 +6,7 @@ import pytest
 from sqamin import QuadraticModel, fista_composite, soft_threshold
 from sqamin.fista import _quadratic_on_line
 
-from helpers import model_value, quadratic_l1_minimizer
+from helpers import model_value, never_stop, quadratic_l1_minimizer
 
 
 def _model_pieces(model):
@@ -28,7 +28,7 @@ class TestFistaComposite:
         rng = np.random.default_rng(0)
         start = rng.normal(size=n) * 5
         res = fista_composite(smooth, mu, soft_threshold,
-                              _start(smooth, start), max_iter=1,
+                              _start(smooth, start), never_stop, max_iter=1,
                               lipschitz0=1.0)
         np.testing.assert_allclose(res.solution, x_ref, atol=1e-12)
 
@@ -43,8 +43,8 @@ class TestFistaComposite:
         expected = np.sign(w) * np.maximum(np.abs(w) - mu / D, 0.0)
         smooth, mu = _model_pieces(model)
         res = fista_composite(smooth, mu, soft_threshold,
-                              _start(smooth, np.zeros(2)), max_iter=4000,
-                              lipschitz0=2.0)
+                              _start(smooth, np.zeros(2)), never_stop,
+                              max_iter=4000, lipschitz0=2.0)
         np.testing.assert_allclose(res.solution, expected, atol=1e-8)
 
     def test_vacuous_stop_ends_after_one_iteration(self):
@@ -70,7 +70,8 @@ class TestFistaComposite:
                                lambda v: H @ v, 0.3)
         smooth, mu = _model_pieces(model)
         res = fista_composite(smooth, mu, soft_threshold,
-                              _start(smooth, model.x_ref), max_iter=3)
+                              _start(smooth, model.x_ref), never_stop,
+                              max_iter=3)
         assert res.status == "iteration_cap"
         assert res.inner_iterations == 3
 
@@ -78,7 +79,8 @@ class TestFistaComposite:
         # one product per distinct point: at the momentum point and at the
         # candidate; the monotone fallback adds its own and is reported, a
         # step with t = 1 (the first and each fallback's) puts the next
-        # momentum point on its candidate, and the start costs none
+        # momentum point on its candidate, and the start costs none; K
+        # capped iterations form K - 1 momentum points, none after the last
         rng = np.random.default_rng(2)
         A = rng.normal(size=(8, 8))
         H = A @ A.T + np.eye(8)
@@ -91,9 +93,11 @@ class TestFistaComposite:
             start = _start(smooth, model.x_ref)
             before = model.tally.hess_vec_products
             res = fista_composite(smooth, mu, soft_threshold, start,
-                                  max_iter=K, lipschitz0=1.01 * L_true)
+                                  never_stop, max_iter=K,
+                                  lipschitz0=1.01 * L_true)
             zero_momentum_steps = 1 + res.monotone_fallbacks
-            expected = 2 * K + res.monotone_fallbacks - zero_momentum_steps
+            momentum_points = K - 1 - zero_momentum_steps
+            expected = K + res.monotone_fallbacks + momentum_points
             assert model.tally.hess_vec_products - before == expected
 
     def test_one_hessian_product_per_iteration_on_a_quadratic(self):
@@ -110,7 +114,8 @@ class TestFistaComposite:
             start = _start(smooth, model.x_ref)
             before = model.tally.hess_vec_products
             res = fista_composite(smooth, mu, soft_threshold, start,
-                                  max_iter=K, lipschitz0=1.01 * L_true,
+                                  never_stop, max_iter=K,
+                                  lipschitz0=1.01 * L_true,
                                   on_line=_quadratic_on_line)
             expected = K + res.monotone_fallbacks
             assert model.tally.hess_vec_products - before == expected
@@ -142,7 +147,7 @@ class TestFistaComposite:
                                    0.0, lambda v, H=H: H @ v, 0.4)
             smooth, mu = _model_pieces(model)
             runs = [fista_composite(smooth, mu, soft_threshold,
-                                    _start(smooth, model.x_ref),
+                                    _start(smooth, model.x_ref), never_stop,
                                     max_iter=50, on_line=hook)
                     for hook in (None, _quadratic_on_line)]
             generic, extrapolated = runs
@@ -183,7 +188,8 @@ class TestFistaComposite:
         expected, _ = quadratic_l1_minimizer(H, c, mu)
         smooth, mu = _model_pieces(model)
         res = fista_composite(smooth, mu, soft_threshold,
-                              _start(smooth, x_ref), max_iter=5000)
+                              _start(smooth, x_ref), never_stop,
+                              max_iter=5000)
         np.testing.assert_allclose(res.solution, expected, atol=1e-7)
 
     def test_model_decrease_recorded(self):
@@ -192,7 +198,8 @@ class TestFistaComposite:
                                lambda v: v.copy(), 0.2)
         smooth, mu = _model_pieces(model)
         res = fista_composite(smooth, mu, soft_threshold,
-                              _start(smooth, model.x_ref), max_iter=100)
+                              _start(smooth, model.x_ref), never_stop,
+                              max_iter=100)
         q0 = model_value(model, model.x_ref)
         qf = model_value(model, res.solution)
         assert res.model_decrease == pytest.approx(q0 - qf, abs=1e-12)
@@ -220,7 +227,7 @@ class TestFistaComposite:
 
         res = fista_composite(smooth, mu, shrink,
                               _start(model.smooth_eval, model.x_ref),
-                              max_iter=20, lipschitz0=l0,
+                              never_stop, max_iter=20, lipschitz0=l0,
                               on_line=_quadratic_on_line)
         assert len(thresholds) == len(evaluated) > res.inner_iterations
         curvatures = [l0 * 2.0 ** j for j in range(60)]
@@ -236,7 +243,8 @@ class TestFistaComposite:
         # estimate doubles past its limit without accepting a step
         smooth = lambda z: (0.0, np.ones(2)) if not np.any(z) else (np.inf, None)
         res = fista_composite(smooth, 0.0, soft_threshold,
-                              _start(smooth, np.zeros(2)), max_iter=5)
+                              _start(smooth, np.zeros(2)), never_stop,
+                              max_iter=5)
         assert res.status == "line_search_failed"
         assert res.inner_iterations == 0
         assert res.model_decrease == 0.0

@@ -79,6 +79,8 @@ class TestQuadraticModelValue:
 
 
 class TestSmoothEvalFromKnownProduct:
+    """``step_eval`` evaluates the smooth part from a known product."""
+
     def test_known_product_matches_and_costs_nothing(self):
         rng = np.random.default_rng(4)
         model = _random_model(rng)
@@ -87,10 +89,12 @@ class TestSmoothEvalFromKnownProduct:
             x = rng.normal(size=5)
             sval, sgrad = model.smooth_eval(x)
             before = model.tally.hess_vec_products
-            kval, kgrad = model.smooth_eval(x, H @ (x - model.x_ref))
+            dx = x - model.x_ref
+            kval, kgrad, linear = model.step_eval(dx, H @ dx)
             assert model.tally.hess_vec_products == before
             assert kval == pytest.approx(sval, rel=1e-12)
             np.testing.assert_allclose(kgrad, sgrad, rtol=1e-12, atol=1e-12)
+            assert linear.hex() == float(model.g_ref @ dx).hex()
 
     def test_leaves_every_model_attribute_unchanged(self):
         # same attributes, same objects, same contents: the model keeps no
@@ -103,7 +107,8 @@ class TestSmoothEvalFromKnownProduct:
         for _ in range(3):
             x = rng.normal(size=5)
             model.smooth_eval(x)
-            model.smooth_eval(x, model.hessian(x - model.x_ref))
+            dx = x - model.x_ref
+            model.step_eval(dx, model.hessian(dx))
         assert vars(model).keys() == attributes.keys()
         assert all(vars(model)[k] is v for k, v in attributes.items())
         for k, v in contents.items():

@@ -1352,6 +1352,30 @@ class TestOnePointCache:
         assert states[2][derived] is again
 
     @pytest.mark.parametrize("family", ["logistic", "covariance", "quadratic"])
+    def test_holds_exactly_two_records(self, family, monkeypatch):
+        # the last point's and the one it replaced: the first of three
+        # points is dropped, which bounds what the cache holds
+        caches = []
+        cls = objectives._OnePointCache
+        init = cls.__init__
+
+        def kept_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            caches.append(self)
+
+        monkeypatch.setattr(cls, "__init__", kept_init)
+        prob, x = _one_point_problem(family, np.random.default_rng(25))
+        points = [x, x.copy(), x.copy()]
+        points[1][0] += 0.25  # first diagonal entries of covariance points
+        points[2][0] += 0.5
+        for point in points:
+            prob.value(point)
+        (cache,) = caches
+        assert cache.recorded(points[0]) is None
+        assert cache.recorded(points[1]) is not None
+        assert cache.recorded(points[2]) is cache.at(points[2])
+
+    @pytest.mark.parametrize("family", ["logistic", "covariance", "quadratic"])
     def test_hess_vec_rejects_a_direction_of_another_shape(self, family):
         prob, x = _one_point_problem(family, np.random.default_rng(24))
         for v in (x[:, None].copy(), np.append(x, 0.0)):

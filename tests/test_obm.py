@@ -27,6 +27,7 @@ from helpers import (
     nested_min_norm_subgradient,
     nested_orthant_face_signs,
     nested_orthant_project,
+    never_stop,
 )
 
 
@@ -624,7 +625,7 @@ class TestObmSolve:
             runs = []
             for hessian in (lambda v: H @ v, into_buffer):
                 model = QuadraticModel(x_ref, g_ref, 0.0, hessian, 0.5)
-                res = obm_solve(model, None, outer_k, max_iter=40)
+                res = obm_solve(model, never_stop, outer_k, max_iter=40)
                 runs.append((res.solution.tobytes(), res.inner_iterations,
                              res.status, model.tally.hess_vec_products))
             assert runs[0] == runs[1]
@@ -730,7 +731,7 @@ class TestObmStallRecovery:
                                lambda w: w.copy(), 1.0)
         ybar = np.array([2.0, 0.0, -1.0])
         model = _centred_at(model, ybar)
-        res = obm_solve(model, None, outer_k=1, max_iter=1000)
+        res = obm_solve(model, never_stop, outer_k=1, max_iter=1000)
         assert res.status == "stalled"
         assert res.inner_iterations == 0
         assert res.model_decrease == 0.0
@@ -751,7 +752,7 @@ class TestObmStallRecovery:
             return projections[-1][1]
 
         monkeypatch.setattr(obm, "orthant_project", recorded)
-        res = obm_solve(model, None, outer_k=1, max_iter=1000)
+        res = obm_solve(model, never_stop, outer_k=1, max_iter=1000)
         ray, cand = projections[0]
         assert not np.array_equal(cand, ray)
         assert res.status == "stalled"
