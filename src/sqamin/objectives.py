@@ -11,9 +11,11 @@ point replaced, which only the logistic ``on_line`` hook reads: the FISTA
 baseline's momentum point lies on the line through its last two iterates,
 so its margins are extrapolated from theirs with no product by the design.
 The logistic oracles multiply by a dense, CSC or
-CSR layout of the design (see :attr:`LogisticDataset.operand`), and on a
-small dense one keep the Hessian as its Gram matrix; each product by it or
-by the quadratic's ``A`` reads one triangle (see :func:`_symv`).  The
+CSR layout of the design (see :attr:`LogisticDataset.operand`), on a sparse
+one forward over only the columns their vectors use (see
+:class:`_ForwardProduct`), and on a small dense one keep the Hessian as its
+Gram matrix; each product by it or by the quadratic's ``A`` reads one
+triangle (see :func:`_symv`).  The
 log-det objective treats non-positive-definite points as ``+inf`` so that
 line searches reject them and every accepted iterate stays inside the cone.
 """
@@ -55,7 +57,9 @@ class LogisticDataset:
     """Binary classification data: sparse row-major features, +/-1 labels.
 
     The oracles multiply by :attr:`operand`, built on first use and kept,
-    so a dataset holds at most one more copy of the CSR's size.
+    so a dataset holds at most one more copy of the CSR's size; each
+    problem on a sparse operand keeps a copy of some of its columns too
+    (see :class:`_ForwardProduct`).
     """
 
     features: scipy.sparse.csr_matrix
@@ -106,7 +110,9 @@ class LogisticDataset:
           the many short rows, and add the same terms in the same order;
         - else ``features`` itself.
 
-        Its transpose is a view, so either copy is the only one made.  A dense
+        Its transpose is a view, so the dataset makes no other copy; a
+        problem's forward products may keep one of at most half of a sparse
+        operand's entries (see :class:`_ForwardProduct`).  A dense
         operand with ``n_features <= min(n_samples, 1000)`` also gets its
         logistic Hessian built as one ``n_features``-square Gram matrix per
         point, no larger than the operand, so that each Hessian product is one
@@ -128,6 +134,50 @@ def _product(A, v):
     output where it enters."""
     with np.errstate(all="ignore"):
         return A @ v
+
+
+class _ForwardProduct:
+    """``data.operand @ v`` for one logistic problem: the margins' product
+    and the first of each Hessian product's two.  On a sparse operand it is
+    ``operand[:, W] @ v[W]`` by one kept copy, where ``W`` holds every
+    column on which some vector multiplied so far was nonzero (NaN and inf
+    count).  A skipped column would add ``data * 0.0``, an exact zero, at
+    its place in each row's sum, the kept ones add theirs in the same
+    order, and the features are finite, so the result is bitwise
+    ``operand @ v``.  A vector nonzero outside ``W`` grows ``W`` by its
+    support and rebuilds the copy; once ``W`` would hold more than half of
+    the operand's stored entries, the copy is dropped and every later
+    product takes the whole operand.  A dense operand keeps its BLAS
+    product, whose rounding depends on the columns it spans.  The copy is
+    made at the first product, and this object refers to the data only, so
+    a dropped problem is freed without the cyclic garbage collector."""
+
+    _sub = _cols = _rest = None  # the copy, W and the other columns
+    _whole = False
+
+    def __init__(self, data):
+        self.data = data
+
+    def __call__(self, v):
+        if not self._whole and (self._sub is None
+                                or v.take(self._rest).any()):
+            self._grow(v)
+        if self._whole:
+            return _product(self.data.operand, v)
+        return _product(self._sub, v.take(self._cols))
+
+    def _grow(self, v):
+        A = self.data.operand
+        cols = v != 0
+        if self._cols is not None:
+            cols[self._cols] = True
+        self._whole = (isinstance(A, np.ndarray)
+                       or 2 * A.getnnz(axis=0)[cols].sum() > A.nnz)
+        if self._whole:
+            self._sub = self._cols = self._rest = None
+        else:
+            self._cols, self._rest = np.flatnonzero(cols), np.flatnonzero(~cols)
+            self._sub = A[:, self._cols]
 
 
 def _symv(S, v):
@@ -215,16 +265,21 @@ class _LogisticLinearization(_OnePointCache):
     ``w``, and each product is ``Z.T (w * (Z v)) / N``.  An overflowing Gram
     gives NaN where an ``inf`` entry meets a zero of ``v``, where the two
     products might not; the solvers stop on either.  The transposed operand,
-    a view in every layout, is kept from its first use.  :meth:`on_line`
-    reads the record that the last point replaced, which the cache keeps."""
+    a view in every layout, is kept from its first use.  ``Z x`` and
+    ``Z v`` are taken by one :class:`_ForwardProduct`, which on a sparse
+    operand keeps a copy of the columns used so far, at most half of its
+    entries.  :meth:`on_line` reads the record that the last point
+    replaced, which the cache keeps."""
 
     def __init__(self, data):
-        super().__init__(partial(self._record, data), data.n_features)
+        self._forward = _ForwardProduct(data)
+        super().__init__(partial(self._record, data, self._forward),
+                         data.n_features)
         self.data = data
 
     @staticmethod
-    def _record(data, x):
-        return _margin_record(data.labels * _product(data.operand, x))
+    def _record(data, forward, x):
+        return _margin_record(data.labels * forward(x))
 
     @cached_property
     def _zt(self):
@@ -288,10 +343,9 @@ class _LogisticLinearization(_OnePointCache):
     def hess_vec(self, x, v):
         """``(1/N) Z.T (w * (Z v))`` with ``w = s(1-s)`` as ``e/(1+e)**2``,
         which does not cancel where ``m`` is very negative."""
-        data = self.data
         v = np.asarray(v, dtype=float)
-        if v.shape != (data.n_features,):
-            raise ValueError(f"expected dimension {data.n_features}, got {v.shape}")
+        if v.shape != (self._dim,):
+            raise ValueError(f"expected dimension {self._dim}, got {v.shape}")
         rec = self.at(x)
         if "hess" not in rec:
             w = rec["e"] / np.square(1.0 + rec["e"])
@@ -299,8 +353,8 @@ class _LogisticLinearization(_OnePointCache):
         if self._keeps_gram:
             return _symv(rec["hess"], v)
         with np.errstate(all="ignore"):  # as _product does
-            hv = self._zt @ (rec["hess"] * (data.operand @ v))
-        return np.asarray(hv) / data.n_samples
+            hv = self._zt @ (rec["hess"] * self._forward(v))
+        return np.asarray(hv) / self.data.n_samples
 
 
 def logistic_problem(data, mu):

@@ -41,7 +41,11 @@ def orthant_face(z, v):
     v = np.asarray(v, dtype=float)
     if z.shape != v.shape:
         raise ValueError(f"shape mismatch: z {z.shape} vs v {v.shape}")
-    return np.sign(np.where(z != 0, z, -v)).astype(np.int8)
+    return _face(z, v, z == 0)
+
+
+def _face(z, v, at_zero):
+    return np.sign(np.where(at_zero, -v, z)).astype(np.int8)
 
 
 def orthant_project(w, face):
@@ -60,10 +64,22 @@ def min_norm_subgradient_from_gradient(u, z, mu):
     ``u_i`` closest to zero, ``-clip(u_i, -mu, mu)``.  A NaN in ``u`` stays
     NaN on every component.
     """
+    return _subgradient(u, z, mu, z == 0)
+
+
+def _subgradient(u, z, mu, at_zero):
     # minimum and maximum return their second operand on ties, so this
     # keeps np.clip's signed zeros; copysign(mu, -z) is -mu * sign(z)
     clipped = np.minimum(mu, np.maximum(-mu, u))
-    return u - np.where(z == 0, clipped, np.copysign(mu, -z))
+    return u - np.where(at_zero, clipped, np.copysign(mu, -z))
+
+
+def _subgradient_and_face(u, z, mu):
+    """``(v, face)``: :func:`min_norm_subgradient_from_gradient` and the
+    :func:`orthant_face` it spans at ``z``, from one ``z == 0`` mask."""
+    at_zero = z == 0
+    v = _subgradient(u, z, mu, at_zero)
+    return v, _face(z, v, at_zero)
 
 
 def cg_budget(outer_k):
@@ -145,7 +161,8 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     would pass it with equality, and every shorter step rounds to ``z``
     too), and at once with a NaN ``q_value`` at a NaN trial.  A zero ``d``
     that comes without a hand-off raises ``ValueError``; :func:`obm_solve`
-    passes none.
+    hands off every CG direction, so a zero one stalls with no trial, and
+    passes no zero quasi-Newton direction.
 
     A trial that the projection leaves unclipped lies on the ray
     ``z + alpha d``.  When ``model.search_products`` holds
@@ -243,7 +260,7 @@ def obm_solve(model, stop, outer_k, store=None, *, max_iter):
     unclipped on a CG direction: the solve keeps its iterate's product and
     hands it to the search with the CG's.  Quasi-Newton directions and
     safeguard steps pay one per trial.  An iteration with one CG step and
-    one trial also makes about 43 O(n) numpy passes (subgradient 7, face 5,
+    one trial also makes about 42 O(n) numpy passes (subgradient 7, face 4,
     CG 10 plus 12 per further step, search 15, stop test 6), at n in the
     hundreds mostly call overhead.  The model gradient must be finite, as
     the driver's oracle checks make it.
@@ -257,18 +274,17 @@ def obm_solve(model, stop, outer_k, store=None, *, max_iter):
     status = "iteration_cap"
     done = stop(z, sval, sgrad, penalty, linear)
     while not done and iterations < max_iter:
-        v = min_norm_subgradient_from_gradient(sgrad, z, model.mu)
-        face = orthant_face(z, v)
+        v, face = _subgradient_and_face(sgrad, z, model.mu)
         if store is None:
+            # handed off, a zero d stalls the search before any trial
             d, hd = subspace_cg_solve(model, face, v, cg_cap)
-        else:
-            d = lbfgs_reduced_inverse_solve(store, face, v, model.tally)
-        if d.any():
-            if store is None:
-                model.search_products = (z, hz, d, hd)
+            model.search_products = (z, hz, d, hd)
             outcome = obm_projected_line_search(model, z, face, d, v, q_z)
         else:
-            outcome = ProjectedSearchResult(z, 0.0, 0, sval, sgrad, q_z, True)
+            d = lbfgs_reduced_inverse_solve(store, face, v, model.tally)
+            outcome = (obm_projected_line_search(model, z, face, d, v, q_z)
+                       if d.any() else
+                       ProjectedSearchResult(z, 0.0, 0, sval, sgrad, q_z, True))
         # a zero v marks an exact model minimizer: no step decreases the model
         if outcome.stalled and not math.isnan(outcome.q_value) and v.any():
             outcome = _ista_safeguard(model, z, sgrad, q_z)

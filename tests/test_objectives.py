@@ -1,8 +1,10 @@
 """Oracle consistency of the logistic, log-det, and quadratic objectives."""
 
 import dataclasses
+import gc
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,9 +27,13 @@ from sqamin import (
     synthetic_quadratic,
     synthetic_quadratic_matrices,
 )
+from sqamin.io import SOLVERS
 
+import ledger
 from helpers import (
+    DESK_SEEDS,
     central_difference_gradient,
+    desk_logistic_sparse,
     directional_second_difference,
     long_run_ista,
 )
@@ -704,6 +710,149 @@ class TestLogisticMomentumHook:
         value = prob.value(c)
         assert len(products) == 1
         assert _bitwise(value, _fresh(data).value(c))
+
+
+class TestForwardProduct:
+    """On a sparse operand each forward product multiplies one kept copy of
+    the columns that some vector multiplied so far was nonzero on, and is
+    bitwise the full product; a dense operand is never copied."""
+
+    @staticmethod
+    def _full(data, v):
+        with np.errstate(all="ignore"):
+            return data.operand @ v
+
+    @staticmethod
+    def _wide_csr():
+        rng = np.random.default_rng(41)
+        Z = scipy.sparse.random(300, 3000, density=0.02, format="csr",
+                                random_state=rng, data_rvs=rng.standard_normal)
+        y = np.where(rng.uniform(size=300) > 0.5, 1.0, -1.0)
+        return LogisticDataset(Z, y)
+
+    def _check(self, forward, v):
+        assert _bitwise(forward(v), self._full(forward.data, v))
+
+    @pytest.mark.parametrize("layout", ["csc", "csr"])
+    def test_matches_the_full_product_as_its_columns_grow(self, layout):
+        data = (desk_logistic_sparse((11, 0)) if layout == "csc"
+                else self._wide_csr())
+        assert data.operand.format == layout
+        n = data.n_features
+        rng = np.random.default_rng(42)
+        columns = rng.permutation(n)
+        inside, outside = np.sort(columns[:n // 10]), columns[n // 10:]
+        forward = objectives._ForwardProduct(data)
+        assert forward._sub is None  # nothing is built before a product
+        v = np.zeros(n)
+        v[inside] = rng.normal(size=inside.size)
+        self._check(forward, v)
+        np.testing.assert_array_equal(forward._cols, inside)
+        assert forward._sub.shape == (data.n_samples, inside.size)
+        # -0.0 is zero, inside or outside W, and W stays as it was
+        signed = v.copy()
+        signed[inside[:2]] = -0.0
+        signed[outside[:2]] = -0.0
+        self._check(forward, signed)
+        self._check(forward, np.zeros(n))
+        np.testing.assert_array_equal(forward._cols, inside)
+        # NaN and inf count as nonzero: each grows W by its column
+        for bad, column in zip((np.nan, np.inf, -np.inf), outside):
+            special = v.copy()
+            special[column] = bad
+            self._check(forward, special)
+            assert column in forward._cols
+        # a vector off W grows it by its support
+        grown = np.zeros(n)
+        grown[outside[3:13]] = rng.normal(size=10)
+        grown[inside[0]] = 1.0
+        self._check(forward, grown)
+        np.testing.assert_array_equal(
+            forward._cols, np.sort(np.concatenate((inside, outside[:13]))))
+        for w in (v, signed, np.zeros(n), grown):
+            self._check(forward, w)
+
+    def test_dense_layout_makes_no_copy(self):
+        rng = np.random.default_rng(43)
+        # wider than tall, so the Hessian products take the forward product
+        data = _small_dataset(rng, 8, 40)
+        assert isinstance(data.operand, np.ndarray)
+        prob = logistic_problem(data, 0.1)
+        x, v = rng.normal(size=(2, 40))
+        x[::2] = 0.0
+        assert _bitwise(prob.hess_vec(x, v), _fresh(data).hess_vec(x, v))
+        forward = prob.value.__self__._forward
+        for w in (x, v, np.zeros(40)):
+            self._check(forward, w)
+        assert forward._sub is None and forward._cols is None
+
+    def test_more_than_half_of_the_entries_drops_the_copy(self):
+        # 8 rows, 4 columns of 2 entries each: the CSC layout
+        Z = scipy.sparse.csr_matrix(
+            (np.arange(1.0, 9.0), np.tile(np.arange(4), 2), np.arange(9)),
+            shape=(8, 4))
+        data = LogisticDataset(Z, np.ones(8))
+        assert data.operand.format == "csc"
+        forward = objectives._ForwardProduct(data)
+        self._check(forward, np.array([1.0, 0.0, 0.0, 0.0]))
+        self._check(forward, np.array([0.0, 2.0, 0.0, 0.0]))
+        # half of the entries: the copy is kept
+        np.testing.assert_array_equal(forward._cols, [0, 1])
+        assert forward._sub.nnz == 4
+        self._check(forward, np.array([0.0, 0.0, 3.0, 0.0]))
+        assert forward._sub is None and forward._cols is None
+        for v in (np.array([0.0, 0.0, 0.0, 4.0]), np.array([5.0, 0, 0, 0])):
+            self._check(forward, v)
+            assert forward._sub is None  # the whole operand from then on
+
+    @pytest.mark.parametrize("mu", [1e-3, 2e-3])
+    def test_every_product_of_the_desk_solves_is_the_full_product(
+            self, mu, monkeypatch):
+        # at the desk weight, 1e-3, the solutions use 50-57% of the
+        # columns, and the copy goes at the first nonzero vector; at 2e-3
+        # they use 27-31%, and the copy takes every product
+        whole = {solver: set() for solver in SOLVERS}
+        solver = None
+        forward = objectives._ForwardProduct.__call__
+
+        def checked(self_, v):
+            got = forward(self_, v)
+            assert _bitwise(got, TestForwardProduct._full(self_.data, v))
+            whole[solver].add(self_._whole)
+            return got
+
+        monkeypatch.setattr(objectives._ForwardProduct, "__call__", checked)
+        for seed in DESK_SEEDS:
+            # one problem for the four paths, as the benchmark runs them
+            problem = logistic_problem(desk_logistic_sparse(seed), mu)
+            for solver in SOLVERS:
+                _, report = ledger.solve(problem, solver)
+                assert report.status == "converged"
+        if mu == 1e-3:
+            assert all(whole[solver] == {True} for solver in SOLVERS[1:])
+        else:
+            assert all(kept == {False} for kept in whole.values())
+
+    def test_dropped_problem_is_freed_without_the_collector(self):
+        # nothing the oracles keep refers back to the linearization
+        data = desk_logistic_sparse((11, 1))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            prob = logistic_problem(data, 2e-3)
+            x = np.zeros(data.n_features)
+            x[:5] = 1.0
+            prob.value(x)
+            prob.gradient(x)
+            prob.hess_vec(x, x)
+            ledger.solve(prob, "sqa_obm_cg")
+            lin = weakref.ref(prob.value.__self__)
+            assert lin()._forward._sub is not None
+            del prob
+            assert lin() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestLogisticGram:

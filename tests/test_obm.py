@@ -114,6 +114,17 @@ class TestKernelsMatchTheNestedWhereForms:
                 assert orthant_project(w, omega).tobytes() == \
                     nested_orthant_project(w, omega).tobytes()
 
+    @pytest.mark.parametrize("mu", [0.0, 5e-324, 0.7, 1.0])
+    def test_solve_kernel_gives_the_public_functions_bytes(self, mu):
+        # obm_solve forms the subgradient and the face from one zero mask
+        rng = np.random.default_rng(17)
+        for n in (1, 7, 64, 500):
+            u, z = (edge_case_vector(rng, n, mu) for _ in range(2))
+            v, face = obm._subgradient_and_face(u, z, mu)
+            assert v.tobytes() == min_norm_subgradient_from_gradient(
+                u, z, mu).tobytes()
+            assert face.tobytes() == orthant_face(z, v).tobytes()
+
     def test_edge_values_cover_both_zeros_mu_subnormals_and_signs(self):
         rng = np.random.default_rng(16)
         x = edge_case_vector(rng, 500, 0.7)
