@@ -145,7 +145,9 @@ def outer_line_search(problem, model, d, theta=0.1):
     """Backtrack from a unit step, halving it, until the composite objective
     decrease is at least ``theta`` times the linear model decrease.
 
-    Each trial evaluates the smooth value once, counted on ``model.tally``.
+    Each trial evaluates the smooth value once, counted on ``model.tally``,
+    and forms the l1 term once, for both the objective and the linear model
+    (whose ``mu`` is the problem's).
     An infinite value backtracks; a NaN value, or step length underflow
     (violated preconditions: the direction must carry positive linear-model
     decrease), raises :class:`LineSearchError`.  So does a trial equal to
@@ -168,8 +170,12 @@ def outer_line_search(problem, model, d, theta=0.1):
         trials += 1
         if np.isnan(f_trial):
             raise LineSearchError("smooth value is NaN at a line search trial")
-        phi_trial = f_trial + l1_penalty(x_trial, problem.mu)
-        linear_decrease = phi_ref - model.linear_value(x_trial)
+        penalty = l1_penalty(x_trial, problem.mu)
+        phi_trial = f_trial + penalty
+        # model.linear_value(x_trial), sharing the penalty with phi_trial
+        ell = (model.f_ref + float(model.g_ref @ (x_trial - model.x_ref))
+               + penalty)
+        linear_decrease = phi_ref - ell
         if phi_ref - phi_trial >= theta * linear_decrease:
             return LineSearchResult(alpha, x_trial, f_trial, phi_trial, trials)
         alpha *= BACKTRACK_FACTOR
@@ -371,12 +377,13 @@ def fista_baseline_solve(problem, config):
     and after a step with zero momentum).  A problem with an ``on_line``
     hook (see :class:`~sqamin.model.CompositeProblem`) has it form the
     momentum point's value and gradient, one evaluation point that makes no
-    product by the design on a logistic loss; only where it returns None is
-    the point evaluated.  Terminates on the max-norm of the optimality
-    residual.  The non-finite rule of :func:`sqa_solve` holds at the start
-    and at each iterate the inner loop accepts.  A non-finite gradient at a
-    momentum point ends the run ``"nonfinite_oracle"`` too, once the
-    curvature search fails on the non-finite candidate it leaves.
+    product by the design on a logistic loss and none at all on a
+    quadratic; only where it returns None is the point evaluated.
+    Terminates on the max-norm of the optimality residual.  The non-finite
+    rule of :func:`sqa_solve` holds at the start and at each iterate the
+    inner loop accepts.  A non-finite gradient at a momentum point ends the
+    run ``"nonfinite_oracle"`` too, once the curvature search fails on the
+    non-finite candidate it leaves.
     """
     tally = Telemetry()
     t0 = time.perf_counter()

@@ -6,8 +6,10 @@ the original composite objective (smooth evaluations cost one
 function/gradient call each).  The momentum point lies on the line through
 the last two iterates, and an ``on_line`` hook may form its value and
 gradient from what is known there instead of a smooth evaluation: on an
-exact quadratic from the two iterates' values and gradients
-(:func:`_quadratic_on_line`), on a logistic loss from their margins.  The
+exact quadratic (the model, or a
+:func:`~sqamin.objectives.synthetic_quadratic` problem) from the two
+iterates' values and gradients (:func:`_quadratic_on_line`), on a logistic
+loss from their margins.  The
 classical accelerated scheme is made monotone by falling back to a plain
 proximal step from the current iterate whenever the accelerated candidate
 would increase the objective; this keeps objective decrease available at
@@ -119,7 +121,7 @@ def fista_composite(smooth, mu, shrink, start, stop, max_iter=1000,
         None, and then that point is evaluated by ``smooth`` as without a
         hook (unless ``beta`` is 0: the point is then ``c``).  A
         :class:`~sqamin.model.QuadraticModel` takes
-        :func:`_quadratic_on_line`.
+        :func:`_quadratic_on_line`, as does a quadratic problem.
 
     Evaluation counting is the caller's job, through the ``smooth`` and
     ``on_line`` callables.  Each regular iteration evaluates ``smooth``

@@ -36,8 +36,10 @@ ETA_RULES = ("inverse_k", "residual", "constant")
 class Telemetry:
     """Mutable per-run counters. Single-owner; never shared across runs.
 
-    ``fg_evaluations`` counts distinct points at which the smooth oracle was
-    evaluated (value, gradient, or both at the same point count once).
+    ``fg_evaluations`` counts distinct points at which the smooth value and
+    gradient were formed (value, gradient, or both at the same point count
+    once): by the smooth oracle, or by a problem's ``on_line`` hook, whose
+    answer counts as one too although the quadratic hook calls no oracle.
     ``hess_vec_products`` counts every application of the model Hessian
     operator, whichever backend (exact or quasi-Newton) provides it.
     """
@@ -64,7 +66,9 @@ class CompositeProblem:
     must agree with ``value`` and ``gradient`` to rounding, since the
     baseline takes its answer in place of theirs, so a
     ``dataclasses.replace`` that swaps in unrelated oracles must also set
-    ``on_line=None``.
+    ``on_line=None``; the quadratic hook reads only the values and
+    gradients it is passed, so it must go with any oracle that is not
+    quadratic.
     """
 
     value: Callable[[np.ndarray], float]

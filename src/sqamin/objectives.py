@@ -28,6 +28,7 @@ import scipy.sparse
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from .fista import _quadratic_on_line
 from .model import CompositeProblem
 
 __all__ = [
@@ -511,7 +512,10 @@ def synthetic_quadratic(n, condition, seed, mu=0.0):
     """Composite problem ``0.5 x@A@x - b@x + mu*||x||_1``, seeded.  Value
     and gradient share ``A @ x`` through a one-point cache, so do not share
     it between threads; it and each Hessian product ``A @ v`` are one
-    :func:`_symv`, and no oracle raises a floating-point warning."""
+    :func:`_symv`, and no oracle raises a floating-point warning.  Its
+    ``on_line`` hook, :func:`~sqamin.fista._quadratic_on_line`, forms the
+    FISTA momentum point from the two iterates' values and gradients, with
+    no product by ``A``."""
     A, b = synthetic_quadratic_matrices(n, condition, seed)
     ax = _OnePointCache(lambda x: _symv(A, x), n).at
 
@@ -524,4 +528,5 @@ def synthetic_quadratic(n, condition, seed, mu=0.0):
             raise ValueError(f"expected dimension {n}, got {np.shape(v)}")
         return _symv(A, v)
     return CompositeProblem(value=value, gradient=lambda x: ax(x) - b,
-                            hess_vec=hess_vec, dim=n, mu=mu)
+                            hess_vec=hess_vec, dim=n, mu=mu,
+                            on_line=_quadratic_on_line)

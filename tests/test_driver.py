@@ -32,7 +32,7 @@ from sqamin import (
     synthetic_quadratic_matrices,
     write_report,
 )
-from sqamin import driver, fista, objectives, obm
+from sqamin import driver, fista, model, objectives, obm
 from sqamin.io import SOLVERS
 
 from helpers import (
@@ -513,9 +513,9 @@ class TestRunCounters:
         _, report = _run(prob, solver)
         assert report.status == "converged"
         assert report.fg_evaluations == calls["value"] + calls["on_line"] > 0
-        # the logistic hook answers at the baseline's momentum points
-        assert (calls["on_line"] > 0) == (solver == "fista"
-                                          and instance == "logistic")
+        # the hook of either instance answers at the baseline's momentum
+        # points
+        assert (calls["on_line"] > 0) == (solver == "fista")
         if solver == "sqa_obm_qn":
             assert calls["hess_vec"] == 0
             assert report.hess_vec_products == calls["lbfgs_hessian_vec"] > 0
@@ -753,21 +753,24 @@ class TestNonfiniteObjective:
         # exact gradients for the first few calls, then NaN at the point
         # that would be the third accepted iterate: that step is not taken.
         # The sqa_* paths take one gradient per accepted iterate; the
-        # baseline also takes them at its backtracking trials and momentum
-        # points, 10 before its third iterate here (none at the first
-        # step's momentum point, which is its candidate).
-        good = 10 if solver == "fista" else 3
+        # baseline also takes them at its backtracking trials, 9 before its
+        # third iterate here.  The quadratic's hook answers at its momentum
+        # points and takes none.
+        good = 9 if solver == "fista" else 3
         prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
         bad, _ = self._nan_gradient_after(prob, good)
         x, report = _run(bad, solver)
         self._check_ended_at_second_iterate(prob, solver, x, report)
 
     def test_nan_gradient_at_a_momentum_point_ends_the_run(self):
-        # the baseline's 10th gradient is at the momentum point of its second
-        # step (see above), so a NaN there leaves a NaN candidate; the
+        # without the hook the baseline evaluates its momentum points: its
+        # 10th gradient is at the momentum point of its second step (after
+        # the 9 above; none at the first step's momentum point, which is
+        # its candidate), so a NaN there leaves a NaN candidate; the
         # curvature search that fails on it names the oracle, and the
         # evaluations counted still end with that candidate's
-        prob = synthetic_quadratic(10, 100.0, seed=0, mu=0.1)
+        prob = dataclasses.replace(
+            synthetic_quadratic(10, 100.0, seed=0, mu=0.1), on_line=None)
         bad, asked = self._nan_gradient_after(prob, 9)
         x, report = _run(bad, "fista")
         self._check_ended_at_second_iterate(prob, "fista", x, report)
@@ -957,7 +960,7 @@ class TestOneL1TermPerPoint:
     @staticmethod
     def _count_l1(monkeypatch):
         calls = Counter()
-        for module in (driver, fista, obm):
+        for module in (driver, fista, model, obm):
             monkeypatch.setattr(
                 module, "l1_penalty",
                 _counting(calls, module.__name__, module.l1_penalty))
@@ -995,6 +998,8 @@ class TestOneL1TermPerPoint:
         assert report.status == "converged"
         # the start row, then one term per outer line-search trial
         assert calls["sqamin.driver"] == 1 + sum(s.trials for s in searches)
+        # the reference value of each model, one per inner solve
+        assert calls["sqamin.model"] == len(inner)
         assert calls["in stop"] == 0
         return calls, report, inner
 
@@ -1019,11 +1024,24 @@ class TestOneL1TermPerPoint:
         assert calls["sqamin.obm"] == 0
         assert report.inner_iterations > 0
 
-    def test_inexactness_check_forms_its_own(self, monkeypatch):
+    def test_outer_search_forms_one_per_trial(self, monkeypatch):
+        # an identity model on a stiff problem overshoots, so the search
+        # backtracks; the linear model shares each trial's term
+        prob = synthetic_quadratic(6, 1000.0, seed=3, mu=0.3)
+        x = np.zeros(6)
+        quadratic = QuadraticModel(x, prob.gradient(x), prob.value(x),
+                                   lambda v: v.copy(), prob.mu)
         calls = self._count_l1(monkeypatch)
+        result = outer_line_search(prob, quadratic, -prob.gradient(x))
+        assert result.trials > 1
+        assert calls == Counter({"sqamin.driver": result.trials})
+        assert result.phi_next == prob.objective(result.x_next)
+
+    def test_inexactness_check_forms_its_own(self, monkeypatch):
         rng = np.random.default_rng(7)
         model = _random_model(rng, n=5)
         x_hat = rng.normal(size=5)
+        calls = self._count_l1(monkeypatch)  # after the model's own term
         report = inexactness_check(model, x_hat, eta=0.5, tau=0.5)
         assert calls == Counter({"sqamin.driver": 1})
         sval, _ = model.smooth_eval(x_hat)

@@ -12,7 +12,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from sqamin import objectives
+from sqamin import driver, objectives
 from sqamin import (
     CovarianceProblem,
     LogisticDataset,
@@ -32,6 +32,7 @@ from sqamin.io import SOLVERS
 import ledger
 from helpers import (
     DESK_SEEDS,
+    DESK_WORKLOADS,
     central_difference_gradient,
     desk_logistic_sparse,
     directional_second_difference,
@@ -1419,18 +1420,89 @@ class TestQuadraticProblemCache:
             hess_products.append(1)
             return prob.hess_vec(x, v)
 
+        def on_line(*args):  # an answer is an evaluation with no product
+            momentum = prob.on_line(*args)
+            answers.append(momentum is not None)
+            return momentum
+
+        answers = []
         traced = dataclasses.replace(prob, value=visits(prob.value),
                                      gradient=visits(prob.gradient),
-                                     hess_vec=hess_vec)
+                                     hess_vec=hess_vec, on_line=on_line)
         if solver == "fista":
             _, report = fista_baseline_solve(traced, SolverConfig())
         else:
             _, report = sqa_solve(traced, SolverConfig(inner_solver="obm_cg"))
         assert report.status == "converged"
         at_points = len(products) - len(hess_products)
-        assert at_points == len(points) == report.fg_evaluations
+        assert at_points == len(points) == report.fg_evaluations - sum(answers)
+        # the hook answers at the baseline's momentum points only
+        assert (sum(answers) > 0) == (solver == "fista")
         assert len(hess_products) == report.hess_vec_products
         assert (report.hess_vec_products > 0) == (solver != "fista")
+
+
+class TestQuadraticMomentumHook:
+    """``on_line`` of a quadratic problem forms the FISTA momentum point's
+    value and gradient from the two iterates' values and gradients, with no
+    product by ``A``, so the baseline makes one per evaluated candidate."""
+
+    ARGS = (30, 1e3, 24)
+
+    def test_matches_a_fresh_problem_at_the_momentum_point(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        prob, products = TestQuadraticProblemCache._counted(monkeypatch,
+                                                            self.ARGS)
+        for beta in rng.uniform(0.0, 1.0, size=4):
+            x, c = rng.normal(size=(2, prob.dim))
+            fx, gx = prob.value(x), prob.gradient(x)
+            fc, gc = prob.value(c), prob.gradient(c)
+            before = len(products)
+            value, gradient = prob.on_line(x, fx, gx, c, fc, gc, beta)
+            assert len(products) == before
+            y = c + beta * (c - x)
+            fresh = synthetic_quadratic(*self.ARGS)
+            assert value == pytest.approx(fresh.value(y), rel=1e-12)
+            expected = fresh.gradient(y)
+            np.testing.assert_allclose(
+                gradient, expected, rtol=1e-12,
+                atol=1e-12 * np.abs(expected).max())
+
+    def test_baseline_makes_one_product_per_candidate(self, monkeypatch):
+        # the start and each curvature trial's candidate, one shrink each,
+        # are evaluated; the hook answers at every momentum point
+        prob, products = TestQuadraticProblemCache._counted(monkeypatch,
+                                                            self.ARGS, 0.05)
+        shrinks = []
+        shrink = driver.soft_threshold
+        monkeypatch.setattr(driver, "soft_threshold",
+                            lambda v, t: shrinks.append(1) or shrink(v, t))
+        answers = []
+
+        def on_line(*args):
+            momentum = prob.on_line(*args)
+            answers.append(momentum)
+            return momentum
+
+        _, report = fista_baseline_solve(
+            dataclasses.replace(prob, on_line=on_line), SolverConfig())
+        assert report.status == "converged"
+        assert len(products) == 1 + len(shrinks)
+        assert all(momentum is not None for momentum in answers)
+        assert report.fg_evaluations == len(products) + len(answers)
+        assert len(answers) > report.outer_iterations // 2
+
+    @pytest.mark.parametrize("seed", DESK_SEEDS)
+    def test_hook_leaves_the_desk_counters_alone(self, seed):
+        prob = DESK_WORKLOADS["quadratic"](seed)
+        x, report = fista_baseline_solve(prob, SolverConfig())
+        x_plain, plain = fista_baseline_solve(
+            dataclasses.replace(prob, on_line=None), SolverConfig())
+        assert report.status == plain.status == "converged"
+        assert report.outer_iterations == plain.outer_iterations
+        assert report.fg_evaluations == plain.fg_evaluations
+        assert prob.objective(x) == pytest.approx(prob.objective(x_plain),
+                                                  rel=1e-12)
 
 
 def _one_point_problem(family, rng):
