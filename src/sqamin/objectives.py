@@ -11,11 +11,11 @@ point replaced, which only the logistic ``on_line`` hook reads: the FISTA
 baseline's momentum point lies on the line through its last two iterates,
 so its margins are extrapolated from theirs with no product by the design.
 The logistic oracles multiply by a dense, CSC or
-CSR layout of the design (see :attr:`LogisticDataset.operand`), on a sparse
-one forward over only the columns their vectors use (see
-:class:`_ForwardProduct`), and on a small dense one keep the Hessian as its
-Gram matrix; each product by it or by the quadratic's ``A`` reads one
-triangle (see :func:`_symv`).  The
+CSR layout of the design with its rows signed by the labels (see
+:attr:`LogisticDataset.operand`), on a sparse one forward over only the
+columns their vectors use (see :class:`_ForwardProduct`), and on a small
+dense one keep the Hessian as its Gram matrix; each product by it or by
+the quadratic's ``A`` reads one triangle (see :func:`_symv`).  The
 log-det objective treats non-positive-definite points as ``+inf`` so that
 line searches reject them and every accepted iterate stays inside the cone.
 """
@@ -100,16 +100,22 @@ class LogisticDataset:
 
     @cached_property
     def operand(self):
-        """The layout the oracles multiply by, the first that applies:
+        """The signed design ``diag(labels) @ features``, so that the
+        margins are ``operand @ x``: each row is scaled once, by its +/-1
+        label, which only flips signs, so every product is bitwise the
+        unsigned one with the signs applied.  Its ``float64`` layout is the
+        first that applies:
 
-        - ``features`` as a dense ``float64`` array, so that BLAS runs the
-          products, when that takes no more bytes than the CSR's ``data``,
-          ``indices`` and ``indptr`` arrays;
-        - a CSC copy, ``features.tocsc()``, when there are more samples
-          than features and fewer than 32 stored entries per sample on
-          average: both products then loop over the few columns instead of
-          the many short rows, and add the same terms in the same order;
-        - else ``features`` itself.
+        - a dense array, so that BLAS runs the products, when that takes no
+          more bytes than the CSR's ``data``, ``indices`` and ``indptr``
+          arrays;
+        - a CSC copy, ``features.tocsc()`` scaled in place, when there are
+          more samples than features and fewer than 32 stored entries per
+          sample on average: both products then loop over the few columns
+          instead of the many short rows, and add the same terms in the
+          same order;
+        - else a CSR matrix on a new ``data`` array and the ``indices`` and
+          ``indptr`` of ``features``.
 
         Its transpose is a view, so the dataset makes no other copy; a
         problem's forward products may keep one of at most half of a sparse
@@ -121,12 +127,19 @@ class LogisticDataset:
         Objectives section gives the rule's measurements (``sweep`` in
         ``BENCH_19.json``)."""
         Z = self.features
+        y = np.asarray(self.labels, dtype=float)
         csr_bytes = Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes
         if Z.shape[0] * Z.shape[1] * np.dtype(float).itemsize <= csr_bytes:
-            return Z.toarray().astype(float, copy=False)
+            A = Z.toarray().astype(float, copy=False)
+            A *= y[:, None]
+            return A
         if Z.shape[0] > Z.shape[1] and Z.nnz < 32 * Z.shape[0]:
-            return Z.tocsc()
-        return Z
+            A = Z.tocsc().astype(float, copy=False)
+            A.data *= y[A.indices]
+            return A
+        data = Z.data * np.repeat(y, np.diff(Z.indptr))
+        return scipy.sparse.csr_matrix((data, Z.indices, Z.indptr),
+                                       shape=Z.shape)
 
 
 def _product(A, v):
@@ -238,8 +251,9 @@ class _OnePointCache:
 
 
 def _margin_record(m):
-    """The record of margins ``m = y * (Z@x)``: ``m``, ``e = exp(-|m|)``,
-    the one exponential that value, gradient and Hessian read, and
+    """The record of margins ``m = operand @ x``, ``y * (Z @ x)`` by the
+    unsigned design: ``m``, ``e = exp(-|m|)``, the one exponential that
+    value, gradient and Hessian read, and
     ``s = sigmoid(-m)``: ``e/(1+e)`` where ``m > 0`` and ``1/(1+e)``
     elsewhere, as ``max(e, m <= 0) / (1 + e)`` (``e <= 1``).  The exponent
     is never positive, so nothing overflows; ``m = +inf`` gives ``s = 0``,
@@ -251,26 +265,32 @@ def _margin_record(m):
 
 
 def _mean_loss(rec):
+    """The mean of ``log1p(e) - min(m, 0)``, as ``np.mean`` forms it
+    without its wrapper: the sum divided by the count."""
     loss = np.log1p(rec["e"])
     loss -= np.minimum(rec["m"], 0.0)
-    return float(np.mean(loss))
+    return float(loss.sum() / loss.size)
 
 
 class _LogisticLinearization(_OnePointCache):
     """The record of the last point asked for (see :func:`_margin_record`).
-    The Hessian there is added to it, as ``"hess"``, by the first product: on a
+    ``A`` below is the signed operand ``diag(y) Z`` (see
+    :attr:`LogisticDataset.operand`), so the margins are ``A x``, the
+    gradient ``A.T s / -N`` and no oracle reads the labels.  The Hessian
+    there is added to the record, as ``"hess"``, by the first product: on a
     dense operand with ``n_features <= min(n_samples, 1000)`` as the Gram
-    matrix ``G = (Zs.T @ Zs) / N``, ``Zs = sqrt(w) * Z`` with
+    matrix ``G = (As.T @ As) / N``, ``As = sqrt(w) * A`` with
     ``w = e / (1 + e)**2``, summed over row blocks (see :meth:`_gram`), and
     each product is ``_symv(G, v)``; on every other layout as the weights
-    ``w``, and each product is ``Z.T (w * (Z v)) / N``.  An overflowing Gram
-    gives NaN where an ``inf`` entry meets a zero of ``v``, where the two
-    products might not; the solvers stop on either.  The transposed operand,
-    a view in every layout, is kept from its first use.  ``Z x`` and
-    ``Z v`` are taken by one :class:`_ForwardProduct`, which on a sparse
-    operand keeps a copy of the columns used so far, at most half of its
-    entries.  :meth:`on_line` reads the record that the last point
-    replaced, which the cache keeps."""
+    ``w``, and each product is ``A.T (w * (A v)) / N``.  The signs cancel in
+    both, so they are ``Z``'s bit for bit.  An overflowing Gram gives NaN
+    where an ``inf`` entry meets a zero of ``v``, where the two products
+    might not; the solvers stop on either.  The transposed operand, a view
+    in every layout, is kept from its first use.  ``A x`` and ``A v`` are
+    taken by one :class:`_ForwardProduct`, which on a sparse operand keeps
+    a copy of the columns used so far, at most half of its entries.
+    :meth:`on_line` reads the record that the last point replaced, which
+    the cache keeps."""
 
     def __init__(self, data):
         self._forward = _ForwardProduct(data)
@@ -280,7 +300,7 @@ class _LogisticLinearization(_OnePointCache):
 
     @staticmethod
     def _record(data, forward, x):
-        return _margin_record(data.labels * forward(x))
+        return _margin_record(forward(x))
 
     @cached_property
     def _zt(self):
@@ -294,18 +314,18 @@ class _LogisticLinearization(_OnePointCache):
                 and data.n_features <= min(data.n_samples, _GRAM_MAX_FEATURES))
 
     def _gram(self, sw):
-        """``(Zs.T @ Zs) / N`` with ``Zs = sw * Z`` row-wise, summed over
+        """``(As.T @ As) / N`` with ``As = sw * A`` row-wise, summed over
         blocks of ``_GRAM_BLOCK // p`` rows, so that a build holds one
         2 MiB block and one block product beside ``G`` instead of a scaled
         copy of the design; each block's product is a syrk, so the sum
         stays exactly symmetric."""
-        Z = self.data.operand
-        n, p = Z.shape
+        A = self.data.operand
+        n, p = A.shape
         rows = max(1, _GRAM_BLOCK // max(p, 1))
         G = np.zeros((p, p))
         with np.errstate(all="ignore"):  # as _product does
             for i in range(0, n, rows):
-                zb = Z[i:i + rows] * sw[i:i + rows, None]
+                zb = A[i:i + rows] * sw[i:i + rows, None]
                 G += zb.T @ zb
         G /= n
         return G
@@ -316,12 +336,11 @@ class _LogisticLinearization(_OnePointCache):
         return _mean_loss(self.at(x))
 
     def gradient(self, x):
-        """``-(1/N) Z.T (y * sigmoid(-y * Zx))``."""
+        """``-(1/N) Z.T (y * sigmoid(-y * Zx))``, as ``A.T s / -N``."""
         return self._gradient(self.at(x))
 
     def _gradient(self, rec):
-        r = self.data.labels * rec["s"]
-        return -np.asarray(_product(self._zt, r)) / self.data.n_samples
+        return _product(self._zt, rec["s"]) / -self.data.n_samples
 
     def on_line(self, x, fx, gx, c, fc, gc, beta):
         """Value and gradient at the FISTA momentum point
@@ -342,7 +361,7 @@ class _LogisticLinearization(_OnePointCache):
         return _mean_loss(rec), self._gradient(rec)
 
     def hess_vec(self, x, v):
-        """``(1/N) Z.T (w * (Z v))`` with ``w = s(1-s)`` as ``e/(1+e)**2``,
+        """``(1/N) A.T (w * (A v))`` with ``w = s(1-s)`` as ``e/(1+e)**2``,
         which does not cancel where ``m`` is very negative."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self._dim,):

@@ -15,7 +15,13 @@ or, to list what moved without writing anything, ::
     PYTHONPATH=src python3 tests/ledger.py --diff
 
 which prints each moved status and counter, and each objective that moved
-beyond the test's relative tolerance, and exits 1 if anything moved.
+beyond the test's relative tolerance, and exits 1 if anything moved.  With
+``--workload W`` (repeatable) either form takes only the named workloads:
+the diff compares their entries alone, and writing merges their entries
+into the file, replacing only theirs, so that a new desk workload is added
+without regenerating the others::
+
+    PYTHONPATH=src python3 tests/ledger.py --workload logistic_sparse_mu2e-3
 """
 
 import argparse
@@ -85,6 +91,17 @@ def moves(old, new):
     return lines
 
 
+def _read(path, workloads):
+    """The entries of the ledger file at ``path`` that belong to
+    ``workloads`` (a workload name is the first part of a key), and the
+    others."""
+    with open(path, encoding="utf-8") as handle:
+        ledger = json.load(handle)
+    ours = {key: row for key, row in ledger.items()
+            if key.split("/")[0] in workloads}
+    return ours, {key: ledger[key] for key in set(ledger) - set(ours)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("out", nargs="?", default=PATH,
@@ -92,13 +109,19 @@ def main(argv=None):
     parser.add_argument("--diff", action="store_true",
                         help="compare with the committed ledger instead of "
                         "writing one; exit 1 if anything moved")
+    parser.add_argument("--workload", action="append",
+                        choices=sorted(DESK_WORKLOADS),
+                        help="compute, compare or merge only this workload's "
+                        "entries (repeatable; default: every workload)")
     args = parser.parse_args(argv)
-    ledger = compute()
+    workloads = args.workload or tuple(DESK_WORKLOADS)
+    ledger = compute(workloads)
     if args.diff:
-        with open(PATH, encoding="utf-8") as handle:
-            lines = moves(json.load(handle), ledger)
+        lines = moves(_read(PATH, workloads)[0], ledger)
         print("\n".join(lines + [f"{len(lines)} moved"]))
         return 1 if lines else 0
+    if args.workload and os.path.exists(args.out):
+        ledger.update(_read(args.out, workloads)[1])
     os.makedirs(os.path.dirname(args.out), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(ledger, handle, indent=1, sort_keys=True)

@@ -40,6 +40,7 @@ from helpers import (
     long_run_ista,
     model_exact_minimizer,
     objective_values,
+    signed_csr,
     with_one_blas_thread,
 )
 
@@ -594,7 +595,7 @@ class TestLogisticOracleCache:
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_csc_layout_takes_the_csr_steps(self, solver):
         # a tall design with 4 stored entries per row takes the CSC copy;
-        # forcing the CSR matrix must not move a bit of the run
+        # forcing the signed CSR matrix must not move a bit of the run
         rng = np.random.default_rng(11)
         Z = scipy.sparse.random(400, 40, density=0.1, format="csr",
                                 random_state=rng)
@@ -604,7 +605,7 @@ class TestLogisticOracleCache:
         for force_csr in (False, True):
             data = LogisticDataset(Z, y)
             if force_csr:
-                vars(data)["operand"] = data.features
+                vars(data)["operand"] = signed_csr(data)
             else:
                 assert data.operand.format == "csc"
             runs.append(_run(logistic_problem(data, 0.01), solver))
@@ -1002,6 +1003,16 @@ class TestOneL1TermPerPoint:
         assert calls["sqamin.model"] == len(inner)
         assert calls["in stop"] == 0
         return calls, report, inner
+
+    @pytest.mark.parametrize("solver", ["sqa_fista", "sqa_obm_cg",
+                                        "sqa_obm_qn"])
+    def test_each_path_forms_one_per_point_and_model(self, monkeypatch,
+                                                       solver):
+        calls, report, inner = self._solve(monkeypatch, solver)
+        # one inner solve, so one model, per outer iteration; the driver's
+        # terms are its fg evaluations
+        assert len(inner) == report.outer_iterations > 0
+        assert calls["sqamin.driver"] == report.fg_evaluations
 
     def test_obm_forms_one_per_search_trial(self, monkeypatch):
         trials, safeguards = [], []

@@ -63,3 +63,22 @@ def test_diff_names_each_move_but_not_objective_noise():
         "quadratic/0/fista hess_vec_products: 7 -> 8",
         "quadratic/0/fista objective: 2.0 -> 2.5",
     ]
+
+
+def test_workload_option_diffs_and_merges_only_that_workload(tmp_path,
+                                                             capsys):
+    # a file with another workload's entry changed and no quadratic ones:
+    # merging the quadratic entries adds them and leaves the other as it is
+    path = tmp_path / "ledger.json"
+    changed = {key: row for key, row in _LEDGER.items()
+               if not key.startswith("quadratic/")}
+    changed["covariance/0/fista"] = dict(changed["covariance/0/fista"],
+                                         outer_iterations=-1)
+    path.write_text(json.dumps(changed))
+    assert ledger.main(["--workload", "quadratic", str(path)]) == 0
+    merged = json.loads(path.read_text())
+    assert {key: merged.pop(key) for key in changed} == changed
+    _check(("quadratic",), merged)  # recomputed: objectives to rounding
+    capsys.readouterr()
+    assert ledger.main(["--diff", "--workload", "quadratic"]) == 0
+    assert capsys.readouterr().out == "0 moved\n"

@@ -33,10 +33,13 @@ import ledger
 from helpers import (
     DESK_SEEDS,
     DESK_WORKLOADS,
+    UnsignedLogistic,
     central_difference_gradient,
+    desk_logistic_hard,
     desk_logistic_sparse,
     directional_second_difference,
     long_run_ista,
+    signed_csr,
 )
 
 
@@ -148,11 +151,27 @@ def _csr_bytes(Z):
     return Z.data.nbytes + Z.indices.nbytes + Z.indptr.nbytes
 
 
+def _signed(data):
+    """The signed design ``diag(labels) @ features``, dense."""
+    return data.labels[:, None] * data.features.toarray()
+
+
+def _is_signed_csr(data):
+    """Whether the operand is the signed CSR on the features' own
+    ``indices`` and ``indptr``."""
+    A, Z = data.operand, data.features
+    return (A.format == "csr" and A.dtype == np.float64
+            and np.shares_memory(A.indices, Z.indices)
+            and np.shares_memory(A.indptr, Z.indptr)
+            and not np.shares_memory(A.data, Z.data)
+            and np.array_equal(A.toarray(), _signed(data)))
+
+
 class TestLogisticLayout:
-    """The oracles multiply by a dense copy of the features exactly when it
-    takes no more bytes than the CSR arrays; else by a CSC copy exactly when
-    the design is tall with fewer than 32 stored entries per row on average;
-    else by the CSR matrix itself."""
+    """The oracles multiply by the signed design ``diag(labels) Z``: a dense
+    copy exactly when it takes no more bytes than the CSR arrays; else a CSC
+    copy exactly when the design is tall with fewer than 32 stored entries
+    per row on average; else a CSR matrix on the features' index arrays."""
 
     @staticmethod
     def _row(n_features, columns):
@@ -167,13 +186,14 @@ class TestLogisticLayout:
         assert 12 * 6 * 8 < _csr_bytes(data.features)
         assert isinstance(data.operand, np.ndarray)
         assert data.operand.dtype == np.float64
-        np.testing.assert_array_equal(data.operand, data.features.toarray())
+        assert data.operand.flags.c_contiguous
+        np.testing.assert_array_equal(data.operand, _signed(data))
 
     def test_sparse_features_keep_the_csr_layout(self):
         # a wide design: the CSR loops over the fewer rows
         data = _one_per_row_dataset(np.random.default_rng(21), 6, 12)
         assert 6 * 12 * 8 > _csr_bytes(data.features)
-        assert data.operand is data.features
+        assert _is_signed_csr(data)
 
     def test_tall_short_rows_take_a_csc_copy(self):
         data = _one_per_row_dataset(np.random.default_rng(24))
@@ -181,7 +201,7 @@ class TestLogisticLayout:
         Z, C = data.features, data.operand
         assert C.format == "csc" and C.has_sorted_indices
         assert C.dtype == Z.dtype and C.nnz == Z.nnz
-        np.testing.assert_array_equal(C.toarray(), Z.toarray())
+        np.testing.assert_array_equal(C.toarray(), _signed(data))
         # the transposed product runs on a view of the copy
         assert np.shares_memory(C.T.data, C.data)
 
@@ -189,13 +209,13 @@ class TestLogisticLayout:
         # 40 entries per row: 40*12 + 4 CSR bytes per row against 64*8 dense
         data = _rows_dataset(np.random.default_rng(25), 64, np.full(80, 40))
         assert 80 * 64 * 8 > _csr_bytes(data.features)
-        assert data.operand is data.features
+        assert _is_signed_csr(data)
 
     def test_csc_needs_fewer_than_32_entries_per_row(self):
         counts = np.full(80, 32)
         at_boundary = _rows_dataset(np.random.default_rng(26), 64, counts)
         assert at_boundary.features.nnz == 32 * 80
-        assert at_boundary.operand is at_boundary.features
+        assert _is_signed_csr(at_boundary)
         counts[-1] -= 1
         under = _rows_dataset(np.random.default_rng(26), 64, counts)
         assert under.features.nnz == 32 * 80 - 1
@@ -209,7 +229,7 @@ class TestLogisticLayout:
         assert isinstance(at_boundary.operand, np.ndarray)
         past_boundary = self._row(5, [0, 3])
         assert _csr_bytes(past_boundary.features) == 5 * 8 - 8
-        assert past_boundary.operand is past_boundary.features
+        assert _is_signed_csr(past_boundary)
 
     def test_integer_features_give_a_float_operand(self):
         Z = scipy.sparse.csr_matrix(np.array([[1, 2], [3, 4]], dtype=np.int64))
@@ -232,7 +252,7 @@ class TestLogisticLayout:
         y = np.where(rng.uniform(size=n_samples) > 0.5, 1.0, -1.0)
         sparse = LogisticDataset(scipy.sparse.csr_matrix(Zd), y)
         csr = LogisticDataset(sparse.features, y)
-        vars(csr)["operand"] = csr.features
+        vars(csr)["operand"] = signed_csr(csr)
         dense = LogisticDataset(full, y)
         assert sparse.operand.format == "csc"
         assert isinstance(dense.operand, np.ndarray)
@@ -266,6 +286,80 @@ class TestLogisticLayout:
             assert _fresh(data).gradient(np.zeros(1)) == -np.inf
             assert _fresh(data).hess_vec(np.zeros(1),
                                          np.array([1e308])) == np.inf
+
+
+def _wide_sparse_dataset():
+    """300x3000 at 2%: wider than tall, so the operand is the signed CSR,
+    the layout that no benchmark workload takes."""
+    rng = np.random.default_rng(41)
+    Z = scipy.sparse.random(300, 3000, density=0.02, format="csr",
+                            random_state=rng, data_rvs=rng.standard_normal)
+    return LogisticDataset(Z, np.where(rng.uniform(size=300) > 0.5, 1.0, -1.0))
+
+
+class TestSignedOperand:
+    """Every oracle on the signed operand is bitwise the one by the unsigned
+    design with the labels applied per sample (``helpers.UnsignedLogistic``),
+    in each layout."""
+
+    LAYOUTS = {
+        "dense_gram": lambda: desk_logistic_hard((11, 0)),
+        "dense_wide": lambda: _small_dataset(np.random.default_rng(50), 8, 40),
+        "csc": lambda: desk_logistic_sparse((11, 0)),
+        "csr": _wide_sparse_dataset,
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_oracles_match_the_unsigned_reference_bitwise(self, layout):
+        data = self.LAYOUTS[layout]()
+        A = data.operand
+        if layout.startswith("dense"):
+            assert isinstance(A, np.ndarray)
+            assert objectives._LogisticLinearization(data)._keeps_gram == (
+                layout == "dense_gram")
+        else:
+            assert A.format == layout
+        if layout == "csr":
+            assert _is_signed_csr(data)
+        ref = UnsignedLogistic(data)
+        rng = np.random.default_rng(51)
+        n = data.n_features
+        prob = logistic_problem(data, 0.1)
+        for scale in (0.1, 1.0, 30.0):
+            x, c, v = scale * rng.normal(size=(3, n))
+            x[rng.uniform(size=n) < 0.7] = 0.0  # sparse iterates, as solves
+            for point in (x, c):
+                assert _bitwise(prob.value(point), ref.value(point))
+                assert _bitwise(prob.gradient(point), ref.gradient(point))
+                assert _bitwise(prob.hess_vec(point, v),
+                                ref.hess_vec(point, v))
+            for beta in (0.0, 0.4, 1.3):
+                got = prob.on_line(x, None, None, c, None, None, beta)
+                want = ref.on_line(x, c, beta)
+                assert _bitwise(got[0], want[0])
+                assert _bitwise(got[1], want[1])
+
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 8)], ids=["gram", "wide"])
+    def test_overflowing_dense_point_warns_nothing(self, shape):
+        rng = np.random.default_rng(53)
+        Z = rng.choice([-1e308, 1e308, 0.5], size=shape)
+        data = LogisticDataset(scipy.sparse.csr_matrix(Z),
+                               np.where(rng.uniform(size=shape[0]) > 0.5,
+                                        1.0, -1.0))
+        assert isinstance(data.operand, np.ndarray)
+        ref = UnsignedLogistic(data)
+        x, v = np.full(shape[1], 1e308), np.full(shape[1], 1e308)
+        x[0] = -x[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = _fresh(data)
+            value, gradient = prob.value(x), prob.gradient(x)
+            hv = prob.hess_vec(x, v)
+        assert not np.isfinite(ref.margins(x)).all()
+        # NaN equals NaN here: a NaN's sign bit may differ
+        np.testing.assert_array_equal([value], [ref.value(x)])
+        np.testing.assert_array_equal(gradient, ref.gradient(x))
+        np.testing.assert_array_equal(hv, ref.hess_vec(x, v))
 
 
 class TestLogisticValue:
@@ -459,7 +553,9 @@ class TestLogisticExponential:
         for scale in (0.1, 1.0, 30.0, 1e3):
             data = _small_dataset(rng, 40, 8)
             x = scale * rng.normal(size=8)
-            t = -data.labels * (data.operand @ x)
+            # the unsigned dense product, signed afterwards
+            assert isinstance(data.operand, np.ndarray)
+            t = -data.labels * (data.features.toarray() @ x)
             expected = float(np.mean(np.maximum(t, 0.0)
                                      + np.log1p(np.exp(-np.abs(t)))))
             assert _bitwise(_fresh(data).value(x), expected)
@@ -723,21 +819,13 @@ class TestForwardProduct:
         with np.errstate(all="ignore"):
             return data.operand @ v
 
-    @staticmethod
-    def _wide_csr():
-        rng = np.random.default_rng(41)
-        Z = scipy.sparse.random(300, 3000, density=0.02, format="csr",
-                                random_state=rng, data_rvs=rng.standard_normal)
-        y = np.where(rng.uniform(size=300) > 0.5, 1.0, -1.0)
-        return LogisticDataset(Z, y)
-
     def _check(self, forward, v):
         assert _bitwise(forward(v), self._full(forward.data, v))
 
     @pytest.mark.parametrize("layout", ["csc", "csr"])
     def test_matches_the_full_product_as_its_columns_grow(self, layout):
         data = (desk_logistic_sparse((11, 0)) if layout == "csc"
-                else self._wide_csr())
+                else _wide_sparse_dataset())
         assert data.operand.format == layout
         n = data.n_features
         rng = np.random.default_rng(42)
