@@ -294,12 +294,12 @@ class _LogisticLinearization(_OnePointCache):
 
     def __init__(self, data):
         self._forward = _ForwardProduct(data)
-        super().__init__(partial(self._record, data, self._forward),
+        super().__init__(partial(self._record, self._forward),
                          data.n_features)
         self.data = data
 
     @staticmethod
-    def _record(data, forward, x):
+    def _record(forward, x):
         return _margin_record(forward(x))
 
     @cached_property
@@ -354,9 +354,10 @@ class _LogisticLinearization(_OnePointCache):
         rec_x, rec_c = self.recorded(x), self.recorded(c)
         if rec_x is None or rec_c is None:
             return None
-        m = rec_c["m"] - rec_x["m"]
-        m *= beta
-        m += rec_c["m"]
+        with np.errstate(all="ignore"):  # inf - inf where margins overflow
+            m = rec_c["m"] - rec_x["m"]
+            m *= beta
+            m += rec_c["m"]
         rec = _margin_record(m)
         return _mean_loss(rec), self._gradient(rec)
 

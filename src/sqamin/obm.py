@@ -149,6 +149,19 @@ class ProjectedSearchResult(NamedTuple):
     linear: float = math.nan
 
 
+def _trial(model, cand, hdx=None):
+    """``(q, smooth value, smooth gradient, H(cand - x_ref), l1 term,
+    g_ref @ (cand - x_ref))`` of the model at ``cand``, from the product
+    ``hdx`` when it is known, else from one Hessian-vector product, whose
+    array the oracle may reuse: a caller copies it on acceptance."""
+    dx = cand - model.x_ref
+    if hdx is None:
+        hdx = model.apply_hessian(dx)
+    sval, sgrad, linear = model.step_eval(dx, hdx)
+    penalty = l1_penalty(cand, model.mu)
+    return sval + penalty, sval, sgrad, hdx, penalty, linear
+
+
 def obm_projected_line_search(model, z, face, d, v, q_ref):
     """Backtrack along ``d`` with re-projection onto the face.
 
@@ -159,10 +172,8 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     monotone).  Returns ``z``, stalled, when the step underflows or a
     candidate equals ``z``, before that candidate is evaluated (both tests
     would pass it with equality, and every shorter step rounds to ``z``
-    too), and at once with a NaN ``q_value`` at a NaN trial.  A zero ``d``
-    that comes without a hand-off raises ``ValueError``; :func:`obm_solve`
-    hands off every CG direction, so a zero one stalls with no trial, and
-    passes no zero quasi-Newton direction.
+    too), so at once with no trial for a zero ``d`` and ``z`` on the face,
+    and with a NaN ``q_value`` at a NaN trial.
 
     A trial that the projection leaves unclipped lies on the ray
     ``z + alpha d``.  When ``model.search_products`` holds
@@ -176,10 +187,7 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
     if handed is not None and handed[0] is z and handed[2] is d:
         hz, hd = handed[1], handed[3]
     else:
-        hd = None
-        d = np.asarray(d, dtype=float)
-        if not d.any():
-            raise ValueError("line search direction is zero")
+        hd, d = None, np.asarray(d, dtype=float)
     z = np.asarray(z, dtype=float)
     alpha = 1.0
     trials = 0
@@ -192,22 +200,16 @@ def obm_projected_line_search(model, z, face, d, v, q_ref):
         if slope == 0.0 and not step.any():  # shorter steps leave z too
             break
         on_ray = hd is not None and (cand == ray).all()
-        dx = cand - model.x_ref
-        hdx = (hz + (hd if alpha == 1.0 else alpha * hd) if on_ray
-               else model.apply_hessian(dx))
-        sval, sgrad, linear = model.step_eval(dx, hdx)
-        penalty = l1_penalty(cand, model.mu)
-        q_cand = sval + penalty
+        q, sval, sgrad, hdx, penalty, linear = _trial(
+            model, cand,
+            hz + (hd if alpha == 1.0 else alpha * hd) if on_ray else None)
         trials += 1
-        if math.isnan(q_cand):
+        if math.isnan(q):
             return ProjectedSearchResult(z, 0.0, trials, math.nan, None,
                                          math.nan, True)
-        if (q_cand <= q_ref and
-                q_cand <= q_ref + ARMIJO_CONSTANT * slope):
-            # an oracle's product is copied: it may reuse its output array
-            return ProjectedSearchResult(cand, alpha, trials, sval, sgrad,
-                                         q_cand, False,
-                                         hdx if on_ray else hdx.copy(),
+        if q <= q_ref and q <= q_ref + ARMIJO_CONSTANT * slope:
+            return ProjectedSearchResult(cand, alpha, trials, sval, sgrad, q,
+                                         False, hdx if on_ray else hdx.copy(),
                                          penalty, linear)
         alpha *= 0.5
     return ProjectedSearchResult(z, 0.0, trials, math.nan, None, q_ref, True)
@@ -223,17 +225,12 @@ def _ista_safeguard(model, z, sgrad, q_ref):
     step = 1.0
     for _ in range(60):
         cand = soft_threshold(z - step * sgrad, step * model.mu)
-        dx = cand - model.x_ref
-        hdx = model.apply_hessian(dx)
-        sval, sgrad_c, linear = model.step_eval(dx, hdx)
-        penalty = l1_penalty(cand, model.mu)
-        q_cand = sval + penalty
-        if math.isnan(q_cand):
+        q, sval, sgrad_c, hdx, penalty, linear = _trial(model, cand)
+        if math.isnan(q):
             return None
-        if q_cand < q_ref - 1e-15 * max(1.0, abs(q_ref)):
-            return ProjectedSearchResult(cand, step, 1, sval, sgrad_c,
-                                         q_cand, False, hdx.copy(), penalty,
-                                         linear)
+        if q < q_ref - 1e-15 * max(1.0, abs(q_ref)):
+            return ProjectedSearchResult(cand, step, 1, sval, sgrad_c, q,
+                                         False, hdx.copy(), penalty, linear)
         step *= 0.5
     return None
 
@@ -244,58 +241,55 @@ def obm_solve(model, stop, outer_k, store=None, *, max_iter):
     The subspace phase runs truncated conjugate gradients with the
     outer-iteration budget ``min(3, 1 + outer_k // 10)``, or, given a
     quasi-Newton ``store``, solves that store's reduced system exactly.
-    The required ``stop(z, smooth_value, smooth_grad, penalty, linear)``
-    is checked at the start and after every accepted iterate; ``penalty``
-    is the l1 term at ``z`` and ``linear`` is ``g_ref @ (z - x_ref)``, as
-    the search or safeguard step that accepted ``z`` formed them (0 at the
-    start, the reference point).  Model values are nonincreasing along the
-    iterates; a stalled projected search falls back to a
-    proximal-gradient step with guaranteed decrease before giving up.
-    A NaN trial value, or a zero minimum-norm subgradient (an exact model
-    minimizer, where no step decreases the model), ends the solve with
-    status ``"stalled"``; ``max_iter`` iterates end it ``"iteration_cap"``.
+    The iterate is the :class:`ProjectedSearchResult` that accepted it,
+    from the search or the safeguard step, and at the start a record of the
+    model's reference point (product zero, linear term 0).  The required
+    ``stop(z, smooth_value, smooth_grad, penalty, linear)`` reads that
+    record's fields at the start and after every accepted iterate;
+    ``penalty`` is the l1 term at ``z`` and ``linear`` is
+    ``g_ref @ (z - x_ref)``.  Model values are nonincreasing along the
+    iterates; a stalled projected search, a zero direction's included,
+    falls back to a proximal-gradient step with guaranteed decrease before
+    giving up.  A NaN trial value, or a zero minimum-norm subgradient (an
+    exact model minimizer, where no step decreases the model), ends the
+    solve with status ``"stalled"``; ``max_iter`` iterates end it
+    ``"iteration_cap"``.
 
-    The start, the model's reference point, costs no Hessian-vector product,
-    each CG iteration one, and each projected-search trial one unless it is
-    unclipped on a CG direction: the solve keeps its iterate's product and
-    hands it to the search with the CG's.  Quasi-Newton directions and
-    safeguard steps pay one per trial.  An iteration with one CG step and
-    one trial also makes about 42 O(n) numpy passes (subgradient 7, face 4,
-    CG 10 plus 12 per further step, search 15, stop test 6), at n in the
-    hundreds mostly call overhead.  The model gradient must be finite, as
-    the driver's oracle checks make it.
+    The start costs no Hessian-vector product, each CG iteration one, and
+    each projected-search trial one unless it is unclipped on a CG
+    direction: the solve hands the search its iterate's product with the
+    CG's.  Quasi-Newton directions and safeguard steps pay one per trial.
+    The model gradient must be finite, as the driver's oracle checks make
+    it.
     """
-    z, sval, sgrad = model.x_ref.copy(), model.f_ref, model.g_ref
-    hz = np.zeros_like(z)  # H(z - x_ref)
-    penalty, linear = l1_penalty(z, model.mu), 0.0  # g_ref @ (z - x_ref)
-    q_z = q_start = model.q_ref
+    current = ProjectedSearchResult(
+        model.x_ref.copy(), 0.0, 0, model.f_ref, model.g_ref, model.q_ref,
+        False, np.zeros(model.dim), l1_penalty(model.x_ref, model.mu), 0.0)
     cg_cap = cg_budget(outer_k)
     iterations = 0
     status = "iteration_cap"
-    done = stop(z, sval, sgrad, penalty, linear)
+    done = stop(current.point, current.smooth_value, current.smooth_grad,
+                current.penalty, current.linear)
     while not done and iterations < max_iter:
+        z, sgrad, q_z = current.point, current.smooth_grad, current.q_value
         v, face = _subgradient_and_face(sgrad, z, model.mu)
         if store is None:
-            # handed off, a zero d stalls the search before any trial
             d, hd = subspace_cg_solve(model, face, v, cg_cap)
-            model.search_products = (z, hz, d, hd)
-            outcome = obm_projected_line_search(model, z, face, d, v, q_z)
+            model.search_products = (z, current.product, d, hd)
         else:
             d = lbfgs_reduced_inverse_solve(store, face, v, model.tally)
-            outcome = (obm_projected_line_search(model, z, face, d, v, q_z)
-                       if d.any() else
-                       ProjectedSearchResult(z, 0.0, 0, sval, sgrad, q_z, True))
+        outcome = obm_projected_line_search(model, z, face, d, v, q_z)
         # a zero v marks an exact model minimizer: no step decreases the model
         if outcome.stalled and not math.isnan(outcome.q_value) and v.any():
             outcome = _ista_safeguard(model, z, sgrad, q_z)
         if outcome is None or outcome.stalled:
             status = "stalled"
             break
-        z, sval, sgrad, q_z = (outcome.point, outcome.smooth_value,
-                               outcome.smooth_grad, outcome.q_value)
-        hz, penalty, linear = outcome.product, outcome.penalty, outcome.linear
+        current = outcome
         iterations += 1
-        done = stop(z, sval, sgrad, penalty, linear)
+        done = stop(current.point, current.smooth_value, current.smooth_grad,
+                    current.penalty, current.linear)
     if done:
         status = "converged"
-    return InnerResult(z, iterations, q_start - q_z, status)
+    return InnerResult(current.point, iterations,
+                       model.q_ref - current.q_value, status)

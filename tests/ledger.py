@@ -22,12 +22,26 @@ into the file, replacing only theirs, so that a new desk workload is added
 without regenerating the others::
 
     PYTHONPATH=src python3 tests/ledger.py --workload logistic_sparse_mu2e-3
+
+With ``--digest`` it writes nothing and prints instead one SHA-256 per
+bench solve and, last, the SHA-256 of those in order: the 48 solves of
+seed 11, instances 0-2 of every ``perfbench`` workload by every solver path,
+each instance built by the workload's own set-up and load steps and solved
+by the four paths in turn.  A solve's hash covers the bytes of ``x``, every
+trace row, the status and the six report counters, so two trees with the
+same digest solve the bench bit for bit alike.  BLAS rounding can depend on
+the thread count, so compare digests taken under the same
+``OPENBLAS_NUM_THREADS``::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tests/ledger.py --digest
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -36,8 +50,9 @@ from sqamin.io import SOLVERS
 
 from helpers import DESK_SEEDS, DESK_WORKLOADS
 
-PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                    "ledger.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+PATH = os.path.join(HERE, "data", "ledger.json")
+BENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 TOL_INF = 1e-5
 OBJECTIVE_RTOL = 1e-12  # the objective tolerance of tests/test_ledger.py
 COUNTERS = ("outer_iterations", "inner_iterations", "fg_evaluations",
@@ -91,6 +106,33 @@ def moves(old, new):
     return lines
 
 
+def bench_digest(seed=11, instances=3):
+    """Yield ``(label, SHA-256)`` for each bench solve of ``seed``'s
+    instances ``0..instances-1`` (see the module docstring), then
+    ``("digest", SHA-256 of the per-solve hashes in order)``."""
+    sys.path.insert(0, BENCH)
+    import workloads as bench
+
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, workload_class in bench.WORKLOADS.items():
+            workload = workload_class()
+            for i in range(instances):
+                setup = workload.setup([seed, i], workdir)
+                problem = workload.load(setup)
+                for path in bench.PATHS:
+                    x, report = bench.solve(problem, path, setup.tol_inf)
+                    one = hashlib.sha256(x.tobytes())
+                    for row in report.trace:
+                        one.update(repr(row).encode())
+                    one.update(repr([report.status] + [
+                        getattr(report, counter) for counter in COUNTERS
+                    ]).encode())
+                    total.update(one.digest())
+                    yield f"{name}/{i}/{path}", one.hexdigest()
+    yield "digest", total.hexdigest()
+
+
 def _read(path, workloads):
     """The entries of the ledger file at ``path`` that belong to
     ``workloads`` (a workload name is the first part of a key), and the
@@ -113,7 +155,14 @@ def main(argv=None):
                         choices=sorted(DESK_WORKLOADS),
                         help="compute, compare or merge only this workload's "
                         "entries (repeatable; default: every workload)")
+    parser.add_argument("--digest", action="store_true",
+                        help="print the SHA-256 of the seed-11 bench solves "
+                        "instead of writing a ledger")
     args = parser.parse_args(argv)
+    if args.digest:
+        for label, sha in bench_digest():
+            print(label, sha, flush=True)
+        return 0
     workloads = args.workload or tuple(DESK_WORKLOADS)
     ledger = compute(workloads)
     if args.diff:

@@ -6,7 +6,10 @@ the move is intended, regenerate ``tests/data/ledger.json`` with
 its reason, in CHANGES.md.
 """
 
+import hashlib
 import json
+import sys
+from functools import partial
 
 import pytest
 
@@ -82,3 +85,31 @@ def test_workload_option_diffs_and_merges_only_that_workload(tmp_path,
     capsys.readouterr()
     assert ledger.main(["--diff", "--workload", "quadratic"]) == 0
     assert capsys.readouterr().out == "0 moved\n"
+
+
+def test_digest_hashes_each_bench_solve_and_then_their_sequence(
+        monkeypatch, capsys):
+    # one bench workload and instance keep it short; the hash of a solve
+    # covers x, the trace rows, the status and the six counters
+    sys.path.insert(0, ledger.BENCH)
+    import workloads as bench
+
+    monkeypatch.setattr(bench, "WORKLOADS",
+                        {"quadratic": bench.WORKLOADS["quadratic"]})
+    monkeypatch.setattr(ledger, "bench_digest",
+                        partial(ledger.bench_digest, instances=1))
+    assert ledger.main(["--digest"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [label for label, _ in lines] == [
+        f"quadratic/0/{path}" for path in bench.PATHS] + ["digest"]
+    hashes = [bytes.fromhex(sha) for _, sha in lines]
+    assert hashlib.sha256(b"".join(hashes[:-1])).digest() == hashes[-1]
+    workload = bench.WORKLOADS["quadratic"]()
+    setup = workload.setup([11, 0], None)
+    x, report = bench.solve(workload.load(setup), "fista", setup.tol_inf)
+    one = hashlib.sha256(x.tobytes())
+    for row in report.trace:
+        one.update(repr(row).encode())
+    one.update(repr([report.status] + [getattr(report, name)
+                                        for name in ledger.COUNTERS]).encode())
+    assert one.digest() == hashes[0]

@@ -350,16 +350,23 @@ class TestSignedOperand:
         ref = UnsignedLogistic(data)
         x, v = np.full(shape[1], 1e308), np.full(shape[1], 1e308)
         x[0] = -x[0]
+        c = 0.5 * x
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             prob = _fresh(data)
             value, gradient = prob.value(x), prob.gradient(x)
             hv = prob.hess_vec(x, v)
+            prob.value(c)  # the hook reads the records of both points
+            line = prob.on_line(x, None, None, c, None, None, 0.4)
         assert not np.isfinite(ref.margins(x)).all()
         # NaN equals NaN here: a NaN's sign bit may differ
         np.testing.assert_array_equal([value], [ref.value(x)])
         np.testing.assert_array_equal(gradient, ref.gradient(x))
         np.testing.assert_array_equal(hv, ref.hess_vec(x, v))
+        with np.errstate(all="ignore"):  # the reference's own inf - inf
+            want = ref.on_line(x, c, 0.4)
+        np.testing.assert_array_equal([line[0]], [want[0]])
+        np.testing.assert_array_equal(line[1], want[1])
 
 
 class TestLogisticValue:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqamin import (
     LbfgsStore,
@@ -362,19 +363,32 @@ class TestProjectedLineSearch:
                                             model_value(model, z))
         assert outcome.alpha == 1.0
 
-    def test_zero_direction_raises(self):
-        # as the outer search does: there is no step to take, and no
-        # accepted point to return a smooth value and gradient for
+    @pytest.mark.parametrize("handed_off", [False, True],
+                             ids=["alone", "handed_off"])
+    def test_zero_direction_stalls_without_a_trial(self, handed_off):
+        # there is no step to take: the first candidate equals z, so the
+        # search returns z, stalled, before any trial and pays no product,
+        # whether or not products came with the direction
         rng = np.random.default_rng(11)
         model = _random_model(rng)
         z = rng.normal(size=6)
-        face = orthant_face(z, np.zeros(6))
+        z[[1, 4]] = 0.0, -0.0
+        v = min_norm_subgradient_from_gradient(model.smooth_eval(z)[1], z,
+                                               model.mu)
+        face = orthant_face(z, v)
+        d = np.zeros(6)
+        if handed_off:
+            model.search_products = (z, model.hessian(z - model.x_ref), d,
+                                     np.zeros(6))
         q_ref = model_value(model, z)
         products = model.tally.hess_vec_products
-        with pytest.raises(ValueError, match="direction is zero"):
-            obm_projected_line_search(model, z, face, np.zeros(6),
-                                      np.zeros(6), q_ref)
+        outcome = obm_projected_line_search(model, z, face, d, v, q_ref)
+        assert outcome.stalled
+        assert (outcome.alpha, outcome.trials) == (0.0, 0)
         assert model.tally.hess_vec_products == products
+        assert model.search_products is None
+        np.testing.assert_array_equal(outcome.point, z)
+        assert outcome.q_value == q_ref
 
     def test_ascent_direction_stalls_at_the_input(self):
         # v > 0 and z > 0, so z + alpha * v stays on the face and raises the
@@ -795,6 +809,54 @@ class TestObmStallRecovery:
         assert np.all(np.diff(values) <= 0.0)
         assert all((a != b).any() for a, b in zip(iterates, iterates[1:]))
 
+    @pytest.mark.parametrize("solver", ["cg", "qn"])
+    def test_zero_directions_take_the_safeguard(self, monkeypatch, solver):
+        # every subspace direction is zero, so every search stalls with no
+        # trial and each iterate is a safeguard step, on both paths; the
+        # pinned counts are those of the solve that skipped the search for a
+        # zero quasi-Newton direction and made up a stalled result instead
+        rng = np.random.default_rng(35)
+        n = 6
+        M = rng.normal(size=(n, n))
+        A = M @ M.T + np.eye(n)
+        store = LbfgsStore(memory=50)
+        for _ in range(3):
+            s = rng.normal(size=n)
+            store.update(s, A @ s)
+        model = QuadraticModel(rng.normal(size=n), 3.0 * rng.normal(size=n),
+                               0.0, store.hessian_vec, 0.4)
+        monkeypatch.setattr(obm, "lbfgs_reduced_inverse_solve",
+                            lambda store, face, v, tally: np.zeros(v.shape))
+        monkeypatch.setattr(obm, "subspace_cg_solve",
+                            lambda model, face, v, cg_cap:
+                            (np.zeros(v.shape), np.zeros(v.shape)))
+        searches, safeguards = [], []
+        search, safeguard = obm.obm_projected_line_search, obm._ista_safeguard
+
+        def spied_search(*args):
+            searches.append(search(*args))
+            return searches[-1]
+
+        def spied_safeguard(*args):
+            before = model.tally.hess_vec_products
+            safeguards.append((safeguard(*args),
+                               model.tally.hess_vec_products - before))
+            return safeguards[-1][0]
+
+        monkeypatch.setattr(obm, "obm_projected_line_search", spied_search)
+        monkeypatch.setattr(obm, "_ista_safeguard", spied_safeguard)
+        res = obm_solve(model, never_stop, outer_k=1,
+                        store=store if solver == "qn" else None,
+                        max_iter=1000)
+        assert all(o.stalled and o.trials == 0 for o in searches)
+        assert len(searches) == len(safeguards) == res.inner_iterations + 1
+        assert safeguards[-1][0] is None
+        assert model.tally.hess_vec_products == sum(p for _, p in safeguards)
+        assert (res.status, res.inner_iterations,
+                model.tally.hess_vec_products) == ("stalled", 33, 220)
+        assert res.model_decrease == pytest.approx(1.9404385509325146,
+                                                   rel=1e-12)
+
     def test_safeguard_gives_up_at_its_first_nan_trial(self):
         model = _nan_model([1.0, -1.0, 0.5], np.array([3.0, 0.2, -0.1]))
         z = model.x_ref
@@ -843,3 +905,70 @@ class TestObmStallRecovery:
         np.testing.assert_array_equal(res.solution, iterates[-1])
         assert res.model_decrease == model.q_ref - values[-1] > 0.0
         assert 0.0 <= values[-1] < 1e-14
+
+
+class TestAcceptedRecords:
+    """Each iterate of :func:`obm_solve` is the search or safeguard record
+    that accepted it; what the record carries is what a fresh evaluation at
+    its point gives."""
+
+    @staticmethod
+    def _model(n, seed, quasi_newton, mu):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(n, n))
+        H = M @ M.T + 0.1 * np.eye(n)
+        store = None
+        if quasi_newton:
+            store = LbfgsStore(memory=5)
+            for _ in range(int(rng.integers(1, 2 * n + 1))):
+                s = rng.normal(size=n)
+                store.update(s, H @ s)
+            hessian = store.hessian_vec
+        else:
+            hessian = lambda v: H @ v
+        model = QuadraticModel(rng.normal(size=n), 3.0 * rng.normal(size=n),
+                               rng.normal(), hessian, mu)
+        return model, store
+
+    @staticmethod
+    def _close(got, want, scale):
+        return np.all(np.abs(np.subtract(got, want)) <= 1e-12 * scale)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           quasi_newton=st.booleans(), mu=st.sampled_from([0.0, 0.1, 1.0]),
+           outer_k=st.integers(0, 30))
+    def test_records_match_a_fresh_evaluation(self, n, seed, quasi_newton,
+                                              mu, outer_k):
+        model, store = self._model(n, seed, quasi_newton, mu)
+        H = materialize_operator(model.hessian, n)
+        accepted = []
+        search, safeguard = obm.obm_projected_line_search, obm._ista_safeguard
+
+        def spied(real):
+            def call(*args):
+                outcome = real(*args)
+                if outcome is not None and not outcome.stalled:
+                    accepted.append(outcome)
+                return outcome
+            return call
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(obm, "obm_projected_line_search", spied(search))
+            patch.setattr(obm, "_ista_safeguard", spied(safeguard))
+            res = obm_solve(model, never_stop, outer_k, store, max_iter=40)
+        assert len(accepted) == res.inner_iterations
+        for rec in accepted:
+            dx = rec.point - model.x_ref
+            # the magnitudes each exact value is summed from
+            size = np.abs(H) @ np.abs(dx)
+            linear_size = float(np.abs(model.g_ref) @ np.abs(dx))
+            penalty = mu * float(np.abs(rec.point).sum())
+            linear = float(model.g_ref @ dx)
+            q = model.f_ref + linear + 0.5 * float(dx @ (H @ dx)) + penalty
+            q_size = (abs(model.f_ref) + linear_size
+                      + 0.5 * float(np.abs(dx) @ size) + penalty)
+            assert self._close(rec.product, H @ dx, max(size.max(), 1e-300))
+            assert self._close(rec.penalty, penalty, penalty)
+            assert self._close(rec.linear, linear, linear_size)
+            assert self._close(rec.q_value, q, q_size)
